@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .topology import to_milli
+
 VNF_NAMES = ("NAT", "FW", "VOC", "TM", "WO", "IDPS")
 SFC_NAMES = ("CG", "AugR", "VoIP", "VS", "MIoT", "Ind4.0")
 
@@ -45,6 +47,8 @@ class VnfType:
                 raise CatalogError(f"VNF {self.name}: {attr} must be positive")
         if int(self.proc_time) != self.proc_time:
             raise CatalogError(f"VNF {self.name}: proc_time must be integral steps")
+        if to_milli(self.storage_gb) == 0 or to_milli(self.compute_demand) == 0:
+            raise CatalogError(f"VNF {self.name}: storage and compute demand must be >= 0.001")
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,6 @@ class Catalog:
             vnf.validate()
         for sfc in self.sfcs.values():
             sfc.validate(self.vnfs)
-
-    def chain_proc_times(self, sfc_name: str) -> list[int]:
-        return [self.vnfs[v].proc_time for v in self.sfcs[sfc_name].chain]
 
     def to_dict(self) -> dict:
         return {

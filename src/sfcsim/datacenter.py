@@ -4,11 +4,15 @@ An instance is Installed (consuming storage and compute), and is either
 InUse (allocated to exactly one SFC's VNF) or Idle. Idle instances age by
 one step per tick and are uninstalled automatically once their idle time
 reaches the configured threshold.
+
+Storage and compute are kept in integer units of 0.001 (topology.to_milli),
+so any install/uninstall sequence restores the exact initial state.
 """
 
 from __future__ import annotations
 
 from .catalog import VnfType
+from .topology import QUANTUM, to_milli
 
 IN_USE = 1
 IDLE = 0
@@ -41,20 +45,29 @@ class NotInUse(DataCenterError):
 class DataCenter:
     def __init__(self, dc_id: int, max_storage_gb: float, cpus: float, ram_gb: float):
         self.dc_id = dc_id
-        self.max_storage = float(max_storage_gb)
-        self.max_compute = float(cpus) * float(ram_gb)  # same product rule as VNF demand
+        # ledger units (to_milli); compute follows the same product rule as VNF demand
+        self.max_storage = to_milli(max_storage_gb)
+        self.max_compute = to_milli(float(cpus) * float(ram_gb))
         self.cur_storage = self.max_storage
         self.cur_compute = self.max_compute
         # installed[vtype][fid] -> IN_USE | IDLE; idle_clock[vtype][fid] -> steps idle
         self.installed: dict[str, dict[int, int]] = {}
         self.idle_clock: dict[str, dict[int, int]] = {}
         self._next_fid: dict[str, int] = {}
-        self._demands: dict[str, tuple[float, float]] = {}  # vtype -> (storage, compute)
+        self._demands: dict[str, tuple[int, int]] = {}  # vtype -> (storage, compute)
 
     # -- queries -------------------------------------------------------------
 
+    def _demand(self, vtype: VnfType) -> tuple[int, int]:
+        demand = self._demands.get(vtype.name)
+        if demand is None:
+            demand = (to_milli(vtype.storage_gb), to_milli(vtype.compute_demand))
+            self._demands[vtype.name] = demand
+        return demand
+
     def can_install(self, vtype: VnfType) -> bool:
-        return self.cur_storage >= vtype.storage_gb and self.cur_compute >= vtype.compute_demand
+        storage, compute = self._demand(vtype)
+        return self.cur_storage >= storage and self.cur_compute >= compute
 
     def idle_fids(self, vname: str) -> list[int]:
         return sorted(self.idle_clock.get(vname, ()))
@@ -97,19 +110,19 @@ class DataCenter:
 
     def install_vnf(self, vtype: VnfType) -> int:
         """Install a new instance, initially Idle. Returns its function id."""
-        if self.cur_storage < vtype.storage_gb or self.cur_compute < vtype.compute_demand:
+        if not self.can_install(vtype):
             raise InsufficientResources(
                 f"DC {self.dc_id}: cannot install {vtype.name} "
-                f"(storage {self.cur_storage}/{vtype.storage_gb}, "
-                f"compute {self.cur_compute}/{vtype.compute_demand})"
+                f"(storage {self.cur_storage / QUANTUM}/{vtype.storage_gb}, "
+                f"compute {self.cur_compute / QUANTUM}/{vtype.compute_demand})"
             )
         fid = self._next_fid.get(vtype.name, 1)
         self._next_fid[vtype.name] = fid + 1
         self.installed.setdefault(vtype.name, {})[fid] = IDLE
         self.idle_clock.setdefault(vtype.name, {})[fid] = 0
-        self._demands[vtype.name] = (vtype.storage_gb, vtype.compute_demand)
-        self.cur_storage -= vtype.storage_gb
-        self.cur_compute -= vtype.compute_demand
+        storage, compute = self._demand(vtype)
+        self.cur_storage -= storage
+        self.cur_compute -= compute
         return fid
 
     def _lookup(self, vname: str, fid: int) -> int:

@@ -680,13 +680,11 @@ def _episode_seed(seed: int, episode: int) -> int:
     return (int(seed) * 1_000_003 + episode) % (2 ** 31)
 
 
-def _write_curve(path: str, curve: list[dict], append: bool = False) -> None:
-    mode = "a" if append and os.path.exists(path) else "w"
-    with open(path, mode, newline="") as fh:
+def _write_curve(path: str, curve: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if mode == "w":
-            w.writerow(["episode", "epsilon", "mean_loss", "acceptance_ratio",
-                        "cumulative_reward"])
+        w.writerow(["episode", "epsilon", "mean_loss", "acceptance_ratio",
+                    "cumulative_reward"])
         for row in curve:
             w.writerow([row["episode"], repr(row["epsilon"]), repr(row["mean_loss"]),
                         repr(row["acceptance_ratio"]), repr(row["cumulative_reward"])])

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog, SfcType
-from .topology import BW_QUANTUM, PathResult
+from .topology import QUANTUM, PathResult
 
 
 class RequestError(ValueError):
@@ -73,7 +73,7 @@ class SfcRecord:
 
 
 def _quantize_bw(bw: float) -> float:
-    return round(bw * BW_QUANTUM) / BW_QUANTUM
+    return round(bw * QUANTUM) / QUANTUM
 
 
 def _make_record(tag: int, styp: SfcType, catalog: Catalog, src: int, dest: int,

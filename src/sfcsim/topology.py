@@ -2,9 +2,8 @@
 
 Residual bandwidth is tracked in integer units of 0.001 Mbps so that any
 balanced reserve/release sequence restores the exact initial state. Path
-discovery is depth-first enumeration over simple paths with the usual
-length-bound prune, seeded by a Dijkstra pass on the bandwidth-feasible
-subgraph so the bound is tight from the start.
+discovery is one label-setting Dijkstra over (length, hops) labels on the
+bandwidth-feasible subgraph.
 """
 
 from __future__ import annotations
@@ -16,11 +15,12 @@ from dataclasses import dataclass
 C_FIBER_KM_S = 2.0e5  # light in fiber
 STEP_SECONDS = 1.0e-5  # one step = 0.01 ms
 
-BW_QUANTUM = 1000  # internal residual units per Mbps
+QUANTUM = 1000  # ledger units per Mbps, per GB of storage and per compute unit
 
 
-def to_milli(mbps: float) -> int:
-    return int(round(mbps * BW_QUANTUM))
+def to_milli(value: float) -> int:
+    """A resource amount in the integer units every ledger keeps."""
+    return int(round(value * QUANTUM))
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,15 @@ class NetworkGraph:
             raise TopologyError("node ids must be contiguous 0..n-1")
         self.n = len(nodes)
         self.coords = {nid: (float(x), float(y)) for nid, x, y in nodes}
-        self.adj: dict[int, list[int]] = {nid: [] for nid in range(self.n)}
+        # _nbrs[m] -> [(n, edge key, km)]: everything a path search reads per hop
+        self._nbrs: list[list[tuple[int, tuple[int, int], float]]] = [[] for _ in range(self.n)]
         self._capacity: dict[tuple[int, int], int] = {}
         self._residual: dict[tuple[int, int], int] = {}
         self._dist: dict[tuple[int, int], float] = {}
         self.propagation = propagation
         self.c_fiber_km_s = c_fiber_km_s
         self.bw_version = 0
+        total_km = 0.0
         for edge in edges:
             m, n, cap = edge[0], edge[1], edge[2]
             dist_km = edge[3] if len(edge) > 3 and edge[3] is not None else None
@@ -76,11 +78,16 @@ class NetworkGraph:
                 raise TopologyError(f"duplicate edge {key}")
             self._capacity[key] = to_milli(cap)
             self._residual[key] = to_milli(cap)
-            self._dist[key] = float(dist_km) if dist_km is not None else self.euclidean(m, n)
-            self.adj[m].append(n)
-            self.adj[n].append(m)
-        for nid in self.adj:
-            self.adj[nid].sort()
+            km = float(dist_km) if dist_km is not None else self.euclidean(m, n)
+            if not 0.0 <= km < math.inf:  # path search needs finite, non-negative lengths
+                raise TopologyError(f"edge {key} distance {km} must be finite and >= 0")
+            self._dist[key] = km
+            self._nbrs[m].append((n, key, km))
+            self._nbrs[n].append((m, key, km))
+            total_km += km
+        # No simple path is longer than total_km, so float error on any path
+        # sum stays orders of magnitude below this slack (see select_min_path).
+        self._slack_km = 1e-9 * total_km
 
     # -- geometry ----------------------------------------------------------
 
@@ -105,10 +112,10 @@ class NetworkGraph:
         return sorted(self._capacity)
 
     def capacity_mbps(self, m: int, n: int) -> float:
-        return self._capacity[(min(m, n), max(m, n))] / BW_QUANTUM
+        return self._capacity[(min(m, n), max(m, n))] / QUANTUM
 
     def residual_mbps(self, m: int, n: int) -> float:
-        return self._residual[(min(m, n), max(m, n))] / BW_QUANTUM
+        return self._residual[(min(m, n), max(m, n))] / QUANTUM
 
     def residual_snapshot(self) -> dict[tuple[int, int], int]:
         return dict(self._residual)
@@ -150,75 +157,42 @@ class NetworkGraph:
 
     # -- path discovery ------------------------------------------------------
 
-    def _feasible(self, m: int, n: int, req_milli: int) -> bool:
-        return self._residual[(min(m, n), max(m, n))] >= req_milli
-
-    def _dijkstra_bound(self, src: int, dest: int, req_milli: int) -> float:
-        """Shortest feasible-path length, or inf if unreachable."""
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node == dest:
-                return d
-            if d > dist.get(node, math.inf):
-                continue
-            for nxt in self.adj[node]:
-                if not self._feasible(node, nxt, req_milli):
-                    continue
-                nd = d + self.distance(node, nxt)
-                if nd < dist.get(nxt, math.inf):
-                    dist[nxt] = nd
-                    heapq.heappush(heap, (nd, nxt))
-        return math.inf
-
-    def select_min_path(self, src: int, dest: int, req_bw: float, *, prune: bool = True):
+    def select_min_path(self, src: int, dest: int, req_bw: float):
         """Minimum-length simple path whose edges all have residual >= req_bw.
 
         Returns a PathResult or None. Ties between equal-length paths go to
-        the lexicographically smallest hop sequence. Does not reserve.
+        the lexicographically smallest hop sequence; the length is the
+        hop-by-hop float sum. Does not reserve.
+
+        Labels are (length, hops) and a label extends its parent in that
+        order, so the first label popped at dest is the minimum. Float sums
+        are not monotone under a shared suffix (a + c and b + c can tie when
+        a < b), so a label is only dropped when it exceeds the best length
+        seen at its node by more than a slack far above float rounding; in
+        exact arithmetic such a label cannot start the optimal path.
         """
         if src not in self.coords or dest not in self.coords:
             raise TopologyError(f"unknown dc id in ({src}, {dest})")
-        if src == dest:
-            return PathResult((src,), 0.0)
         req_milli = to_milli(req_bw)
-
-        best_len = math.inf
-        best_hops = None
-        if prune:
-            best_len = self._dijkstra_bound(src, dest, req_milli)
-            if math.isinf(best_len):
-                return None
-
-        visited = [False] * self.n
-        visited[src] = True
-        hops = [src]
-
-        def dfs(node: int, length: float) -> None:
-            nonlocal best_len, best_hops
-            if prune and length > best_len:
-                return
+        residual = self._residual
+        slack = self._slack_km
+        best = [math.inf] * self.n
+        heap = [(0.0, (src,))]
+        while heap:
+            length, hops = heapq.heappop(heap)
+            node = hops[-1]
             if node == dest:
-                if length < best_len or (
-                    length == best_len and (best_hops is None or tuple(hops) < best_hops)
-                ):
-                    best_len = length
-                    best_hops = tuple(hops)
-                return
-            for nxt in self.adj[node]:
-                if visited[nxt] or not self._feasible(node, nxt, req_milli):
+                return PathResult(hops, length)
+            for nxt, key, km in self._nbrs[node]:
+                if residual[key] < req_milli or nxt in hops:
                     continue
-                visited[nxt] = True
-                hops.append(nxt)
-                dfs(nxt, length + self.distance(node, nxt))
-                hops.pop()
-                visited[nxt] = False
-
-        dfs(src, 0.0)
-        if best_hops is None:
-            return None
-        return PathResult(best_hops, best_len)
+                nlen = length + km
+                if nlen > best[nxt] + slack:
+                    continue
+                if nlen < best[nxt]:
+                    best[nxt] = nlen
+                heapq.heappush(heap, (nlen, hops + (nxt,)))
+        return None
 
     def propagation_steps(self, path: PathResult) -> int:
         """Propagation delay of a path in whole steps; 0 when disabled."""

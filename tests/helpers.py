@@ -9,7 +9,7 @@ from sfcsim.datacenter import DataCenter
 from sfcsim.engine import Engine
 from sfcsim.policy import UNINSTALL, PolicyAction
 from sfcsim.requestgen import RequestGenerator
-from sfcsim.topology import NetworkGraph
+from sfcsim.topology import NetworkGraph, to_milli
 
 from reference_sim import RefSim
 
@@ -137,6 +137,6 @@ def run_equivalence(seed: int, max_steps: int = 6000):
         "done": ref.done,
         "dropped": ref.dropped,
         "residuals": dict(ref.net.residual),
-        "resources": [(dc.storage, dc.compute) for dc in ref.dcs],
+        "resources": [(to_milli(dc.storage), to_milli(dc.compute)) for dc in ref.dcs],
     }
     return trace.events, ref.events, eng_summary, ref_summary

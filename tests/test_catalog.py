@@ -76,6 +76,13 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError):
             load_catalog({"sfcs": {"CG": {"e2e_ms": -1}}})
 
+    def test_demand_below_ledger_unit_rejected(self):
+        # the datacenter ledger counts in 0.001 units; less would cost nothing
+        with pytest.raises(CatalogError):
+            load_catalog({"vnfs": {"NAT": {"storage_gb": 0.0004}}})
+        with pytest.raises(CatalogError):
+            load_catalog({"vnfs": {"NAT": {"vcpu": 0.001, "ram_gb": 0.4}}})
+
     def test_unknown_type_rejected(self):
         with pytest.raises(CatalogError):
             load_catalog({"vnfs": {"DPI": {"vcpu": 1}}})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfcsim.catalog import default_catalog
+from sfcsim.catalog import VnfType, default_catalog
 from sfcsim.datacenter import (
     AlreadyInUse,
     DataCenter,
@@ -25,8 +25,8 @@ class TestInstall:
     def test_install_decrements_resources(self):
         dc = fresh_dc()
         dc.install_vnf(NAT)
-        assert dc.cur_storage == 1993
-        assert dc.cur_compute == 16380
+        assert dc.cur_storage == 1993_000
+        assert dc.cur_compute == 16380_000
 
     def test_exhausted_storage_refused(self):
         dc = DataCenter(0, 5, 64, 256)
@@ -37,9 +37,31 @@ class TestInstall:
         dc = fresh_dc()
         for _ in range(285):
             dc.install_vnf(NAT)
-        assert dc.cur_storage == 2000 - 285 * 7
+        assert dc.cur_storage == (2000 - 285 * 7) * 1000
         with pytest.raises(InsufficientResources):
             dc.install_vnf(NAT)
+
+    def test_fractional_demands_keep_exact_ledger(self):
+        # 0.1 GB and 1 x 0.3 compute have no exact float form; summed as
+        # floats, the ledger identity broke on 38 of these 39 installs
+        tiny = VnfType("NAT", 1, 0.3, 0.1, 1)
+        dc = fresh_dc()
+        fids = []
+        for _ in range(39):
+            fids.append(dc.install_vnf(tiny))
+            dc.check_ledger()
+        for fid in fids:
+            dc.uninstall_vnf("NAT", fid)
+        assert (dc.cur_storage, dc.cur_compute) == (dc.max_storage, dc.max_compute)
+
+    def test_fractional_demands_fill_capacity_exactly(self):
+        tiny = VnfType("NAT", 1, 0.3, 0.1, 1)
+        dc = DataCenter(0, 3.9, 1, 11.7)
+        for _ in range(39):
+            dc.install_vnf(tiny)
+        assert (dc.cur_storage, dc.cur_compute) == (0, 0)
+        with pytest.raises(InsufficientResources):
+            dc.install_vnf(tiny)
 
     def test_fids_unique_and_monotonic(self):
         dc = fresh_dc()
@@ -54,8 +76,8 @@ class TestLifecycle:
         dc = fresh_dc()
         fid = dc.install_vnf(NAT)
         dc.uninstall_vnf("NAT", fid)
-        assert dc.cur_storage == 2000
-        assert dc.cur_compute == 16384
+        assert dc.cur_storage == 2000_000
+        assert dc.cur_compute == 16384_000
         assert dc.installed_count() == 0
         dc.check_ledger()
 
@@ -139,7 +161,7 @@ class TestIdleReaper:
         for _ in range(99):
             assert dc.tick_idle(100) == []
         assert dc.tick_idle(100) == [("NAT", fid)]
-        assert dc.cur_storage == 2000
+        assert dc.cur_storage == 2000_000
 
     def test_no_idle_instances(self):
         assert fresh_dc().tick_idle(100) == []

@@ -10,7 +10,7 @@ from sfcsim.policy import ALLOCATE, IDLE_WAIT, UNINSTALL, HeuristicPolicy, Polic
 from sfcsim.requestgen import RequestGenerator, schedule_waves
 from sfcsim.topology import NetworkGraph, PathResult
 
-from helpers import ListTrace
+from helpers import ListTrace, run_equivalence
 
 
 def two_dc_graph(capacity=500.0):
@@ -184,8 +184,7 @@ class TestActionExecutor:
 
     def test_allocate_without_resources_is_invalid(self):
         engine, gen, _ = build(single_vnf_catalog())
-        engine.dcs[0].cur_storage = 0.0
-        engine.dcs[0].max_storage = 2000.0
+        engine.dcs[0].cur_storage = 0
         engine.inject(gen.manual_wave([{"type": "Ind4.0", "src": 0, "dest": 1, "bw": 70}]))
         engine.step()
         assert not engine.apply_action(PolicyAction(ALLOCATE, "NAT", 0))
@@ -283,3 +282,12 @@ class TestInvariantsUnderLoad:
         assert checked > 5
         assert result.accepted + result.dropped == result.generated
         engine.check_invariants()
+
+
+class TestReferenceEquivalence:
+    def test_matches_reference_sim(self):
+        # a naive re-implementation driven by one scripted decision stream
+        for seed in range(40):
+            eng_events, ref_events, eng_summary, ref_summary = run_equivalence(seed)
+            assert eng_events == ref_events, seed
+            assert eng_summary == ref_summary, seed

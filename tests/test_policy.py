@@ -201,7 +201,7 @@ class TestHeuristicPolicy:
     def test_idle_wait_when_resources_exhausted(self):
         engine, gen = three_dc_engine()
         for dc in engine.dcs:
-            dc.cur_storage = 0.0
+            dc.cur_storage = 0
         inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1}])
         engine.step()
         assert HeuristicPolicy().plan(engine) == [PolicyAction(IDLE_WAIT)]

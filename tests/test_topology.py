@@ -1,6 +1,5 @@
 """Path discovery oracle checks, bandwidth conservation, propagation math."""
 
-import itertools
 import math
 
 import numpy as np
@@ -27,29 +26,37 @@ def random_graph(seed, max_nodes=8):
     return NetworkGraph(nodes, edges), rng
 
 
-def enumerate_min_path(graph, src, dest, req_bw):
-    """Exhaustive simple-path oracle over the bandwidth-feasible edge set."""
-    if src == dest:
-        return ((src,), 0.0)
-    best = None
-    nodes = list(range(graph.n))
-    others = [x for x in nodes if x not in (src, dest)]
-    for k in range(len(others) + 1):
-        for mid in itertools.permutations(others, k):
-            hops = (src,) + mid + (dest,)
-            ok = True
-            length = 0.0
-            for a, b in zip(hops, hops[1:]):
-                key = (min(a, b), max(a, b))
-                if key not in graph._capacity or graph._residual[key] < round(req_bw * 1000):
-                    ok = False
-                    break
-                length += graph.distance(a, b)
-            if ok and (best is None or (length, hops) < best):
-                best = (length, hops)
-    if best is None:
-        return None
-    return best[1], best[0]
+def enumerate_min_paths(graph, src, req_bw):
+    """Exhaustive simple-path oracle over the bandwidth-feasible edge set.
+
+    Walks every simple path from src without any bound and returns, for each
+    reachable node, the minimum (hop-by-hop float length, hops).
+    """
+    req_milli = round(req_bw * 1000)
+    links = {m: [x for x in range(graph.n)
+                 if (min(m, x), max(m, x)) in graph._capacity
+                 and graph._residual[(min(m, x), max(m, x))] >= req_milli]
+             for m in range(graph.n)}
+    best = {}
+    stack = [((src,), 0.0)]
+    while stack:
+        hops, length = stack.pop()
+        node = hops[-1]
+        if node not in best or (length, hops) < best[node]:
+            best[node] = (length, hops)
+        for nxt in links[node]:
+            if nxt not in hops:
+                stack.append((hops + (nxt,), length + graph.distance(node, nxt)))
+    return best
+
+
+def assert_matches_oracle(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.hops == want[1]
+        assert got.length_km == want[0]
 
 
 class TestSelectMinPath:
@@ -71,9 +78,7 @@ class TestSelectMinPath:
         edges = [(0, 1, 500.0), (1, 2, 500.0), (2, 3, 500.0), (0, 3, 500.0), (0, 2, 5.0)]
         g = NetworkGraph(nodes, edges)
         path = g.select_min_path(0, 2, 10.0)
-        oracle = enumerate_min_path(g, 0, 2, 10.0)
-        assert path.hops == oracle[0]
-        assert math.isclose(path.length_km, oracle[1])
+        assert_matches_oracle(path, enumerate_min_paths(g, 0, 10.0).get(2))
         assert path.hops in ((0, 1, 2), (0, 3, 2))
 
     def test_unknown_node_raises(self):
@@ -85,32 +90,53 @@ class TestSelectMinPath:
         assert g.select_min_path(0, 2, 10.0) is None
 
     def test_oracle_equivalence_random_graphs(self):
-        for seed in range(300):
+        for seed in [*range(300), *range(10_000, 10_200)]:
             g, rng = random_graph(seed)
             src = int(rng.integers(g.n))
             dest = int(rng.integers(g.n))
             req = float(np.round(rng.uniform(0, 600), 3))
-            got = g.select_min_path(src, dest, req)
-            want = enumerate_min_path(g, src, dest, req)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert abs(got.length_km - want[1]) < 1e-9
-                assert got.hops == want[0]
+            want = enumerate_min_paths(g, src, req).get(dest)
+            assert_matches_oracle(g.select_min_path(src, dest, req), want)
 
     def test_pruning_soundness(self):
+        # An infinite slack keeps every label, so the search turns exhaustive;
+        # pruning must not change which path is found.
         for seed in range(200):
             g, rng = random_graph(seed + 10_000)
             src = int(rng.integers(g.n))
             dest = int(rng.integers(g.n))
             req = float(np.round(rng.uniform(0, 400), 3))
-            a = g.select_min_path(src, dest, req, prune=True)
-            b = g.select_min_path(src, dest, req, prune=False)
+            a = g.select_min_path(src, dest, req)
+            g._slack_km = math.inf
+            b = g.select_min_path(src, dest, req)
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.hops == b.hops
                 assert a.length_km == b.length_km
+
+    def test_oracle_equivalence_sparse_circles(self):
+        # Evenly spaced nodes give many routes of equal length whose float
+        # sums differ in the last bits before a shared suffix.
+        for seed in range(250):
+            rng = np.random.default_rng([seed, 0x71E])
+            n = int(rng.integers(4, 10))
+            g = circle_topology(n, 6000.0, float(rng.uniform(0.2, 0.5)), seed)
+            for key in g.edge_keys():
+                g._residual[key] = int(rng.integers(0, 500_001))
+            req = float(np.round(rng.uniform(0, 250), 3))
+            for src in range(n):
+                oracle = enumerate_min_paths(g, src, req)
+                for dest in range(n):
+                    assert_matches_oracle(g.select_min_path(src, dest, req), oracle.get(dest))
+
+    def test_float_tie_after_shared_suffix(self):
+        # 5-7-0 is shorter than 5-6-0 in floats, yet both routes sum to the
+        # same length once 0-1 is added; the smaller hop tuple must win.
+        g = circle_topology(8, 6000.0, 0.4, 8)
+        path = g.select_min_path(5, 1, 1.0)
+        assert path.hops == (5, 6, 0, 1)
+        assert path.length_km == 17669.683751000724
+        assert enumerate_min_paths(g, 5, 1.0)[1] == (path.length_km, path.hops)
 
     def test_lexicographic_tie_break(self):
         # two mirror-image routes of identical length; smaller hop ids win
@@ -213,6 +239,13 @@ class TestGraphStructure:
         assert g1.edge_keys() == g2.edge_keys()
         for i in range(6):
             assert g1.select_min_path(0, i, 1.0) is not None
+
+    @pytest.mark.parametrize("km", [-50.0, math.nan, math.inf])
+    def test_bad_distance_rejected(self, km):
+        # path search orders labels by length, so lengths must be finite and >= 0
+        nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0)]
+        with pytest.raises(TopologyError):
+            NetworkGraph(nodes, [(0, 1, 500.0, km)])
 
     def test_duplicate_edge_rejected(self):
         nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0)]
