@@ -14,6 +14,7 @@ import statistics
 import sys
 
 from .config import BUILTIN_SCENARIOS, ConfigError, ScenarioConfig, load_config, make_runtime
+from .datacenter import DataCenterError
 from .engine import EngineError, run_episode
 from .trace import TraceWriter
 
@@ -105,7 +106,7 @@ def cmd_run(args) -> int:
     except (ConfigError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EngineError, AssertionError) as exc:
+    except (EngineError, DataCenterError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     _write_config_copy(cfg, out_dir)
@@ -138,7 +139,7 @@ def cmd_train(args) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} (last good checkpoint kept)", file=sys.stderr)
         return EXIT_DIVERGED
-    except (EngineError, AssertionError) as exc:
+    except (EngineError, DataCenterError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"checkpoint: {result.checkpoint_path}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
 import yaml
 
@@ -142,6 +143,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown policy kind {kind!r}")
         if self.data["policy"]["t_model"] < 1:
             raise ConfigError("t_model must be >= 1")
+        weights = self.data["policy"]["weights"]
+        # the comparison also rejects NaN
+        if not (isinstance(weights, (list, tuple)) and len(weights) == 4 and all(
+                type(w) in (int, float) and 0 <= w < math.inf for w in weights)):
+            raise ConfigError(f"policy.weights must be four finite non-negative numbers, "
+                              f"got {weights!r}")
         # reject malformed wave plans early
         schedule_waves(self.data["requests"]["wave_times"],
                        self.data["requests"]["manual"])

@@ -26,6 +26,10 @@ class InsufficientResources(DataCenterError):
     """Install refused for lack of storage or compute. A policy-level signal."""
 
 
+class LedgerError(DataCenterError):
+    """The resource bookkeeping identity failed: a bug, never a policy outcome."""
+
+
 class UnknownFunction(DataCenterError):
     pass
 
@@ -91,20 +95,26 @@ class DataCenter:
         return (self.max_compute - self.cur_compute) / self.max_compute
 
     def check_ledger(self) -> None:
-        """Assert the resource bookkeeping identity (constraints on capacity)."""
+        """Check the resource bookkeeping identity (constraints on capacity).
+
+        Raises LedgerError on any mismatch.
+        """
         used_storage = sum(
             self._demands[v][0] * len(t) for v, t in self.installed.items()
         )
         used_compute = sum(
             self._demands[v][1] * len(t) for v, t in self.installed.items()
         )
-        assert self.cur_storage + used_storage == self.max_storage
-        assert self.cur_compute + used_compute == self.max_compute
-        assert 0 <= self.cur_storage <= self.max_storage
-        assert 0 <= self.cur_compute <= self.max_compute
+        if self.cur_storage + used_storage != self.max_storage \
+                or self.cur_compute + used_compute != self.max_compute:
+            raise LedgerError(f"DC {self.dc_id}: free + installed != capacity")
+        if not (0 <= self.cur_storage <= self.max_storage
+                and 0 <= self.cur_compute <= self.max_compute):
+            raise LedgerError(f"DC {self.dc_id}: free resources out of [0, capacity]")
         for vname, table in self.installed.items():
             idle = {fid for fid, status in table.items() if status == IDLE}
-            assert idle == set(self.idle_clock.get(vname, ()))
+            if idle != set(self.idle_clock.get(vname, ())):
+                raise LedgerError(f"DC {self.dc_id}: idle {vname} instances differ from clocks")
 
     # -- lifecycle -------------------------------------------------------------
 

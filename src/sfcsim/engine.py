@@ -10,6 +10,12 @@ Waiting records cost nothing per step: elapsed time is derived from the
 injection step, and head completions, TX endings, and deadline expiries are
 woken by scheduled events. Wake-ups within a pass are processed in live
 (ascending tag) order so the result is identical to scanning every record.
+Final TXs sit on a heap keyed (end step, start step, tag); the final-TX pass
+pops the ones due, in the order they started, which is the order a scan of
+every in-flight final TX would finish them in.
+
+Waiting heads are grouped per VNF type by policy.score_key, so the
+allocation argmax scores each group once instead of each tag.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .policy import (
     UNINSTALL,
     PolicyAction,
     PriorityWeights,
+    score_key,
     select_for_allocation,
 )
 from .requestgen import RequestGenerator, SfcRecord, TxState, WavePlan
@@ -39,6 +46,10 @@ class EngineError(Exception):
 
 class StepLimitExceeded(EngineError):
     pass
+
+
+class InvariantError(EngineError):
+    """The engine's bookkeeping is inconsistent: a bug, never a policy outcome."""
 
 
 @dataclass(frozen=True)
@@ -111,8 +122,9 @@ class Engine:
         self.dropped: list[DropRecord] = []
         self.generated = 0
 
-        # waiting[vname] is an ordered set of tags whose head is unallocated
-        self.waiting: dict[str, dict[int, None]] = {v: {} for v in catalog.vnfs}
+        # waiting[vname][score_key] is an ordered set of tags whose head is
+        # unallocated; empty groups are deleted
+        self.waiting: dict[str, dict[tuple, dict[int, None]]] = {v: {} for v in catalog.vnfs}
         self.pending_by_type: dict[str, dict[str, int]] = {
             s: {v: 0 for v in catalog.vnfs} for s in catalog.sfcs
         }
@@ -127,6 +139,7 @@ class Engine:
 
         self._drop_heap: list[tuple[int, int]] = []  # (due step, tag)
         self._event_heap: list[tuple[int, int]] = []  # (due step, tag) wake-ups
+        self._final_heap: list[tuple[int, int, int]] = []  # (end step, start step, tag)
         self._retry_tx: dict[int, int] = {}  # tag -> bw version at last failure
         self._retry_final: dict[int, int] = {}
         self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
@@ -151,16 +164,20 @@ class Engine:
 
     def _waiting_add(self, rec: SfcRecord) -> None:
         head = rec.head
-        self.waiting[head.vtype][rec.tag] = None
+        self.waiting[head.vtype].setdefault(score_key(rec), {})[rec.tag] = None
         self.pending_by_type[rec.type_name][head.vtype] += 1
         self.local_pending[(rec.sfc_dc, head.vtype)] += 1
 
     def _waiting_remove(self, rec: SfcRecord) -> None:
         head = rec.head
-        if rec.tag in self.waiting[head.vtype]:
-            del self.waiting[head.vtype][rec.tag]
-            self.pending_by_type[rec.type_name][head.vtype] -= 1
-            self.local_pending[(rec.sfc_dc, head.vtype)] -= 1
+        groups = self.waiting[head.vtype]
+        key = score_key(rec)
+        group = groups[key]
+        del group[rec.tag]
+        if not group:
+            del groups[key]
+        self.pending_by_type[rec.type_name][head.vtype] -= 1
+        self.local_pending[(rec.sfc_dc, head.vtype)] -= 1
 
     def _cohort_remove(self, rec: SfcRecord) -> None:
         key = (rec.type_name, rec.inject_step)
@@ -303,6 +320,7 @@ class Engine:
             self.graph.reserve_bw(path, rec.bw)
             self.final_tx[tag] = FinalTx(path, now + steps, rec.bw, rec.type_name,
                                          rec.inject_step, rec.deadline_steps, rec.dest_dc)
+            heapq.heappush(self._final_heap, (now + steps, now, tag))
             self._retry_final.pop(tag, None)
             self._cohort_remove(rec)
             del self.live[tag]
@@ -310,8 +328,9 @@ class Engine:
                              dest=rec.dest_dc, steps=steps, hops=list(path.hops))
 
     def _final_tx_pass(self, now: int, report: StepReport) -> None:
-        finished = [tag for tag, ftx in self.final_tx.items() if ftx.end_step == now]
-        for tag in finished:
+        heap = self._final_heap
+        while heap and heap[0][0] <= now:
+            tag = heapq.heappop(heap)[2]
             ftx = self.final_tx.pop(tag)
             self.graph.release_bw(ftx.path, ftx.bw)
             e2e = now - ftx.inject_step + 1
@@ -414,6 +433,7 @@ class Engine:
     # -- invariants ------------------------------------------------------------
 
     def check_invariants(self) -> None:
+        """Raise InvariantError, LedgerError or TopologyError on broken bookkeeping."""
         self.graph.check_residuals()
         for dc in self.dcs:
             dc.check_ledger()
@@ -427,8 +447,38 @@ class Engine:
             to_milli(self.graph.capacity_mbps(*key)) - res
             for key, res in self.graph.residual_snapshot().items()
         )
-        assert reserved == deficit, f"bandwidth books differ: {reserved} != {deficit}"
-        assert not (set(self.live) & set(self.final_tx))
+        if reserved != deficit:
+            raise InvariantError(f"bandwidth books differ: {reserved} != {deficit}")
+        if set(self.live) & set(self.final_tx):
+            raise InvariantError("a tag is both live and in final TX")
+        if sorted(e[2] for e in self._final_heap) != sorted(self.final_tx):
+            raise InvariantError("final-TX heap and in-flight final TXs differ")
+        self._check_waiting()
+
+    def _check_waiting(self) -> None:
+        by_type = {s: {v: 0 for v in self.catalog.vnfs} for s in self.catalog.sfcs}
+        local = {key: 0 for key in self.local_pending}
+        seen = set()
+        for vname, groups in self.waiting.items():
+            for key, group in groups.items():
+                if not group:
+                    raise InvariantError(f"empty waiting group {vname} {key}")
+                for tag in group:
+                    rec = self.live.get(tag)
+                    head = rec.head if rec is not None else None
+                    if head is None or head.allocated or head.vtype != vname \
+                            or score_key(rec) != key or tag in seen:
+                        raise InvariantError(f"tag {tag} misfiled in waiting {vname} {key}")
+                    seen.add(tag)
+                    by_type[rec.type_name][vname] += 1
+                    local[(rec.sfc_dc, vname)] += 1
+        heads = {tag for tag, rec in self.live.items()
+                 if rec.head is not None and not rec.head.allocated}
+        if seen != heads:
+            raise InvariantError(f"waiting tags differ from unallocated heads: "
+                                 f"{sorted(seen ^ heads)}")
+        if by_type != self.pending_by_type or local != self.local_pending:
+            raise InvariantError("waiting groups do not match the pending counts")
 
 
 @dataclass

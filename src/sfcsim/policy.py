@@ -3,10 +3,15 @@
 A policy plans PolicyActions; the engine applies them through a constrained
 executor that can only perform valid operations. For AllocateVnf the concrete
 SFC is always chosen here, by the four-criterion priority score.
+
+The engine keeps waiting tags grouped by score_key: every input of a waiting
+tag's score, so all tags of one group score the same and the argmax scores
+each group once, through its smallest tag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 ALLOCATE = "AllocateVnf"
@@ -48,17 +53,31 @@ class PriorityWeights:
     w4: float = 1.0
 
     def __post_init__(self):
-        if min(self.w1, self.w2, self.w3, self.w4) < 0:
+        weights = (self.w1, self.w2, self.w3, self.w4)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("priority weights must be finite")
+        if min(weights) < 0:
             raise ValueError("priority weights must be non-negative")
 
 
+def score_key(record) -> tuple:
+    """Every field of a waiting record that its priority score reads.
+
+    A waiting head is unallocated, so p3 is 0 for it; the rest of the score
+    depends on the step and the DC asked about, which all tags share, and on
+    these fields, none of which changes while the head waits.
+    """
+    return (record.deadline_steps, record.inject_step, record.src_dc,
+            record.sfc_dc, record.dest_dc, record.bw)
+
+
 def candidate_set(engine, dc: int, vtype: str) -> list[int]:
-    """Tags whose head chain entry has this vtype and is unallocated.
+    """Tags whose head chain entry has this vtype and is unallocated, ascending.
 
     Only heads are eligible: downstream VNFs cannot start until every
     predecessor has completed.
     """
-    return list(engine.waiting.get(vtype, ()))
+    return sorted(tag for group in engine.waiting.get(vtype, {}).values() for tag in group)
 
 
 def urgency_threshold(engine, record) -> float:
@@ -72,9 +91,11 @@ def priority(engine, tag: int, dc: int, weights: PriorityWeights | None = None) 
 
     p1 rises as the deadline nears (1 - remaining fraction, clamped to [0,1]).
     p2 is 2 at the request's source DC, 1 on the current feasible min path
-    from the chain's position to the destination, else 0. p3 is 1 if any
-    allocated VNF of the chain sits in this DC. p4 is 1 once remaining time
-    falls below the urgency threshold.
+    from the chain's position to the destination, else 0. p3 is 1 if an
+    allocated VNF of the chain sits in this DC; only the head is ever
+    allocated, so p3 is nonzero only when the head is allocated here, never
+    for an allocation candidate. p4 is 1 once remaining time falls below the
+    urgency threshold.
     """
     record = engine.live.get(tag)
     if record is None:
@@ -91,7 +112,8 @@ def priority(engine, tag: int, dc: int, weights: PriorityWeights | None = None) 
         path = engine.cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
         p2 = 1.0 if path is not None and dc in path.hops else 0.0
 
-    p3 = 1.0 if any(v.vnf_dc == dc for v in record.chain if v.allocated) else 0.0
+    head = record.head
+    p3 = 1.0 if head is not None and head.allocated and head.vnf_dc == dc else 0.0
     p4 = 1.0 if remaining < urgency_threshold(engine, record) else 0.0
 
     total = w.w1 * p1 + w.w2 * p2 + w.w3 * p3 + w.w4 * p4
@@ -99,10 +121,15 @@ def priority(engine, tag: int, dc: int, weights: PriorityWeights | None = None) 
 
 
 def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
-    """Argmax of priority total over the candidate set; smallest tag on ties."""
+    """Argmax of priority total over the candidate set; smallest tag on ties.
+
+    Tags of one waiting group score the same, so each group is scored once,
+    through its smallest tag.
+    """
     best_tag = None
     best_total = -1.0
-    for tag in engine.waiting.get(vtype, ()):
+    for group in engine.waiting.get(vtype, {}).values():
+        tag = min(group)
         total = priority(engine, tag, dc).total
         if total > best_total or (total == best_total and (best_tag is None or tag < best_tag)):
             best_total = total

@@ -4,7 +4,9 @@ A deliberately naive, literal implementation of the per-step semantics:
 every live request is scanned every step, elapsed counters are stored and
 incremented one by one, the path search enumerates all simple paths with no
 pruning, and the datacenter ledger is a pair of plain dicts. Nothing here
-shares code with the production engine beyond the catalog definitions.
+shares code with the production engine beyond the catalog definitions,
+except the policy oracles at the end, which score a production engine's
+tags with the production priority() one tag at a time.
 """
 
 from __future__ import annotations
@@ -320,3 +322,23 @@ class RefSim:
 
     def no_instances(self):
         return all(dc.installed_count() == 0 for dc in self.dcs)
+
+
+# policy oracles over a production engine
+
+def naive_select(engine, dc, vtype):
+    """Argmax of priority().total over every candidate tag; smallest tag on ties."""
+    from sfcsim.policy import candidate_set, priority
+
+    best_tag, best_total = None, -1.0
+    for tag in candidate_set(engine, dc, vtype):
+        total = priority(engine, tag, dc).total
+        if total > best_total or (total == best_total and (best_tag is None or tag < best_tag)):
+            best_tag, best_total = tag, total
+    return best_tag
+
+
+def chain_scan_p3(engine, tag, dc):
+    """p3 by its definition: 1 if any allocated VNF of the chain sits at dc."""
+    chain = engine.live[tag].chain
+    return 1.0 if any(v.allocated and v.vnf_dc == dc for v in chain) else 0.0

@@ -6,8 +6,11 @@ import os
 import pytest
 import yaml
 
-from sfcsim.cli import main
+import sfcsim.cli
+from sfcsim.cli import EXIT_RUNTIME, main
 from sfcsim.config import ConfigError, ScenarioConfig, load_config
+from sfcsim.datacenter import LedgerError
+from sfcsim.engine import InvariantError
 
 
 def run_cli(args, tmp_path, monkeypatch, subdir="o"):
@@ -74,6 +77,16 @@ class TestRun:
             )
             digests.append(blob)
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("error", [LedgerError, InvariantError])
+    def test_invariant_violation_exit_code(self, error, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise error("books differ")
+
+        monkeypatch.setattr(sfcsim.cli, "run_one", broken)
+        code, _ = run_cli(["run", "--scenario", "tiny"], tmp_path, monkeypatch)
+        assert code == EXIT_RUNTIME
+        assert "runtime invariant violation: books differ" in capsys.readouterr().err
 
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],
@@ -176,6 +189,14 @@ class TestScenarioConfig:
     def test_unknown_policy_kind(self):
         with pytest.raises(ConfigError):
             ScenarioConfig({"policy": {"kind": "magic"}})
+
+    @pytest.mark.parametrize("weights", [
+        [1, 1, float("nan"), 1], [1, 1, float("inf"), 1], [1, 1, 1], [1, 1, 1, 1, 1],
+        [1, -0.5, 1, 1], [1, "2", 1, 1], [1, True, 1, 1], 1.0,
+    ])
+    def test_bad_priority_weights(self, weights):
+        with pytest.raises(ConfigError):
+            ScenarioConfig({"policy": {"weights": weights}})
 
     def test_datacenter_count_must_match_topology(self):
         cfg = ScenarioConfig({"datacenters": {"count": 4}})

@@ -1,7 +1,13 @@
 """Instance lifecycle, resource ledger exactness, idle reaping."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import sfcsim
 
 from sfcsim.catalog import VnfType, default_catalog
 from sfcsim.datacenter import (
@@ -9,6 +15,7 @@ from sfcsim.datacenter import (
     DataCenter,
     FunctionInUse,
     InsufficientResources,
+    LedgerError,
     NotInUse,
     UnknownFunction,
 )
@@ -223,3 +230,36 @@ class TestRandomLifecycle:
         for clocks in dc.idle_clock.values():
             for value in clocks.values():
                 assert value < 40
+
+
+class TestLedgerCheck:
+    def test_negative_free_storage_rejected(self):
+        dc = fresh_dc()
+        dc.cur_storage = -5
+        with pytest.raises(LedgerError):
+            dc.check_ledger()
+
+    def test_idle_set_drift_rejected(self):
+        dc = fresh_dc()
+        fid = dc.install_vnf(NAT)
+        del dc.idle_clock["NAT"][fid]
+        with pytest.raises(LedgerError):
+            dc.check_ledger()
+
+    def test_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; the ledger check must not rely on them
+        src = os.path.dirname(os.path.dirname(sfcsim.__file__))
+        code = (
+            "from sfcsim.datacenter import DataCenter, LedgerError\n"
+            "dc = DataCenter(0, 2000, 64, 256)\n"
+            "dc.cur_storage = -5\n"
+            "try:\n"
+            "    dc.check_ledger()\n"
+            "except LedgerError:\n"
+            "    print('rejected')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "rejected"

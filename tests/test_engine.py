@@ -1,14 +1,20 @@
 """Engine semantics: hand traces of the step passes, TX timing, drops,
-conservation, determinism."""
+conservation, determinism, invariant checks, and a pinned golden run."""
+
+import hashlib
+import io
+import json
 
 import pytest
 
 from sfcsim.catalog import default_catalog, load_catalog
 from sfcsim.datacenter import DataCenter
-from sfcsim.engine import Engine, StepLimitExceeded, run_episode, tx_steps
+from sfcsim.config import load_config, make_runtime
+from sfcsim.engine import Engine, InvariantError, StepLimitExceeded, run_episode, tx_steps
 from sfcsim.policy import ALLOCATE, IDLE_WAIT, UNINSTALL, HeuristicPolicy, PolicyAction
 from sfcsim.requestgen import RequestGenerator, schedule_waves
 from sfcsim.topology import NetworkGraph, PathResult
+from sfcsim.trace import TraceWriter
 
 from helpers import ListTrace, run_equivalence
 
@@ -291,3 +297,74 @@ class TestReferenceEquivalence:
             eng_events, ref_events, eng_summary, ref_summary = run_equivalence(seed)
             assert eng_events == ref_events, seed
             assert eng_summary == ref_summary, seed
+
+
+class TestWaitingGroupInvariants:
+    @staticmethod
+    def queued():
+        engine, gen, _ = build()
+        engine.inject(gen.manual_wave([
+            {"type": "CG", "src": 0, "dest": 1},
+            {"type": "CG", "src": 0, "dest": 1},
+            {"type": "VoIP", "src": 1, "dest": 0},
+        ]))
+        engine.check_invariants()
+        return engine
+
+    def test_same_score_inputs_share_a_group(self):
+        engine = self.queued()
+        assert sorted(map(list, engine.waiting["NAT"].values())) == [[0, 1], [2]]
+        engine.step()
+        engine.allocate_head(1, 0)
+        engine.allocate_head(2, 0)
+        assert [list(g) for g in engine.waiting["NAT"].values()] == [[0]]
+        engine.check_invariants()
+
+    def test_misfiled_tag_detected(self):
+        engine = self.queued()
+        groups = engine.waiting["NAT"]
+        key0, key2 = (next(k for k, g in groups.items() if t in g) for t in (0, 2))
+        del groups[key0][0]
+        groups[key2][0] = None
+        with pytest.raises(InvariantError):
+            engine.check_invariants()
+
+    def test_allocated_head_left_waiting_detected(self):
+        engine = self.queued()
+        engine.live[2].head.t_vcurr = 0
+        with pytest.raises(InvariantError):
+            engine.check_invariants()
+
+    def test_pending_count_drift_detected(self):
+        engine = self.queued()
+        engine.local_pending[(0, "NAT")] += 1
+        with pytest.raises(InvariantError):
+            engine.check_invariants()
+
+
+class TestGoldenDigest:
+    def test_queueing_heuristic_run_is_pinned(self):
+        # one wave of the paper5dc bundle: heads wait up to 65 steps for
+        # allocation, so any change in scoring, tie-breaking or event order
+        # moves one of these digests
+        cfg = load_config("paper5dc", seed=0).with_overrides({"requests.wave_times": [0]})
+        sink = io.StringIO()
+        engine, gen, plan = make_runtime(cfg, trace=TraceWriter(sink))
+        result = run_episode(engine, gen, plan, HeuristicPolicy())
+        outcome = json.dumps({"summary": engine.metrics.summary_dict(), "steps": result.steps},
+                             sort_keys=True, separators=(",", ":"))
+        events = sink.getvalue()
+        injected = {}
+        waits = []
+        for line in events.splitlines()[1:]:
+            ev = json.loads(line)
+            if ev["event"] == "inject":
+                injected[ev["tag"]] = ev["step"]
+            elif ev["event"] == "allocate" and ev["tag"] in injected:
+                waits.append(ev["step"] - injected.pop(ev["tag"]))
+        assert max(waits) > 10
+        assert (result.steps, result.generated, result.accepted) == (15038, 251, 157)
+        assert hashlib.sha256(outcome.encode()).hexdigest() \
+            == "942618737569aa25cade5b0e6bfc1f7cfe2979a668a8c390093307b55c7d4f52"
+        assert hashlib.sha256(events.encode()).hexdigest() \
+            == "a008ecf8afd4ef12664ee3a57a4c105c8255ea7fb30fc1f40075795bd975f099"

@@ -3,6 +3,7 @@
 import pytest
 
 from sfcsim.catalog import default_catalog, load_catalog
+from sfcsim.config import load_config, make_runtime
 from sfcsim.datacenter import DataCenter
 from sfcsim.engine import Engine
 from sfcsim.policy import (
@@ -18,11 +19,13 @@ from sfcsim.policy import (
 from sfcsim.requestgen import RequestGenerator
 from sfcsim.topology import NetworkGraph
 
+from reference_sim import chain_scan_p3, naive_select
 
-def three_dc_engine(catalog=None, weights=None, **engine_kw):
+
+def three_dc_engine(catalog=None, weights=None, capacity_01=500.0, **engine_kw):
     catalog = catalog or default_catalog()
     nodes = [(0, 0.0, 0.0), (1, 100.0, 0.0), (2, 50.0, 80.0)]
-    edges = [(0, 1, 500.0), (1, 2, 500.0), (0, 2, 500.0)]
+    edges = [(0, 1, capacity_01), (1, 2, 500.0), (0, 2, 500.0)]
     graph = NetworkGraph(nodes, edges)
     dcs = [DataCenter(i, 2000, 64, 256) for i in range(3)]
     engine = Engine(graph, dcs, catalog, weights=weights, **engine_kw)
@@ -130,6 +133,11 @@ class TestPriority:
         with pytest.raises(ValueError):
             PriorityWeights(-1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PriorityWeights(1.0, 1.0, bad, 1.0)
+
 
 class TestSelectForAllocation:
     def test_empty_pool(self):
@@ -160,6 +168,41 @@ class TestSelectForAllocation:
         inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1}])
         assert select_for_allocation(engine, 0, "NAT") == 0
 
+    # Each case queues two NAT heads whose score inputs differ in one field
+    # only, such that the larger tag must win at DC 2: each field
+    # of the waiting-group key has to keep the two tags apart.
+    @pytest.mark.parametrize("field", ["deadline", "inject", "src", "sfc_dc", "dest", "bw"])
+    def test_each_score_input_separates_groups(self, field):
+        # a 50 Mbps link 0-1: a 100 Mbps request's path from 0 to 1 detours
+        # through DC 2
+        engine, gen = three_dc_engine(capacity_01=50.0)
+        a = {"type": "CG", "src": 0, "dest": 1, "bw": 10.0}
+        b = dict(a)
+        if field == "deadline":
+            a["type"] = "VS"  # 10000 steps against CG's 8000
+        elif field == "src":
+            b["src"] = 2
+        elif field == "dest":
+            b["dest"] = 2
+        elif field == "bw":
+            b["bw"] = 100.0
+        first, second = gen.manual_wave([a, b])
+        if field == "src":
+            first.sfc_dc = second.sfc_dc = 1  # both chains have moved to DC 1
+        elif field == "sfc_dc":
+            second.sfc_dc = 2  # the second chain has moved to DC 2
+        if field == "inject":
+            engine.inject([second])
+            engine.step_no = 1000
+            engine.inject([first])
+        else:
+            engine.inject([first, second])
+            engine.step_no = 1000
+        engine.check_invariants()
+        assert len(engine.waiting["NAT"]) == 2
+        assert select_for_allocation(engine, 2, "NAT") == second.tag
+        assert naive_select(engine, 2, "NAT") == second.tag
+
     def test_scaling_all_weights_preserves_argmax(self):
         for scale in (0.25, 1.0, 7.0):
             weights = PriorityWeights(scale, scale, scale, scale)
@@ -172,6 +215,58 @@ class TestSelectForAllocation:
             engine.step_no = 300  # MIoT now aged further into its deadline
             assert select_for_allocation(engine, 0, "NAT") == 1
             assert select_for_allocation(engine, 1, "NAT") == 0
+
+
+# Short heuristic runs where heads queue: small DCs refuse installs, so heads
+# wait for instances, age into urgency, and tie across groups.
+QUEUEING = {
+    "requests.wave_times": [0, 40, 80],
+    "datacenters.max_storage_gb": 120.0,
+    "requests.bundle_overrides": {"CG": [4, 6], "AugR": [1, 2], "VoIP": [10, 16],
+                                  "VS": [5, 8], "MIoT": [4, 6], "Ind4.0": [1, 3]},
+}
+
+
+class TestGroupedSelectionOracle:
+    @staticmethod
+    def drive(scenario, seed, overrides, seen, steps=400):
+        cfg = load_config(scenario, seed=seed).with_overrides({**QUEUEING, **overrides})
+        engine, gen, plan = make_runtime(cfg, seed)
+        policy = HeuristicPolicy()
+        waves = dict(zip(plan.times, range(len(plan.times))))
+        for _ in range(steps):
+            if engine.step_no in waves:
+                engine.inject(gen.generate_wave(waves[engine.step_no]))
+            engine.step()
+            for vname, groups in engine.waiting.items():
+                seen["shared"] += any(len(tags) > 1 for tags in groups.values())
+                for dc in range(len(engine.dcs)):
+                    assert select_for_allocation(engine, dc, vname) \
+                        == naive_select(engine, dc, vname), (scenario, engine.step_no, dc)
+                    scores = [priority(engine, min(tags), dc) for tags in groups.values()]
+                    totals = [sc.total for sc in scores]
+                    seen["ties"] += totals.count(max(totals, default=-1.0)) > 1
+                    seen["urgent"] += any(sc.p4_urgency for sc in scores)
+            if engine.step_no % 20 == 0:
+                for tag in engine.live:
+                    for dc in range(len(engine.dcs)):
+                        p3 = priority(engine, tag, dc).p3_affinity
+                        assert p3 == chain_scan_p3(engine, tag, dc), (tag, dc)
+                        seen["p3"] += p3 == 1.0
+            policy.act(engine)
+        engine.check_invariants()
+
+    def test_grouped_argmax_matches_naive(self):
+        seen = {"shared": 0, "ties": 0, "urgent": 0, "p3": 0}
+        self.drive("paper5dc", 0, {}, seen)
+        self.drive("paper5dc", 1, {"policy.t_urgency_steps": 300,
+                                   "policy.weights": [0.5, 2.0, 1.5, 3.0]}, seen)
+        self.drive("paper3dc", 2, {}, seen)
+        self.drive("paper3dc", 3, {"policy.t_urgency_steps": 350,
+                                   "policy.weights": [2.0, 0.5, 1.0, 0.25]}, seen)
+        # the runs reach multi-tag groups, cross-group ties, urgent heads
+        # and allocated heads
+        assert all(seen.values()), seen
 
 
 class TestHeuristicPolicy:
