@@ -70,7 +70,6 @@ class DropRecord:
 @dataclass
 class FinalTx:
     path: PathResult
-    end_step: int
     bw: float
     type_name: str
     inject_step: int
@@ -318,8 +317,8 @@ class Engine:
                 continue
             steps = tx_steps(rec.packet_len_mb, rec.bw, path, self.graph)
             self.graph.reserve_bw(path, rec.bw)
-            self.final_tx[tag] = FinalTx(path, now + steps, rec.bw, rec.type_name,
-                                         rec.inject_step, rec.deadline_steps, rec.dest_dc)
+            self.final_tx[tag] = FinalTx(path, rec.bw, rec.type_name, rec.inject_step,
+                                         rec.deadline_steps, rec.dest_dc)
             heapq.heappush(self._final_heap, (now + steps, now, tag))
             self._retry_final.pop(tag, None)
             self._cohort_remove(rec)
