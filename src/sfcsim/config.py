@@ -80,9 +80,8 @@ DEFAULTS = {
         "max_actions": 200,
         "train_interval": 8,
         "checkpoint_every": 50,
-        # outcome: allocation transitions are labelled with their request's
-        # eventual completion/drop reward; timeline: rewards land where the
-        # events happen, with semi-MDP discounting
+        # the only credit mode: allocation transitions are labelled with
+        # their request's eventual completion/drop reward
         "credit": "outcome",
         # fraction of the training run over which guided exploration (a
         # reflex on the locally-pending features) decays from 1 to 0
@@ -149,6 +148,12 @@ class ScenarioConfig:
                 type(w) in (int, float) and 0 <= w < math.inf for w in weights)):
             raise ConfigError(f"policy.weights must be four finite non-negative numbers, "
                               f"got {weights!r}")
+        dqn = self.data["dqn"]
+        if dqn["credit"] != "outcome":
+            raise ConfigError(f"dqn.credit must be 'outcome', got {dqn['credit']!r}")
+        for key in ("t_model", "target_sync", "batch"):
+            if type(dqn[key]) is not int or dqn[key] < 1:
+                raise ConfigError(f"dqn.{key} must be an int >= 1, got {dqn[key]!r}")
         # reject malformed wave plans early
         schedule_waves(self.data["requests"]["wave_times"],
                        self.data["requests"]["manual"])

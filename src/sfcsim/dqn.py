@@ -10,7 +10,6 @@ checked against central finite differences.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import os
@@ -227,9 +226,8 @@ class QNetwork:
 class ReplayBuffer:
     """FIFO ring of (state, action, reward, next state, terminal, discount).
 
-    discount is the effective one-transition discount factor: gamma raised to
-    the simulated time elapsed (in policy invocation gaps), so back-to-back
-    decisions within one invocation carry 1.0.
+    discount multiplies the bootstrapped next-state value in the target; the
+    training policy stores 0.0, so every target is the transition's own label.
     """
 
     def __init__(self, capacity: int, state_width: int):
@@ -425,18 +423,12 @@ class DqnPolicy:
 class DqnTrainingPolicy:
     """Collects transitions during an episode and trains on a fixed cadence.
 
-    Two reward-credit modes, selected by dqn.credit:
-
-    outcome (default): every transition that allocated a request's VNF is
-    held open until that request finalises, then labelled with the request's
-    own completion reward or drop penalty. Infeasible choices are penalised
-    on the spot; IdleWait and uninstalls read zero. Targets are pure labels
-    (no bootstrap term), which turns placement scoring into a plain
-    regression on the encoded state.
-
-    timeline: rewards land on the transition that was pending when the
-    event happened, shared across the invocation's transitions, with
-    semi-MDP discounting (1.0 inside an invocation, gamma across the gap).
+    Outcome credit: every transition that allocated a request's VNF is held
+    open until that request finalises, then labelled with the request's own
+    completion reward or drop penalty. Infeasible choices are penalised on
+    the spot; IdleWait and uninstalls read zero. Targets are pure labels
+    (discount 0, no bootstrap term), which turns placement scoring into a
+    plain regression on the encoded state.
 
     Infeasible and IdleWait draws vastly outnumber informative transitions
     during exploration; only a sample of them is recorded so they cannot
@@ -448,10 +440,7 @@ class DqnTrainingPolicy:
 
     def __init__(self, agent: DqnAgent, encoder: StateEncoder, rewards: RewardSpec,
                  epsilon: float, max_actions: int, train_interval: int, min_buffer: int,
-                 gamma: float, credit: str = "outcome", guide_prob: float = 0.0,
-                 learn: bool = True):
-        if credit not in ("outcome", "timeline"):
-            raise ValueError(f"unknown credit mode {credit!r}")
+                 guide_prob: float = 0.0):
         self.agent = agent
         self.encoder = encoder
         self.rewards = rewards
@@ -459,10 +448,7 @@ class DqnTrainingPolicy:
         self.max_actions = max_actions
         self.train_interval = train_interval
         self.min_buffer = min_buffer
-        self.gamma = gamma
-        self.credit = credit
         self.guide_prob = guide_prob
-        self.learn = learn
         self.open: list[list] = []  # [state, action, immediate reward, post state]
         self.open_by_tag: dict[int, list[list]] = {}
         self.events = 0.0
@@ -480,7 +466,7 @@ class DqnTrainingPolicy:
         self.agent.buffer.push(state, action, reward, nxt, terminal, disc)
         self.cum_reward += reward
         self._since_train += 1
-        if self.learn and self._since_train >= self.train_interval:
+        if self._since_train >= self.train_interval:
             self._since_train = 0
             if self.agent.buffer.size >= max(self.min_buffer, self.agent.hp["batch"]):
                 loss = self.agent.train_step()
@@ -491,16 +477,11 @@ class DqnTrainingPolicy:
     def _collect_events(self, engine) -> None:
         done, dropped = len(engine.done), len(engine.dropped)
         steps = engine.step_no
-        if self.credit == "outcome":
-            for rec in engine.done[self._seen_done:]:
-                self._resolve_tag(rec.tag, self.rewards.complete)
-            for rec in engine.dropped[self._seen_dropped:]:
-                self._resolve_tag(rec.tag, -self.rewards.drop)
-            self.events += self.rewards.step * (steps - self._seen_step)
-        else:
-            self.events += self.rewards.complete * (done - self._seen_done)
-            self.events -= self.rewards.drop * (dropped - self._seen_dropped)
-            self.events += self.rewards.step * (steps - self._seen_step)
+        for rec in engine.done[self._seen_done:]:
+            self._resolve_tag(rec.tag, self.rewards.complete)
+        for rec in engine.dropped[self._seen_dropped:]:
+            self._resolve_tag(rec.tag, -self.rewards.drop)
+        self.events += self.rewards.step * (steps - self._seen_step)
         self._seen_done, self._seen_dropped, self._seen_step = done, dropped, steps
 
     def _resolve_tag(self, tag: int, reward: float) -> None:
@@ -516,12 +497,8 @@ class DqnTrainingPolicy:
         last = len(self.open) - 1
         for i, (state, action, immediate, post) in enumerate(self.open):
             nxt = next_flat if i == last else post
-            if self.credit == "outcome":
-                disc = 0.0
-            else:
-                disc = self.gamma if i == last else 1.0
             self._push(state, action, immediate + share, nxt,
-                       terminal and i == last, disc)
+                       terminal and i == last, 0.0)
         self.open = []
         self.events = 0.0
 
@@ -568,7 +545,7 @@ class DqnTrainingPolicy:
                 continue
             enc = self.encoder.encode(engine)
             new_flat = self._flat(enc)
-            if self.credit == "outcome" and engine.last_allocated_tag is not None:
+            if engine.last_allocated_tag is not None:
                 tag = engine.last_allocated_tag
                 self.open_by_tag.setdefault(tag, []).append([flat, idx, new_flat])
             else:
@@ -596,7 +573,7 @@ def build_agent(cfg, seed: int) -> DqnAgent:
 
 
 def run_training_episode(cfg, agent: DqnAgent, epsilon: float, episode_seed: int,
-                         guide_prob: float = 0.0, learn: bool = True):
+                         guide_prob: float = 0.0):
     from .config import make_runtime
     from .engine import run_episode
 
@@ -608,8 +585,7 @@ def run_training_episode(cfg, agent: DqnAgent, epsilon: float, episode_seed: int
     policy = DqnTrainingPolicy(
         agent, encoder, RewardSpec(**dqn_cfg["reward"]), epsilon,
         int(dqn_cfg["max_actions"]), int(dqn_cfg["train_interval"]),
-        int(dqn_cfg["min_buffer"]), float(dqn_cfg["gamma"]),
-        credit=dqn_cfg["credit"], guide_prob=guide_prob, learn=learn,
+        int(dqn_cfg["min_buffer"]), guide_prob=guide_prob,
     )
     result = run_episode(engine, generator, plan, policy,
                          t_model=int(dqn_cfg["t_model"]),

@@ -10,9 +10,16 @@ Waiting records cost nothing per step: elapsed time is derived from the
 injection step, and head completions, TX endings, and deadline expiries are
 woken by scheduled events. Wake-ups within a pass are processed in live
 (ascending tag) order so the result is identical to scanning every record.
-Final TXs sit on a heap keyed (end step, start step, tag); the final-TX pass
-pops the ones due, in the order they started, which is the order a scan of
-every in-flight final TX would finish them in.
+A record whose chain is done leaves `live` for `final_tx` once its final
+path is reserved, carrying that path in rec.tx. Final TXs sit on a heap
+keyed (end step, start step, tag); the final-TX pass pops the ones due, in
+the order they started, which is the order a scan of every in-flight final
+TX would finish them in.
+
+A TX that finds no path (an allocated remote head, or a finished chain)
+waits in a tag set and searches again on every step through the path
+cache, which answers a repeated search from memory until the bandwidth
+version moves; so a blocked TX starts on the step a release frees a path.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
 allocation argmax scores each group once instead of each tag.
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import Catalog
 from .datacenter import DataCenter, InsufficientResources
@@ -67,23 +74,6 @@ class DropRecord:
     pending: int  # chain entries left; 0 marks a past-deadline delivery
 
 
-@dataclass
-class FinalTx:
-    path: PathResult
-    bw: float
-    type_name: str
-    inject_step: int
-    deadline_steps: int
-    dest_dc: int
-
-
-@dataclass
-class StepReport:
-    step: int
-    completed: list[CompletionRecord] = field(default_factory=list)
-    dropped: list[DropRecord] = field(default_factory=list)
-
-
 def tx_steps(packet_len_mb: float, bw_mbps: float, path: PathResult,
              graph: NetworkGraph) -> int:
     """TX duration in steps: ceil(100 * packet/bw) plus path propagation.
@@ -116,7 +106,7 @@ class Engine:
 
         self.step_no = 0
         self.live: dict[int, SfcRecord] = {}
-        self.final_tx: dict[int, FinalTx] = {}
+        self.final_tx: dict[int, SfcRecord] = {}  # in final TX; rec.tx is the final path
         self.done: list[CompletionRecord] = []
         self.dropped: list[DropRecord] = []
         self.generated = 0
@@ -139,8 +129,8 @@ class Engine:
         self._drop_heap: list[tuple[int, int]] = []  # (due step, tag)
         self._event_heap: list[tuple[int, int]] = []  # (due step, tag) wake-ups
         self._final_heap: list[tuple[int, int, int]] = []  # (end step, start step, tag)
-        self._retry_tx: dict[int, int] = {}  # tag -> bw version at last failure
-        self._retry_final: dict[int, int] = {}
+        self._await_tx: set[int] = set()  # allocated remote heads with no TX path yet
+        self._await_final: set[int] = set()  # finished chains with no final path yet
         self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
         self.invalid_actions = 0
         self.last_allocated_tag: int | None = None
@@ -204,20 +194,16 @@ class Engine:
 
     # -- the step ------------------------------------------------------------
 
-    def step(self) -> StepReport:
+    def step(self) -> None:
         now = self.step_no
-        report = StepReport(step=now)
-
-        self._drop_pass(now, report)
+        self._drop_pass(now)
         newly_empty = self._head_pass(now)
         self._completion_pass(now, newly_empty)
-        self._final_tx_pass(now, report)
+        self._final_tx_pass(now)
         self._reap_pass(now)
-
         self.step_no = now + 1
-        return report
 
-    def _drop_pass(self, now: int, report: StepReport) -> None:
+    def _drop_pass(self, now: int) -> None:
         due = []
         while self._drop_heap and self._drop_heap[0][0] <= now:
             _, tag = heapq.heappop(self._drop_heap)
@@ -236,18 +222,17 @@ class Engine:
                 rec.tx = None
             if not head.allocated:
                 self._waiting_remove(rec)
-            self._retry_tx.pop(tag, None)
+            self._await_tx.discard(tag)
             self._cohort_remove(rec)
             del self.live[tag]
             drop = DropRecord(tag, rec.type_name, now, len(rec.chain))
             self.dropped.append(drop)
-            report.dropped.append(drop)
             if self.metrics is not None:
                 self.metrics.record_drop(drop)
             self.trace.event(now, "drop", tag=tag, type=rec.type_name, pending=len(rec.chain))
 
     def _head_pass(self, now: int) -> list[int]:
-        woken = set(self._retry_tx)
+        woken = set(self._await_tx)
         while self._event_heap and self._event_heap[0][0] <= now:
             _, tag = heapq.heappop(self._event_heap)
             woken.add(tag)
@@ -255,7 +240,6 @@ class Engine:
         for tag in sorted(woken):
             rec = self.live.get(tag)
             if rec is None:
-                self._retry_tx.pop(tag, None)
                 continue
             if rec.tx is not None:
                 if rec.tx.end_step == now:
@@ -274,12 +258,8 @@ class Engine:
                     self._finish_head(now, rec, newly_empty)
                 continue
             # allocated in another DC and not yet transferring: try to start TX
-            last = self._retry_tx.get(tag)
-            if last is not None and last == self.graph.bw_version:
-                continue
-            path = self.graph.select_min_path(rec.sfc_dc, head.vnf_dc, rec.bw)
+            path = self.cached_min_path(rec.sfc_dc, head.vnf_dc, rec.bw)
             if path is None:
-                self._retry_tx[tag] = self.graph.bw_version
                 continue
             steps = tx_steps(rec.packet_len_mb, rec.bw, path, self.graph)
             self.graph.reserve_bw(path, rec.bw)
@@ -287,7 +267,7 @@ class Engine:
             self.trace.event(now, "tx_start", tag=tag, src=rec.sfc_dc, dc=head.vnf_dc,
                              steps=steps, hops=list(path.hops))
             rec.sfc_dc = head.vnf_dc
-            self._retry_tx.pop(tag, None)
+            self._await_tx.discard(tag)
             heapq.heappush(self._event_heap, (rec.tx.end_step, tag))
         return newly_empty
 
@@ -302,52 +282,44 @@ class Engine:
             newly_empty.append(rec.tag)
 
     def _completion_pass(self, now: int, newly_empty: list[int]) -> None:
-        due = sorted(set(self._retry_final) | set(newly_empty))
-        for tag in due:
-            rec = self.live.get(tag)
-            if rec is None or rec.chain:
-                self._retry_final.pop(tag, None)
-                continue
-            last = self._retry_final.get(tag)
-            if last is not None and last == self.graph.bw_version:
-                continue
-            path = self.graph.select_min_path(rec.sfc_dc, rec.dest_dc, rec.bw)
+        # the drop pass skips finished chains, so every waiting tag is live
+        self._await_final.update(newly_empty)
+        for tag in sorted(self._await_final):
+            rec = self.live[tag]
+            path = self.cached_min_path(rec.sfc_dc, rec.dest_dc, rec.bw)
             if path is None:
-                self._retry_final[tag] = self.graph.bw_version
                 continue
             steps = tx_steps(rec.packet_len_mb, rec.bw, path, self.graph)
             self.graph.reserve_bw(path, rec.bw)
-            self.final_tx[tag] = FinalTx(path, rec.bw, rec.type_name, rec.inject_step,
-                                         rec.deadline_steps, rec.dest_dc)
+            rec.tx = TxState(path, now + steps)
+            self.final_tx[tag] = rec
             heapq.heappush(self._final_heap, (now + steps, now, tag))
-            self._retry_final.pop(tag, None)
+            self._await_final.discard(tag)
             self._cohort_remove(rec)
             del self.live[tag]
             self.trace.event(now, "final_start", tag=tag, src=rec.sfc_dc,
                              dest=rec.dest_dc, steps=steps, hops=list(path.hops))
 
-    def _final_tx_pass(self, now: int, report: StepReport) -> None:
+    def _final_tx_pass(self, now: int) -> None:
         heap = self._final_heap
         while heap and heap[0][0] <= now:
             tag = heapq.heappop(heap)[2]
-            ftx = self.final_tx.pop(tag)
-            self.graph.release_bw(ftx.path, ftx.bw)
-            e2e = now - ftx.inject_step + 1
-            accepted = e2e <= ftx.deadline_steps
+            rec = self.final_tx.pop(tag)
+            self.graph.release_bw(rec.tx.path, rec.bw)
+            e2e = now - rec.inject_step + 1
+            accepted = e2e <= rec.deadline_steps
             if accepted:
-                rec = CompletionRecord(tag, ftx.type_name, e2e)
-                self.done.append(rec)
-                report.completed.append(rec)
+                done = CompletionRecord(tag, rec.type_name, e2e)
+                self.done.append(done)
                 if self.metrics is not None:
-                    self.metrics.record_completion(rec, ftx.deadline_steps)
+                    self.metrics.record_completion(done, rec.deadline_steps)
             else:
                 # Delivery happened past the deadline; counts as a drop.
-                drop = DropRecord(tag, ftx.type_name, now, 0)
+                drop = DropRecord(tag, rec.type_name, now, 0)
                 self.dropped.append(drop)
-                report.dropped.append(drop)
                 if self.metrics is not None:
                     self.metrics.record_drop(drop)
-            self.trace.event(now, "complete", tag=tag, type=ftx.type_name,
+            self.trace.event(now, "complete", tag=tag, type=rec.type_name,
                              e2e_steps=e2e, accepted=accepted)
 
     def _reap_pass(self, now: int) -> None:
@@ -418,7 +390,7 @@ class Engine:
             head.proc_start = self.step_no - 1
             heapq.heappush(self._event_heap, (head.proc_start + head.t_req, tag))
         else:
-            self._retry_tx[tag] = -1
+            self._await_tx.add(tag)
         return True
 
     def _do_uninstall(self, dc: DataCenter, vname: str) -> bool:
@@ -437,21 +409,30 @@ class Engine:
         for dc in self.dcs:
             dc.check_ledger()
         reserved = 0
-        for rec in self.live.values():
+        for rec in [*self.live.values(), *self.final_tx.values()]:
             if rec.tx is not None:
                 reserved += to_milli(rec.bw) * (len(rec.tx.path.hops) - 1)
-        for ftx in self.final_tx.values():
-            reserved += to_milli(ftx.bw) * (len(ftx.path.hops) - 1)
         deficit = sum(
             to_milli(self.graph.capacity_mbps(*key)) - res
             for key, res in self.graph.residual_snapshot().items()
         )
         if reserved != deficit:
             raise InvariantError(f"bandwidth books differ: {reserved} != {deficit}")
-        if set(self.live) & set(self.final_tx):
-            raise InvariantError("a tag is both live and in final TX")
+        for tag, rec in self.final_tx.items():
+            if rec.tx is None or tag in self.live:
+                raise InvariantError(f"final-TX tag {tag} is live or has no path")
         if sorted(e[2] for e in self._final_heap) != sorted(self.final_tx):
             raise InvariantError("final-TX heap and in-flight final TXs differ")
+        await_tx = {tag for tag, rec in self.live.items()
+                    if rec.head is not None and rec.head.allocated and rec.tx is None
+                    and rec.head.proc_start is None and rec.head.vnf_dc != rec.sfc_dc}
+        if self._await_tx != await_tx:
+            raise InvariantError(f"TX waiting set differs from the remote heads with no "
+                                 f"TX: {sorted(self._await_tx ^ await_tx)}")
+        await_final = {tag for tag, rec in self.live.items() if not rec.chain}
+        if self._await_final != await_final:
+            raise InvariantError(f"final-TX waiting set differs from the finished chains: "
+                                 f"{sorted(self._await_final ^ await_final)}")
         self._check_waiting()
 
     def _check_waiting(self) -> None:
@@ -486,7 +467,6 @@ class EpisodeResult:
     generated: int
     accepted: int
     dropped: int
-    metrics: object | None = None
 
     @property
     def acceptance_ratio(self) -> float | None:
@@ -530,5 +510,4 @@ def run_episode(engine: Engine, generator: RequestGenerator, plan: WavePlan, pol
         generated=engine.generated,
         accepted=accepted,
         dropped=len(engine.dropped),
-        metrics=engine.metrics,
     )

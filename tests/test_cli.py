@@ -198,6 +198,16 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig({"policy": {"weights": weights}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("t_model", 0), ("target_sync", 0), ("batch", 0), ("batch", -8),
+        ("t_model", 1.5), ("target_sync", "500"), ("batch", True),
+        ("credit", "bogus"), ("credit", "timeline"),
+    ])
+    def test_bad_dqn_settings(self, key, value):
+        # unchecked, each fails mid-run: a zero division, a nan loss or a bad mode
+        with pytest.raises(ConfigError, match=f"dqn.{key}"):
+            ScenarioConfig({"dqn": {key: value}})
+
     def test_datacenter_count_must_match_topology(self):
         cfg = ScenarioConfig({"datacenters": {"count": 4}})
         with pytest.raises(ConfigError):

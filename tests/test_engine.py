@@ -123,6 +123,42 @@ class TestHeadProcessing:
         # the second transfer begins the moment the first one releases
         assert starts[1]["step"] == 102
 
+    def test_blocked_final_tx_retries_on_release(self):
+        # both chains finish at step 6 with the same (src, dest, bw), so their
+        # final paths share one cache entry; the link carries only one of them
+        engine, gen, trace = build(single_vnf_catalog())
+        engine.inject(gen.manual_wave([
+            {"type": "Ind4.0", "src": 0, "dest": 1, "bw": 300},
+            {"type": "Ind4.0", "src": 0, "dest": 1, "bw": 300},
+        ]))
+        engine.step()
+        engine.allocate_head(0, 0)
+        engine.allocate_head(1, 0)
+        searches = []
+        search = engine.graph.select_min_path
+
+        def counted(*args):
+            searches.append(engine.step_no)
+            return search(*args)
+
+        engine.graph.select_min_path = counted
+        while engine.step_no <= 120:
+            engine.step()
+            engine.check_invariants()
+            if engine.step_no == 50:
+                assert engine._await_final == {1}
+                assert list(engine.final_tx) == [0]
+        starts = [e for e in trace.events if e["event"] == "final_start"]
+        completes = [e for e in trace.events if e["event"] == "complete"]
+        assert [s["tag"] for s in starts] == [0, 1]
+        assert starts[0]["step"] == 6 and completes[0]["tag"] == 0
+        # the first final TX releases the link in the final-TX pass of step
+        # 107; the next completion pass, at step 108, starts the second
+        assert completes[0]["step"] == 107
+        assert starts[1]["step"] == 108
+        # while the bandwidth version stands still the retry is a cache hit
+        assert searches == [6, 6, 108]
+
 
 class TestDropPass:
     def test_unallocated_request_drops_past_deadline(self):
@@ -339,6 +375,78 @@ class TestWaitingGroupInvariants:
         engine = self.queued()
         engine.local_pending[(0, "NAT")] += 1
         with pytest.raises(InvariantError):
+            engine.check_invariants()
+
+
+class TestTxWaitingInvariants:
+    @staticmethod
+    def blocked():
+        # a 50 Mbps link carries no 70 Mbps TX: tag 0 waits for its in-chain
+        # TX to DC 1, tag 1 (processed at DC 0) for its final TX
+        engine, gen, _ = build(single_vnf_catalog(), capacity=50.0)
+        engine.inject(gen.manual_wave(
+            [{"type": "Ind4.0", "src": 0, "dest": 1, "bw": 70}] * 3))
+        engine.step()
+        engine.allocate_head(0, 1)
+        engine.allocate_head(1, 0)
+        for _ in range(7):
+            engine.step()
+        assert engine._await_tx == {0}
+        assert engine._await_final == {1}
+        engine.check_invariants()
+        return engine
+
+    @staticmethod
+    def in_final_tx():
+        # a node-local final TX reserves no bandwidth, so only the final-TX
+        # check can see a corrupted record
+        catalog = single_vnf_catalog()
+        engine = Engine(two_dc_graph(), [DataCenter(i, 2000, 64, 256) for i in range(2)],
+                        catalog)
+        gen = RequestGenerator(catalog, 2, 0, allow_loopback=True)
+        engine.inject(gen.manual_wave([{"type": "Ind4.0", "src": 0, "dest": 0, "bw": 70}]))
+        engine.step()
+        engine.allocate_head(0, 0)
+        for _ in range(6):
+            engine.step()
+        assert list(engine.final_tx) == [0]
+        engine.check_invariants()
+        return engine
+
+    def test_missing_tx_wait_detected(self):
+        engine = self.blocked()
+        engine._await_tx.clear()
+        with pytest.raises(InvariantError, match="^TX waiting set"):
+            engine.check_invariants()
+
+    def test_unallocated_head_in_tx_wait_detected(self):
+        engine = self.blocked()
+        engine._await_tx.add(2)
+        with pytest.raises(InvariantError, match="^TX waiting set"):
+            engine.check_invariants()
+
+    def test_missing_final_wait_detected(self):
+        engine = self.blocked()
+        engine._await_final.clear()
+        with pytest.raises(InvariantError, match="^final-TX waiting set"):
+            engine.check_invariants()
+
+    def test_unfinished_chain_in_final_wait_detected(self):
+        engine = self.blocked()
+        engine._await_final.add(0)
+        with pytest.raises(InvariantError, match="^final-TX waiting set"):
+            engine.check_invariants()
+
+    def test_final_tx_without_path_detected(self):
+        engine = self.in_final_tx()
+        engine.final_tx[0].tx = None
+        with pytest.raises(InvariantError, match="^final-TX tag 0"):
+            engine.check_invariants()
+
+    def test_final_tx_record_still_live_detected(self):
+        engine = self.in_final_tx()
+        engine.live[0] = engine.final_tx[0]
+        with pytest.raises(InvariantError, match="^final-TX tag 0"):
             engine.check_invariants()
 
 
