@@ -136,6 +136,9 @@ def cmd_train(args) -> int:
     try:
         result = train(cfg, out_dir=out_dir, episodes=args.episodes,
                        resume=args.resume, progress=progress)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} (last good checkpoint kept)", file=sys.stderr)
         return EXIT_DIVERGED

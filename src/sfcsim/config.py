@@ -310,6 +310,22 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 }
 
 
+def check_bandwidth(graph: NetworkGraph, generator: RequestGenerator, plan: WavePlan) -> None:
+    """Raise ConfigError when a bandwidth the plan can request cannot reach every DC.
+
+    A finished chain's final TX waits until a path carries its bandwidth, so
+    a bandwidth no path can carry would stall the episode until its step cap.
+    One pass over the edges settles the usual case, where every edge carries it.
+    """
+    ask = generator.max_bandwidth(plan)
+    if ask is None:
+        return
+    bw, name = ask
+    if graph.min_capacity_mbps() < bw and not graph.connected(bw):
+        raise ConfigError(f"SFC type {name} requests up to {bw} Mbps, but the edges "
+                          f"that carry it do not connect all {graph.n} DCs")
+
+
 def make_runtime(cfg: ScenarioConfig, seed: int | None = None, *, trace=None):
     """Build (engine, generator, plan) for one episode of a scenario."""
     from .engine import Engine
@@ -330,4 +346,6 @@ def make_runtime(cfg: ScenarioConfig, seed: int | None = None, *, trace=None):
         trace=trace,
     )
     generator = cfg.build_generator(catalog, graph.n, episode_seed)
-    return engine, generator, cfg.build_plan()
+    plan = cfg.build_plan()
+    check_bandwidth(graph, generator, plan)
+    return engine, generator, plan

@@ -1,15 +1,18 @@
 """Per-DC resource ledger and the VNF instance lifecycle.
 
 An instance is Installed (consuming storage and compute), and is either
-InUse (allocated to exactly one SFC's VNF) or Idle. Idle instances age by
-one step per tick and are uninstalled automatically once their idle time
-reaches the configured threshold.
+InUse (allocated to exactly one SFC's VNF) or Idle. An instance that goes
+idle is stamped with the DC's tick count and pushed onto an expiry heap;
+each tick pops only the instances whose idle time reached the threshold, so
+the reaper costs nothing per idle instance per step.
 
 Storage and compute are kept in integer units of 0.001 (topology.to_milli),
 so any install/uninstall sequence restores the exact initial state.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .catalog import VnfType
 from .topology import QUANTUM, to_milli
@@ -54,9 +57,14 @@ class DataCenter:
         self.max_compute = to_milli(float(cpus) * float(ram_gb))
         self.cur_storage = self.max_storage
         self.cur_compute = self.max_compute
-        # installed[vtype][fid] -> IN_USE | IDLE; idle_clock[vtype][fid] -> steps idle
+        # installed[vtype][fid] -> IN_USE | IDLE; idle_since[vtype][fid] -> the
+        # tick count when that idle instance went idle
         self.installed: dict[str, dict[int, int]] = {}
-        self.idle_clock: dict[str, dict[int, int]] = {}
+        self.idle_since: dict[str, dict[int, int]] = {}
+        self.ticks = 0
+        # (since, vtype, fid) per idle period; an entry whose stamp no longer
+        # matches idle_since is stale and dropped when it comes due
+        self._expiry: list[tuple[int, str, int]] = []
         self._next_fid: dict[str, int] = {}
         self._demands: dict[str, tuple[int, int]] = {}  # vtype -> (storage, compute)
 
@@ -74,16 +82,20 @@ class DataCenter:
         return self.cur_storage >= storage and self.cur_compute >= compute
 
     def idle_fids(self, vname: str) -> list[int]:
-        return sorted(self.idle_clock.get(vname, ()))
+        return sorted(self.idle_since.get(vname, ()))
 
     def idle_count(self, vname: str) -> int:
-        return len(self.idle_clock.get(vname, ()))
+        return len(self.idle_since.get(vname, ()))
+
+    def idle_steps(self, vname: str, fid: int) -> int:
+        """Ticks since an idle instance went idle; KeyError if it is not idle."""
+        return self.ticks - self.idle_since[vname][fid]
 
     def in_use_count(self, vname: str) -> int:
         table = self.installed.get(vname)
         if not table:
             return 0
-        return len(table) - len(self.idle_clock.get(vname, ()))
+        return len(table) - len(self.idle_since.get(vname, ()))
 
     def installed_count(self) -> int:
         return sum(len(t) for t in self.installed.values())
@@ -111,10 +123,15 @@ class DataCenter:
         if not (0 <= self.cur_storage <= self.max_storage
                 and 0 <= self.cur_compute <= self.max_compute):
             raise LedgerError(f"DC {self.dc_id}: free resources out of [0, capacity]")
+        queued = set(self._expiry)
         for vname, table in self.installed.items():
             idle = {fid for fid, status in table.items() if status == IDLE}
-            if idle != set(self.idle_clock.get(vname, ())):
-                raise LedgerError(f"DC {self.dc_id}: idle {vname} instances differ from clocks")
+            since = self.idle_since.get(vname, {})
+            if idle != set(since):
+                raise LedgerError(f"DC {self.dc_id}: idle {vname} instances differ from stamps")
+            for fid, stamp in since.items():
+                if (stamp, vname, fid) not in queued:
+                    raise LedgerError(f"DC {self.dc_id}: idle {vname}/{fid} has no expiry entry")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -129,7 +146,7 @@ class DataCenter:
         fid = self._next_fid.get(vtype.name, 1)
         self._next_fid[vtype.name] = fid + 1
         self.installed.setdefault(vtype.name, {})[fid] = IDLE
-        self.idle_clock.setdefault(vtype.name, {})[fid] = 0
+        self._go_idle(vtype.name, fid)
         storage, compute = self._demand(vtype)
         self.cur_storage -= storage
         self.cur_compute -= compute
@@ -146,7 +163,7 @@ class DataCenter:
         if status == IN_USE:
             raise FunctionInUse(f"DC {self.dc_id}: {vname}/{fid} is in use")
         del self.installed[vname][fid]
-        del self.idle_clock[vname][fid]
+        del self.idle_since[vname][fid]
         storage, compute = self._demands[vname]
         self.cur_storage += storage
         self.cur_compute += compute
@@ -156,33 +173,45 @@ class DataCenter:
         if status == IN_USE:
             raise AlreadyInUse(f"DC {self.dc_id}: {vname}/{fid} already in use")
         self.installed[vname][fid] = IN_USE
-        del self.idle_clock[vname][fid]
+        del self.idle_since[vname][fid]
 
     def revoke_vnf(self, vname: str, fid: int) -> None:
         status = self._lookup(vname, fid)
         if status != IN_USE:
             raise NotInUse(f"DC {self.dc_id}: {vname}/{fid} is not in use")
         self.installed[vname][fid] = IDLE
-        self.idle_clock[vname][fid] = 0
+        self._go_idle(vname, fid)
 
     def force_revoke_vnf(self, vname: str, fid: int) -> None:
-        """Revoke regardless of status; used on deadline drops mid-processing."""
+        """Revoke regardless of status; used on deadline drops mid-processing.
+
+        An idle instance restarts its idle time."""
         self._lookup(vname, fid)
         self.installed[vname][fid] = IDLE
-        self.idle_clock[vname][fid] = 0
+        self._go_idle(vname, fid)
+
+    def _go_idle(self, vname: str, fid: int) -> None:
+        self.idle_since.setdefault(vname, {})[fid] = self.ticks
+        heapq.heappush(self._expiry, (self.ticks, vname, fid))
 
     def tick_idle(self, t_thresh: int) -> list[tuple[str, int]]:
-        """Age every idle instance by one step; uninstall those reaching t_thresh.
+        """Advance one tick; uninstall the idle instances idle for t_thresh ticks.
 
-        Returns the uninstalled (vtype, fid) pairs sorted for determinism.
+        Only the expiry heap's due entries are read, so a tick with nothing
+        due costs one comparison. Returns the uninstalled (vtype, fid) pairs
+        sorted for determinism.
         """
-        reaped: list[tuple[str, int]] = []
-        for vname in sorted(self.idle_clock):
-            clocks = self.idle_clock[vname]
-            for fid in sorted(clocks):
-                clocks[fid] += 1
-                if clocks[fid] >= t_thresh:
-                    reaped.append((vname, fid))
+        self.ticks += 1
+        cutoff = self.ticks - t_thresh
+        heap = self._expiry
+        if not heap or heap[0][0] > cutoff:
+            return []
+        due = set()  # a set: an instance can hold two entries with one stamp
+        while heap and heap[0][0] <= cutoff:
+            since, vname, fid = heapq.heappop(heap)
+            if self.idle_since[vname].get(fid) == since:
+                due.add((vname, fid))
+        reaped = sorted(due)
         for vname, fid in reaped:
-            self.uninstall_vnf(vname, fid)
+            self.uninstall_vnf(vname, fid)  # deletes the stamp: later entries are stale
         return reaped

@@ -506,9 +506,11 @@ class DqnTrainingPolicy:
         """A reflex on observable features: a uniformly chosen allocate action
         whose DC has locally pending heads of that type and room to serve
         them. Returns None when nothing qualifies."""
+        waiting = [(vname, vtype) for vname, vtype in engine.catalog.vnfs.items()
+                   if engine.waiting[vname]]
         options = []
         for dc in engine.dcs:
-            for vname, vtype in engine.catalog.vnfs.items():
+            for vname, vtype in waiting:
                 if engine.local_pending[(dc.dc_id, vname)] <= 0:
                     continue
                 if dc.idle_count(vname) == 0 and not dc.can_install(vtype):

@@ -3,8 +3,9 @@
 Each step executes, in order: the drop pass (deadline expiry with force
 revoke), the head pass (only the first VNF of each chain: in-chain TX
 ticking, processing, completion), the completion pass (chain empty, start
-the final packet TX), the final-TX pass, and the idle reaper. Placement
-policies act between steps through a constrained action executor.
+the final packet TX), the final-TX pass, and the idle reaper, which pops
+only the instances due on each DC's expiry heap. Placement policies act
+between steps through a constrained action executor.
 
 Waiting records cost nothing per step: elapsed time is derived from the
 injection step, and head completions, TX endings, and deadline expiries are
@@ -480,7 +481,7 @@ def run_episode(engine: Engine, generator: RequestGenerator, plan: WavePlan, pol
                 on_step=None) -> EpisodeResult:
     """Drive an engine from request generation until everything is processed,
     dropped, and reaped. The policy acts every t_model steps, after the step's
-    passes (so after idle ticking), as does the optional on_step callback."""
+    passes (so after the idle reaper's tick), as does the optional on_step callback."""
     waves = {t: i for i, t in enumerate(plan.times)}
     injected = 0
     while True:

@@ -149,17 +149,17 @@ class HeuristicPolicy:
     name = "heuristic"
 
     def plan(self, engine) -> list[PolicyAction]:
+        waiting = [(vname, vtype) for vname, vtype in engine.catalog.vnfs.items()
+                   if engine.waiting.get(vname)]
+        if not waiting:
+            return [PolicyAction(IDLE_WAIT)]
         actions = []
         for dc in engine.dcs:
-            for vname, vtype in engine.catalog.vnfs.items():
-                if not engine.waiting.get(vname):
-                    continue
+            for vname, vtype in waiting:
                 if dc.idle_count(vname) == 0 and not dc.can_install(vtype):
                     continue
                 actions.append(PolicyAction(ALLOCATE, vname, dc.dc_id))
-        if not actions:
-            return [PolicyAction(IDLE_WAIT)]
-        return actions
+        return actions or [PolicyAction(IDLE_WAIT)]
 
     def act(self, engine) -> None:
         for action in self.plan(engine):

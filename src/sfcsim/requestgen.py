@@ -154,13 +154,28 @@ class RequestGenerator:
                 raise RequestError(f"src/dest out of range for request {spec}")
             if src == dest and not self.allow_loopback:
                 raise RequestError("src == dest requires allow_loopback")
-            bw = spec.get("bw")
-            if bw is None:
-                lo, hi = styp.bandwidth_range
-                bw = (lo + hi) / 2.0
-            records.append(_make_record(self.next_tag, styp, self.catalog, src, dest, float(bw), wave_index))
+            records.append(_make_record(self.next_tag, styp, self.catalog, src, dest,
+                                        self._spec_bw(spec), wave_index))
             self.next_tag += 1
         return records
+
+    def _spec_bw(self, spec: dict) -> float:
+        bw = spec.get("bw")
+        if bw is None:
+            lo, hi = self.catalog.sfcs[spec["type"]].bandwidth_range
+            bw = (lo + hi) / 2.0
+        return float(bw)
+
+    def max_bandwidth(self, plan: WavePlan) -> tuple[float, str] | None:
+        """The largest bandwidth a run of plan can request, with its SFC type;
+        None when it requests nothing."""
+        if plan.manual is None:
+            asks = [(styp.bandwidth_range[1], name) for name, styp in self.catalog.sfcs.items()
+                    if self.bundles[name][1] > 0]
+        else:
+            asks = [(self._spec_bw(spec), spec["type"]) for wave in plan.manual
+                    for spec in wave if spec.get("type") in self.catalog.sfcs]
+        return max(asks, default=None)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,21 @@ class NetworkGraph:
     def residual_snapshot(self) -> dict[tuple[int, int], int]:
         return dict(self._residual)
 
+    def min_capacity_mbps(self) -> float:
+        return min(self._capacity.values(), default=math.inf) / QUANTUM
+
+    def connected(self, min_bw: float) -> bool:
+        """True when the edges whose capacity carries min_bw join every node."""
+        need = to_milli(min_bw)
+        seen = {0} if self.n else set()
+        stack = list(seen)
+        while stack:
+            for n, key, _ in self._nbrs[stack.pop()]:
+                if n not in seen and self._capacity[key] >= need:
+                    seen.add(n)
+                    stack.append(n)
+        return len(seen) == self.n
+
     def check_residuals(self) -> None:
         for key, res in self._residual.items():
             if res < 0 or res > self._capacity[key]:

@@ -29,11 +29,17 @@ class ListTrace:
         pass
 
 
-def micro_scenario(seed: int):
-    """A randomized tiny scenario: 2-3 DCs, 1-2 requests, short chains,
-    a mix of generous and hopeless deadlines."""
+# size -> (DC count range, request count range), upper bounds exclusive
+SIZES = {"micro": ((2, 4), (1, 3)), "medium": ((5, 6), (20, 61))}
+
+
+def micro_scenario(seed: int, size: str = "micro"):
+    """A randomized scenario: short chains, a mix of generous and hopeless
+    deadlines. "micro" has 2-3 DCs and 1-2 requests; "medium" has 5 DCs and
+    20-60 requests, enough for queues, instance reuse and reaps."""
+    dc_range, req_range = SIZES[size]
     rng = np.random.default_rng([seed, 0xE0])
-    n_dcs = int(rng.integers(2, 4))
+    n_dcs = int(rng.integers(*dc_range))
     nodes = [(i, float(np.round(rng.uniform(0, 400), 3)),
               float(np.round(rng.uniform(0, 400), 3))) for i in range(n_dcs)]
     edges = []
@@ -65,7 +71,7 @@ def micro_scenario(seed: int):
         used_types.append(name)
     catalog = load_catalog(overrides)
 
-    n_req = int(rng.integers(1, 3))
+    n_req = int(rng.integers(*req_range))
     specs = []
     for _ in range(n_req):
         src = int(rng.integers(n_dcs))
@@ -86,10 +92,10 @@ def micro_scenario(seed: int):
     return catalog, nodes, edges, dc_specs, specs, t_thresh
 
 
-def run_equivalence(seed: int, max_steps: int = 6000):
+def run_equivalence(seed: int, max_steps: int = 6000, size: str = "micro"):
     """Drive the engine and the reference sim with one scripted decision
     stream; returns both traces plus final summaries."""
-    catalog, nodes, edges, dc_specs, specs, t_thresh = micro_scenario(seed)
+    catalog, nodes, edges, dc_specs, specs, t_thresh = micro_scenario(seed, size)
     rng = np.random.default_rng([seed, 0xEC])
 
     trace = ListTrace()

@@ -7,8 +7,8 @@ import pytest
 import yaml
 
 import sfcsim.cli
-from sfcsim.cli import EXIT_RUNTIME, main
-from sfcsim.config import ConfigError, ScenarioConfig, load_config
+from sfcsim.cli import EXIT_CONFIG, EXIT_RUNTIME, main, run_one
+from sfcsim.config import ConfigError, ScenarioConfig, load_config, make_runtime
 from sfcsim.datacenter import LedgerError
 from sfcsim.engine import InvariantError
 
@@ -87,6 +87,39 @@ class TestRun:
         code, _ = run_cli(["run", "--scenario", "tiny"], tmp_path, monkeypatch)
         assert code == EXIT_RUNTIME
         assert "runtime invariant violation: books differ" in capsys.readouterr().err
+
+    def test_bandwidth_no_path_carries_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # unchecked, the finished chain's final TX waits for a 70 Mbps path on
+        # a 5 Mbps link until the run hits its step cap
+        cfg = load_config("tiny", overrides={"topology.default_capacity_mbps": 5.0})
+        with pytest.raises(ConfigError, match="Ind4.0 requests up to 70.0 Mbps"):
+            run_one(cfg, 0)
+        code, _ = run_cli(["run", "--scenario", "tiny", "--set",
+                           "topology.default_capacity_mbps=5"], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert "config error: SFC type Ind4.0" in capsys.readouterr().err
+        code, _ = run_cli(["train", "--scenario", "tiny", "--episodes", "1", "--quiet",
+                           "--set", "topology.default_capacity_mbps=5"],
+                          tmp_path, monkeypatch, subdir="t")
+        assert code == EXIT_CONFIG
+        # the manual request asks for 70 Mbps, not the catalog's 100 Mbps maximum
+        result, _ = run_one(load_config(
+            "tiny", overrides={"topology.default_capacity_mbps": 70.0}), 0)
+        assert result.accepted == 1
+
+    @pytest.mark.parametrize("cap_12, ok", [(500.0, True), (50.0, False)])
+    def test_generated_bandwidth_needs_connected_dcs(self, cap_12, ok):
+        # edge 0-2 cannot carry AugR's 100 Mbps; 0-1-2 can, unless 1-2 is narrow too
+        nodes = [{"id": i, "x": 100.0 * i, "y": 0.0} for i in range(3)]
+        edges = [{"m": 0, "n": 1}, {"m": 1, "n": 2, "capacity_mbps": cap_12},
+                 {"m": 0, "n": 2, "capacity_mbps": 50.0}]
+        cfg = load_config("paper3dc", overrides={"topology.nodes": nodes,
+                                                 "topology.edges": edges})
+        if ok:
+            make_runtime(cfg, 0)
+        else:
+            with pytest.raises(ConfigError, match="AugR requests up to 100.0 Mbps"):
+                make_runtime(cfg, 0)
 
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],

@@ -103,7 +103,7 @@ class TestLifecycle:
         dc = fresh_dc()
         fid = dc.install_vnf(NAT)
         dc.allocate_vnf("NAT", fid)
-        assert fid not in dc.idle_clock["NAT"]
+        assert fid not in dc.idle_since["NAT"]
         assert dc.in_use_count("NAT") == 1
 
     def test_double_allocate_refused(self):
@@ -119,7 +119,7 @@ class TestLifecycle:
         dc.tick_idle(1000)
         b = dc.install_vnf(NAT)
         dc.allocate_vnf("NAT", a)
-        assert dc.idle_clock["NAT"][b] == 0
+        assert dc.idle_steps("NAT", b) == 0
         assert dc.idle_count("NAT") == 1
 
     def test_revoke_resets_clock_keeps_resources(self):
@@ -128,7 +128,7 @@ class TestLifecycle:
         after_install = (dc.cur_storage, dc.cur_compute)
         dc.allocate_vnf("NAT", fid)
         dc.revoke_vnf("NAT", fid)
-        assert dc.idle_clock["NAT"][fid] == 0
+        assert dc.idle_steps("NAT", fid) == 0
         assert (dc.cur_storage, dc.cur_compute) == after_install
 
     def test_revoke_idle_refused(self):
@@ -150,15 +150,15 @@ class TestLifecycle:
         fid = dc.install_vnf(NAT)
         dc.allocate_vnf("NAT", fid)
         dc.force_revoke_vnf("NAT", fid)
-        assert dc.idle_clock["NAT"][fid] == 0
+        assert dc.idle_steps("NAT", fid) == 0
 
     def test_force_revoke_idle_resets_clock(self):
         dc = fresh_dc()
         fid = dc.install_vnf(NAT)
         dc.tick_idle(1000)
-        assert dc.idle_clock["NAT"][fid] == 1
+        assert dc.idle_steps("NAT", fid) == 1
         dc.force_revoke_vnf("NAT", fid)
-        assert dc.idle_clock["NAT"][fid] == 0
+        assert dc.idle_steps("NAT", fid) == 0
 
 
 class TestIdleReaper:
@@ -183,7 +183,7 @@ class TestIdleReaper:
             dc.tick_idle(100)
         # a has been idle 99 ticks, b 50
         assert dc.tick_idle(100) == [("NAT", a)]
-        assert dc.idle_clock["NAT"][b] == 51
+        assert dc.idle_steps("NAT", b) == 51
 
     def test_in_use_not_reaped(self):
         dc = fresh_dc()
@@ -191,6 +191,112 @@ class TestIdleReaper:
         dc.allocate_vnf("NAT", fid)
         for _ in range(300):
             assert dc.tick_idle(100) == []
+
+
+class TestExpiryHeap:
+    def test_allocate_and_revoke_in_one_tick_reaps_once(self):
+        # install and revoke both stamp tick 0: two heap entries, one instance
+        dc = fresh_dc()
+        fid = dc.install_vnf(NAT)
+        dc.allocate_vnf("NAT", fid)
+        dc.revoke_vnf("NAT", fid)
+        for _ in range(9):
+            assert dc.tick_idle(10) == []
+        assert dc.tick_idle(10) == [("NAT", fid)]
+        for _ in range(20):
+            assert dc.tick_idle(10) == []
+        assert dc.installed_count() == 0
+        assert dc.cur_storage == dc.max_storage
+        dc.check_ledger()
+
+    def test_force_revoke_idle_restarts_expiry(self):
+        dc = fresh_dc()
+        fid = dc.install_vnf(NAT)
+        for _ in range(30):
+            dc.tick_idle(50)
+        dc.force_revoke_vnf("NAT", fid)
+        for _ in range(49):
+            assert dc.tick_idle(50) == []  # the install-time entry is stale
+        assert dc.idle_steps("NAT", fid) == 49
+        assert dc.tick_idle(50) == [("NAT", fid)]
+        assert dc.ticks == 80
+
+    def test_reap_order_across_types(self):
+        dc = fresh_dc()
+        order = ["WO", "FW", "NAT", "FW", "IDPS", "NAT"]
+        installed = []
+        for name in order:  # one stamp per install, so heap order is install order
+            installed.append((name, dc.install_vnf(CAT.vnfs[name])))
+            dc.tick_idle(100)
+        reaped = dc.tick_idle(1)
+        assert reaped == sorted(installed)
+        assert reaped != installed
+        assert dc.installed_count() == 0
+
+    def test_random_ops_match_per_tick_clocks(self):
+        # the naive model ages every idle instance on every tick; the
+        # threshold changes from call to call
+        rng = np.random.default_rng(91)
+        dc = DataCenter(0, 200, 8, 16)
+        vnfs = list(CAT.vnfs.values())
+        clocks = {}  # (vname, fid) -> idle ticks, idle instances only
+        in_use = []
+        reaps = restarts = 0
+        for _ in range(10_000):
+            op = rng.integers(6)
+            if op == 0:
+                vt = vnfs[rng.integers(len(vnfs))]
+                try:
+                    clocks[(vt.name, dc.install_vnf(vt))] = 0
+                except InsufficientResources:
+                    pass
+            elif op == 1 and clocks:
+                pair = sorted(clocks)[rng.integers(len(clocks))]
+                del clocks[pair]
+                dc.allocate_vnf(*pair)
+                in_use.append(pair)
+            elif op == 2 and in_use:
+                pair = in_use.pop(rng.integers(len(in_use)))
+                dc.revoke_vnf(*pair)
+                clocks[pair] = 0
+                restarts += 1
+            elif op == 3 and clocks:
+                pair = sorted(clocks)[rng.integers(len(clocks))]
+                dc.force_revoke_vnf(*pair)  # already idle: restarts its clock
+                clocks[pair] = 0
+                restarts += 1
+            elif op == 4 and clocks and rng.random() < 0.2:
+                pair = sorted(clocks)[rng.integers(len(clocks))]
+                del clocks[pair]
+                dc.uninstall_vnf(*pair)
+            else:
+                t_thresh = int(rng.choice([1, 2, 5, 12, 30]))
+                for pair in clocks:
+                    clocks[pair] += 1
+                want = sorted(p for p, c in clocks.items() if c >= t_thresh)
+                for pair in want:
+                    del clocks[pair]
+                assert dc.tick_idle(t_thresh) == want
+                reaps += len(want)
+            assert {(v, f): dc.idle_steps(v, f)
+                    for v, fids in dc.idle_since.items() for f in fids} == clocks
+            dc.check_ledger()
+        assert reaps > 500 and restarts > 500
+
+    def test_idle_instance_without_entry_rejected(self):
+        dc = fresh_dc()
+        dc.install_vnf(NAT)
+        dc._expiry.clear()
+        with pytest.raises(LedgerError, match="no expiry entry"):
+            dc.check_ledger()
+
+    def test_idle_stamp_without_matching_entry_rejected(self):
+        dc = fresh_dc()
+        fid = dc.install_vnf(NAT)
+        dc.tick_idle(100)
+        dc.idle_since["NAT"][fid] = 1  # the only entry carries stamp 0
+        with pytest.raises(LedgerError, match="no expiry entry"):
+            dc.check_ledger()
 
 
 class TestRandomLifecycle:
@@ -226,10 +332,10 @@ class TestRandomLifecycle:
                     idle.remove(pair)
             dc.check_ledger()
             assert dc.cur_storage >= 0 and dc.cur_compute >= 0
-        # idle clocks can never exceed the threshold
-        for clocks in dc.idle_clock.values():
-            for value in clocks.values():
-                assert value < 40
+        # idle times can never exceed the threshold
+        for vname, stamps in dc.idle_since.items():
+            for fid in stamps:
+                assert dc.idle_steps(vname, fid) < 40
 
 
 class TestLedgerCheck:
@@ -242,7 +348,7 @@ class TestLedgerCheck:
     def test_idle_set_drift_rejected(self):
         dc = fresh_dc()
         fid = dc.install_vnf(NAT)
-        del dc.idle_clock["NAT"][fid]
+        del dc.idle_since["NAT"][fid]
         with pytest.raises(LedgerError):
             dc.check_ledger()
 

@@ -334,6 +334,24 @@ class TestReferenceEquivalence:
             assert eng_events == ref_events, seed
             assert eng_summary == ref_summary, seed
 
+    def test_matches_reference_sim_medium(self):
+        # 5 DCs and 20-60 requests: the reference ages every idle instance
+        # every step, the engine pops due entries off an expiry heap
+        reused = reaped = 0
+        for seed in range(12):
+            eng_events, ref_events, eng_summary, ref_summary = run_equivalence(
+                seed, size="medium")
+            assert eng_events == ref_events, seed
+            assert eng_summary == ref_summary, seed
+            served = set()
+            for ev in eng_events:
+                if ev["event"] == "allocate":
+                    key = (ev["dc"], ev["vtype"], ev["fid"])
+                    reused += key in served  # revoked, then taken again
+                    served.add(key)
+                reaped += ev["event"] == "reap"
+        assert reused > 20 and reaped > 100
+
 
 class TestWaitingGroupInvariants:
     @staticmethod

@@ -247,6 +247,14 @@ class TestGraphStructure:
         with pytest.raises(TopologyError):
             NetworkGraph(nodes, [(0, 1, 500.0, km)])
 
+    def test_connected_at_bandwidth(self):
+        graph = line_graph(caps=(500.0, 50.0))
+        assert graph.min_capacity_mbps() == 50.0
+        assert graph.connected(50.0)
+        assert not graph.connected(50.001)  # node 2 hangs off the 50 Mbps edge
+        assert NetworkGraph([(0, 0.0, 0.0)], []).connected(1e9)
+        assert not NetworkGraph([(0, 0.0, 0.0), (1, 1.0, 0.0)], []).connected(0.0)
+
     def test_duplicate_edge_rejected(self):
         nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0)]
         with pytest.raises(TopologyError):
