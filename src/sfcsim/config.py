@@ -315,13 +315,12 @@ def check_bandwidth(graph: NetworkGraph, generator: RequestGenerator, plan: Wave
 
     A finished chain's final TX waits until a path carries its bandwidth, so
     a bandwidth no path can carry would stall the episode until its step cap.
-    One pass over the edges settles the usual case, where every edge carries it.
     """
     ask = generator.max_bandwidth(plan)
     if ask is None:
         return
     bw, name = ask
-    if graph.min_capacity_mbps() < bw and not graph.connected(bw):
+    if not graph.connected(bw):
         raise ConfigError(f"SFC type {name} requests up to {bw} Mbps, but the edges "
                           f"that carry it do not connect all {graph.n} DCs")
 

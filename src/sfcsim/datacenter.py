@@ -2,9 +2,10 @@
 
 An instance is Installed (consuming storage and compute), and is either
 InUse (allocated to exactly one SFC's VNF) or Idle. An instance that goes
-idle is stamped with the DC's tick count and pushed onto an expiry heap;
-each tick pops only the instances whose idle time reached the threshold, so
-the reaper costs nothing per idle instance per step.
+idle is stamped with the DC's tick count and appended to an expiry queue,
+which the monotone tick count keeps in stamp order; each tick pops only the
+instances whose idle time reached the threshold, so the reaper costs nothing
+per idle instance per step.
 
 Storage and compute are kept in integer units of 0.001 (topology.to_milli),
 so any install/uninstall sequence restores the exact initial state.
@@ -12,7 +13,7 @@ so any install/uninstall sequence restores the exact initial state.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 
 from .catalog import VnfType
 from .topology import QUANTUM, to_milli
@@ -62,9 +63,9 @@ class DataCenter:
         self.installed: dict[str, dict[int, int]] = {}
         self.idle_since: dict[str, dict[int, int]] = {}
         self.ticks = 0
-        # (since, vtype, fid) per idle period; an entry whose stamp no longer
-        # matches idle_since is stale and dropped when it comes due
-        self._expiry: list[tuple[int, str, int]] = []
+        # (since, vtype, fid) per idle period, in stamp order; an entry whose
+        # stamp no longer matches idle_since is stale and dropped when it comes due
+        self._expiry: deque[tuple[int, str, int]] = deque()
         self._next_fid: dict[str, int] = {}
         self._demands: dict[str, tuple[int, int]] = {}  # vtype -> (storage, compute)
 
@@ -192,23 +193,23 @@ class DataCenter:
 
     def _go_idle(self, vname: str, fid: int) -> None:
         self.idle_since.setdefault(vname, {})[fid] = self.ticks
-        heapq.heappush(self._expiry, (self.ticks, vname, fid))
+        self._expiry.append((self.ticks, vname, fid))
 
     def tick_idle(self, t_thresh: int) -> list[tuple[str, int]]:
         """Advance one tick; uninstall the idle instances idle for t_thresh ticks.
 
-        Only the expiry heap's due entries are read, so a tick with nothing
+        Only the expiry queue's due entries are read, so a tick with nothing
         due costs one comparison. Returns the uninstalled (vtype, fid) pairs
         sorted for determinism.
         """
         self.ticks += 1
         cutoff = self.ticks - t_thresh
-        heap = self._expiry
-        if not heap or heap[0][0] > cutoff:
+        queue = self._expiry
+        if not queue or queue[0][0] > cutoff:
             return []
         due = set()  # a set: an instance can hold two entries with one stamp
-        while heap and heap[0][0] <= cutoff:
-            since, vname, fid = heapq.heappop(heap)
+        while queue and queue[0][0] <= cutoff:
+            since, vname, fid = queue.popleft()
             if self.idle_since[vname].get(fid) == since:
                 due.add((vname, fid))
         reaped = sorted(due)

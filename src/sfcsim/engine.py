@@ -4,7 +4,7 @@ Each step executes, in order: the drop pass (deadline expiry with force
 revoke), the head pass (only the first VNF of each chain: in-chain TX
 ticking, processing, completion), the completion pass (chain empty, start
 the final packet TX), the final-TX pass, and the idle reaper, which pops
-only the instances due on each DC's expiry heap. Placement policies act
+only the instances due on each DC's expiry queue. Placement policies act
 between steps through a constrained action executor.
 
 Waiting records cost nothing per step: elapsed time is derived from the

@@ -120,9 +120,6 @@ class NetworkGraph:
     def residual_snapshot(self) -> dict[tuple[int, int], int]:
         return dict(self._residual)
 
-    def min_capacity_mbps(self) -> float:
-        return min(self._capacity.values(), default=math.inf) / QUANTUM
-
     def connected(self, min_bw: float) -> bool:
         """True when the edges whose capacity carries min_bw join every node."""
         need = to_milli(min_bw)

@@ -121,6 +121,16 @@ class TestRun:
             with pytest.raises(ConfigError, match="AugR requests up to 100.0 Mbps"):
                 make_runtime(cfg, 0)
 
+    def test_disconnected_topology_is_config_error(self):
+        # every edge carries 70 Mbps, but no edge reaches DC 2
+        nodes = [{"id": i, "x": 100.0 * i, "y": 0.0} for i in range(3)]
+        cfg = load_config("tiny", overrides={
+            "topology.nodes": nodes, "topology.edges": [{"m": 0, "n": 1}],
+            "datacenters.count": 3,
+            "requests.manual": [[{"type": "Ind4.0", "src": 0, "dest": 2}]]})
+        with pytest.raises(ConfigError, match="do not connect all 3 DCs"):
+            make_runtime(cfg, 0)
+
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],
                           tmp_path, monkeypatch)

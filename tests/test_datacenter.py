@@ -193,9 +193,9 @@ class TestIdleReaper:
             assert dc.tick_idle(100) == []
 
 
-class TestExpiryHeap:
+class TestExpiryQueue:
     def test_allocate_and_revoke_in_one_tick_reaps_once(self):
-        # install and revoke both stamp tick 0: two heap entries, one instance
+        # install and revoke both stamp tick 0: two queue entries, one instance
         dc = fresh_dc()
         fid = dc.install_vnf(NAT)
         dc.allocate_vnf("NAT", fid)
@@ -225,7 +225,7 @@ class TestExpiryHeap:
         dc = fresh_dc()
         order = ["WO", "FW", "NAT", "FW", "IDPS", "NAT"]
         installed = []
-        for name in order:  # one stamp per install, so heap order is install order
+        for name in order:  # one stamp per install, so queue order is install order
             installed.append((name, dc.install_vnf(CAT.vnfs[name])))
             dc.tick_idle(100)
         reaped = dc.tick_idle(1)

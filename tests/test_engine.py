@@ -336,7 +336,7 @@ class TestReferenceEquivalence:
 
     def test_matches_reference_sim_medium(self):
         # 5 DCs and 20-60 requests: the reference ages every idle instance
-        # every step, the engine pops due entries off an expiry heap
+        # every step, the engine pops due entries off an expiry queue
         reused = reaped = 0
         for seed in range(12):
             eng_events, ref_events, eng_summary, ref_summary = run_equivalence(

@@ -249,7 +249,6 @@ class TestGraphStructure:
 
     def test_connected_at_bandwidth(self):
         graph = line_graph(caps=(500.0, 50.0))
-        assert graph.min_capacity_mbps() == 50.0
         assert graph.connected(50.0)
         assert not graph.connected(50.001)  # node 2 hangs off the 50 Mbps edge
         assert NetworkGraph([(0, 0.0, 0.0)], []).connected(1e9)
