@@ -65,6 +65,9 @@ DEFAULTS = {
         "branch_dim": 32,
         "hidden": [128, 64],
         "count_cap": 50,
+        # gamma and target_sync are read by nothing since training became
+        # regression on outcome labels; they stay until the next deliberate
+        # re-pin because config_hash covers them
         "gamma": 0.95,
         "lr": 1e-3,
         "grad_clip": 5.0,
@@ -151,9 +154,19 @@ class ScenarioConfig:
         dqn = self.data["dqn"]
         if dqn["credit"] != "outcome":
             raise ConfigError(f"dqn.credit must be 'outcome', got {dqn['credit']!r}")
-        for key in ("t_model", "target_sync", "batch"):
-            if type(dqn[key]) is not int or dqn[key] < 1:
-                raise ConfigError(f"dqn.{key} must be an int >= 1, got {dqn[key]!r}")
+        for key, low in (("t_model", 1), ("target_sync", 1), ("batch", 1), ("buffer", 1),
+                         ("count_cap", 1), ("max_actions", 1), ("train_interval", 1),
+                         ("min_buffer", 0)):
+            if type(dqn[key]) is not int or dqn[key] < low:
+                raise ConfigError(f"dqn.{key} must be an int >= {low}, got {dqn[key]!r}")
+        hidden = dqn["hidden"]
+        if not (isinstance(hidden, (list, tuple)) and len(hidden) == 2
+                and all(type(h) is int and h >= 1 for h in hidden)):
+            raise ConfigError(f"dqn.hidden must be two positive ints, got {hidden!r}")
+        if dqn["buffer"] < dqn["batch"]:
+            # a ring smaller than one batch never reaches train_step
+            raise ConfigError(f"dqn.buffer ({dqn['buffer']}) must be >= dqn.batch "
+                              f"({dqn['batch']})")
         # reject malformed wave plans early
         schedule_waves(self.data["requests"]["wave_times"],
                        self.data["requests"]["manual"])

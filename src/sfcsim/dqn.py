@@ -1,11 +1,15 @@
 """DRL placement agent: grouped-feature encoder, from-scratch Q-network with
-per-branch gating, replay buffer, target network, epsilon-greedy control, and
-the training loop.
+per-branch gating, replay buffer, epsilon-greedy control, and the training
+loop.
 
 The network picks (action kind, VNF type, DC); the concrete SFC under an
 allocation is always chosen by priority points, which keeps the action space
 fixed at 12 * n_dcs + 1. Everything runs in float64 numpy so gradients can be
 checked against central finite differences.
+
+Training is regression of Q(s, a) on outcome labels: each replayed
+(state, action, reward) is fitted to its own reward, with no bootstrapped
+next-state term, so there is no target network and no next state to store.
 """
 
 from __future__ import annotations
@@ -57,7 +61,14 @@ def encode_action(action: PolicyAction, n_dcs: int, vnf_names) -> int:
 class StateEncoder:
     """Three fixed-width branches: per-DC resources, instance counts and
     locally-pending head counts; per-SFC-type pending work and remaining
-    deadlines; per-edge residuals. Counts are capped then scaled into [0, 1]."""
+    deadlines; per-edge residuals. Counts are capped then scaled into [0, 1].
+
+    The deadline features and the link branch read only the step number, the
+    live cohorts and the reserved bandwidth. No policy action changes those
+    (apply_action reserves no bandwidth and removes no cohort), so
+    `phase_features` computes them once per policy phase and `encode` reuses
+    them for every re-encode after an action.
+    """
 
     def __init__(self, catalog: Catalog, n_dcs: int, n_edges: int, count_cap: int = 50):
         self.vnf_names = list(catalog.vnfs)
@@ -72,7 +83,36 @@ class StateEncoder:
             n_edges,
         )
 
-    def encode(self, engine) -> list[np.ndarray]:
+    def phase_features(self, engine) -> tuple[list[tuple[float, float]], np.ndarray]:
+        """Per SFC type, the (min, count-weighted mean) remaining-deadline
+        fraction over its live cohorts, and the link branch. Valid until the
+        engine steps again."""
+        now = engine.step_no
+        by_type = {s: ([], []) for s in self.sfc_names}
+        for (styp, inject), count in engine.cohorts.items():
+            rec_deadline = engine.catalog.sfcs[styp].deadline_steps
+            rem = max(0, rec_deadline - (now - inject))
+            fracs, counts = by_type[styp]
+            fracs.append(rem / rec_deadline)
+            counts.append(count)
+        deadlines = []
+        for fracs, counts in by_type.values():
+            if fracs:
+                total = sum(counts)
+                deadlines.append(
+                    (min(fracs), sum(f * c for f, c in zip(fracs, counts)) / total))
+            else:
+                deadlines.append((1.0, 1.0))
+        links = np.asarray([
+            engine.graph.residual_mbps(m, n) / engine.graph.capacity_mbps(m, n)
+            for m, n in engine.graph.edge_keys()
+        ], dtype=np.float64)
+        return deadlines, links
+
+    def encode(self, engine, phase=None) -> list[np.ndarray]:
+        """The three branches. `phase` is `self.phase_features(engine)` from
+        the same policy phase; it is computed here when not given."""
+        deadlines, links = self.phase_features(engine) if phase is None else phase
         cap = self.cap
         dc_feats = []
         for dc in engine.dcs:
@@ -85,37 +125,17 @@ class StateEncoder:
             for v in self.vnf_names:
                 dc_feats.append(min(engine.local_pending[(dc.dc_id, v)], cap) / cap)
 
-        now = engine.step_no
         sfc_feats = []
-        for s in self.sfc_names:
+        for s, (earliest, mean) in zip(self.sfc_names, deadlines):
             pending = engine.pending_by_type[s]
             for v in self.vnf_names:
                 sfc_feats.append(min(pending[v], cap) / cap)
-            fracs = []
-            counts = []
-            for (styp, inject), count in engine.cohorts.items():
-                if styp != s:
-                    continue
-                rec_deadline = engine.catalog.sfcs[s].deadline_steps
-                rem = max(0, rec_deadline - (now - inject))
-                fracs.append(rem / rec_deadline)
-                counts.append(count)
-            if fracs:
-                sfc_feats.append(min(fracs))
-                total = sum(counts)
-                sfc_feats.append(sum(f * c for f, c in zip(fracs, counts)) / total)
-            else:
-                sfc_feats.append(1.0)
-                sfc_feats.append(1.0)
-
-        link_feats = [
-            engine.graph.residual_mbps(m, n) / engine.graph.capacity_mbps(m, n)
-            for m, n in engine.graph.edge_keys()
-        ]
+            sfc_feats.append(earliest)
+            sfc_feats.append(mean)
         return [
             np.asarray(dc_feats, dtype=np.float64),
             np.asarray(sfc_feats, dtype=np.float64),
-            np.asarray(link_feats, dtype=np.float64),
+            links,
         ]
 
 
@@ -204,19 +224,6 @@ class QNetwork:
         grads["theta"] = g * (dgate - float(g @ dgate))
         return grads
 
-    def clone(self) -> "QNetwork":
-        other = QNetwork.__new__(QNetwork)
-        other.branch_widths = self.branch_widths
-        other.n_actions = self.n_actions
-        other.branch_dim = self.branch_dim
-        other.hidden = self.hidden
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        return other
-
-    def copy_from(self, other: "QNetwork") -> None:
-        for k in self.params:
-            self.params[k] = other.params[k].copy()
-
     def check_finite(self) -> bool:
         return all(np.isfinite(v).all() for v in self.params.values())
 
@@ -224,38 +231,32 @@ class QNetwork:
 # -- replay buffer --------------------------------------------------------------
 
 class ReplayBuffer:
-    """FIFO ring of (state, action, reward, next state, terminal, discount).
+    """FIFO ring of (state, action, reward): all that label regression reads.
 
-    discount multiplies the bootstrapped next-state value in the target; the
-    training policy stores 0.0, so every target is the transition's own label.
+    The rows start uninitialised (np.empty, so a large ring costs no memset
+    at set-up): sample draws only indices below size, and push has written
+    every one of those rows.
     """
 
     def __init__(self, capacity: int, state_width: int):
         self.capacity = int(capacity)
-        self.states = np.zeros((capacity, state_width), dtype=np.float32)
-        self.next_states = np.zeros((capacity, state_width), dtype=np.float32)
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.terminal = np.zeros(capacity, dtype=bool)
-        self.discounts = np.ones(capacity)
+        self.states = np.empty((capacity, state_width), dtype=np.float32)
+        self.actions = np.empty(capacity, dtype=np.int64)
+        self.rewards = np.empty(capacity)
         self.size = 0
         self._next = 0
 
-    def push(self, state, action, reward, next_state, terminal, discount=1.0) -> None:
+    def push(self, state, action, reward) -> None:
         i = self._next
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_states[i] = next_state
-        self.terminal[i] = terminal
-        self.discounts[i] = discount
         self._next = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng) -> tuple:
         idx = rng.integers(0, self.size, size=batch)
-        return (self.states[idx], self.actions[idx], self.rewards[idx],
-                self.next_states[idx], self.terminal[idx], self.discounts[idx])
+        return self.states[idx], self.actions[idx], self.rewards[idx]
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,6 @@ class DqnAgent:
         self.online = QNetwork(branch_widths, n_actions,
                                branch_dim=hp["branch_dim"], hidden=tuple(hp["hidden"]),
                                rng=net_rng)
-        self.target = self.online.clone()
         total_width = sum(self.branch_widths)
         self.buffer = ReplayBuffer(hp["buffer"], total_width)
         self.train_steps = 0
@@ -302,10 +302,18 @@ class DqnAgent:
     def q_values(self, enc: list[np.ndarray]) -> np.ndarray:
         return self.online.forward(enc)[0]
 
-    def act_index(self, enc: list[np.ndarray], epsilon: float) -> int:
+    def act_index(self, enc: list[np.ndarray], epsilon: float,
+                  q: np.ndarray | None = None) -> tuple[int, np.ndarray | None]:
+        """One epsilon-greedy draw on encoding enc; returns (index, q).
+
+        q is enc's Q-vector or None; the forward pass runs only when a greedy
+        draw needs it and it is None. Passing the returned q back runs it at
+        most once per encoding, until enc or the parameters change."""
         if self.rng.random() < epsilon:
-            return int(self.rng.integers(self.n_actions))
-        return int(np.argmax(self.q_values(enc)))
+            return int(self.rng.integers(self.n_actions)), q
+        if q is None:
+            q = self.q_values(enc)
+        return int(np.argmax(q)), q
 
     def epsilon(self, episode: int) -> float:
         hp = self.hp
@@ -318,21 +326,18 @@ class DqnAgent:
     # -- learning --------------------------------------------------------------
 
     def train_step(self, batch=None) -> float:
-        """One SGD step on the mean squared Bellman error."""
+        """One SGD step on the mean squared error of Q(s, a) against the
+        reward labels of a (states, actions, rewards) batch, by default one
+        sampled from the replay ring."""
         hp = self.hp
         if batch is None:
             batch = self.buffer.sample(hp["batch"], self.rng)
-        if len(batch) == 5:  # discount defaults to the configured gamma
-            batch = (*batch, np.full(len(batch[1]), hp["gamma"]))
-        states, actions, rewards, next_states, terminal, discounts = batch
+        states, actions, rewards = batch
         xs = self.split(np.atleast_2d(states))
-        nxt = self.split(np.atleast_2d(next_states))
-        q_next = self.target.forward(nxt)
-        target = rewards + discounts * np.where(terminal, 0.0, q_next.max(axis=1))
         q, cache = self.online.forward_cached(xs)
         b = len(actions)
         picked = q[np.arange(b), actions]
-        err = picked - target
+        err = picked - rewards
         loss = float(np.mean(err ** 2))
         dq = np.zeros_like(q)
         dq[np.arange(b), actions] = 2.0 * err / b
@@ -344,15 +349,13 @@ class DqnAgent:
         for name, g in grads.items():
             self.online.params[name] -= lr * scale * g
         self.train_steps += 1
-        if self.train_steps % hp["target_sync"] == 0:
-            self.target.copy_from(self.online)
         return loss
 
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: str) -> None:
         meta = {
-            "version": 1,
+            "version": 2,
             "branch_widths": list(self.branch_widths),
             "n_actions": self.n_actions,
             "hp": self.hp,
@@ -361,20 +364,20 @@ class DqnAgent:
             "decay_episodes": self.decay_episodes,
         }
         arrays = {f"online_{k}": v for k, v in self.online.params.items()}
-        arrays.update({f"target_{k}": v for k, v in self.target.params.items()})
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 
 def load_agent(path: str) -> DqnAgent:
+    """Read a checkpoint. Version 1 files also hold target-network arrays,
+    which are ignored; version 2 holds only the online parameters."""
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
-    if meta.get("version") != 1:
+    if meta.get("version") not in (1, 2):
         raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
     agent = DqnAgent(meta["branch_widths"], meta["n_actions"], meta["hp"])
     for k in agent.online.params:
         agent.online.params[k] = data[f"online_{k}"]
-        agent.target.params[k] = data[f"target_{k}"]
     agent.train_steps = meta["train_steps"]
     agent.episode = meta["episode"]
     agent.decay_episodes = meta["decay_episodes"]
@@ -410,25 +413,32 @@ class DqnPolicy:
     def act(self, engine) -> None:
         self._ensure_encoder(engine)
         vnf_names = self.encoder.vnf_names
+        phase = self.encoder.phase_features(engine)
+        enc = q = None
         for _ in range(self.max_actions):
-            enc = self.encoder.encode(engine)
-            idx = self.agent.act_index(enc, self.epsilon)
+            if enc is None:
+                enc = self.encoder.encode(engine, phase)
+                q = None
+            idx, q = self.agent.act_index(enc, self.epsilon, q)
             action = decode_action(idx, self.encoder.n_dcs, vnf_names)
             if action.kind == IDLE_WAIT:
                 break
-            if not engine.apply_action(action) and self.epsilon == 0.0:
+            if engine.apply_action(action):
+                enc = None
+            elif self.epsilon == 0.0:
                 break  # a failed greedy choice would just repeat
 
 
 class DqnTrainingPolicy:
-    """Collects transitions during an episode and trains on a fixed cadence.
+    """Collects (state, action, reward) transitions during an episode and
+    trains on a fixed cadence.
 
     Outcome credit: every transition that allocated a request's VNF is held
     open until that request finalises, then labelled with the request's own
     completion reward or drop penalty. Infeasible choices are penalised on
-    the spot; IdleWait and uninstalls read zero. Targets are pure labels
-    (discount 0, no bootstrap term), which turns placement scoring into a
-    plain regression on the encoded state.
+    the spot; IdleWait and uninstalls read zero. The label is the regression
+    target of Q(s, a) itself, with no bootstrap term, which turns placement
+    scoring into a plain regression on the encoded state.
 
     Infeasible and IdleWait draws vastly outnumber informative transitions
     during exploration; only a sample of them is recorded so they cannot
@@ -449,8 +459,8 @@ class DqnTrainingPolicy:
         self.train_interval = train_interval
         self.min_buffer = min_buffer
         self.guide_prob = guide_prob
-        self.open: list[list] = []  # [state, action, immediate reward, post state]
-        self.open_by_tag: dict[int, list[list]] = {}
+        self.open: list[tuple] = []  # (state, action, immediate reward)
+        self.open_by_tag: dict[int, list[tuple]] = {}  # tag -> [(state, action)]
         self.events = 0.0
         self.cum_reward = 0.0
         self.losses: list[float] = []
@@ -459,11 +469,8 @@ class DqnTrainingPolicy:
         self._seen_step = 0
         self._since_train = 0
 
-    def _flat(self, enc: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(enc)
-
-    def _push(self, state, action, reward, nxt, terminal, disc) -> None:
-        self.agent.buffer.push(state, action, reward, nxt, terminal, disc)
+    def _push(self, state, action, reward) -> None:
+        self.agent.buffer.push(state, action, reward)
         self.cum_reward += reward
         self._since_train += 1
         if self._since_train >= self.train_interval:
@@ -485,21 +492,17 @@ class DqnTrainingPolicy:
         self._seen_done, self._seen_dropped, self._seen_step = done, dropped, steps
 
     def _resolve_tag(self, tag: int, reward: float) -> None:
-        for state, action, post in self.open_by_tag.pop(tag, ()):
-            self._push(state, action, reward, post, False, 0.0)
+        for state, action in self.open_by_tag.pop(tag, ()):
+            self._push(state, action, reward)
 
-    def _close_invocation(self, next_flat: np.ndarray, terminal: bool) -> None:
-        if not self.open:
+    def _close_invocation(self) -> None:
+        if self.open:
+            share = self.events / len(self.open)
+            for state, action, immediate in self.open:
+                self._push(state, action, immediate + share)
+            self.open = []
+        else:
             self.cum_reward += self.events
-            self.events = 0.0
-            return
-        share = self.events / len(self.open)
-        last = len(self.open) - 1
-        for i, (state, action, immediate, post) in enumerate(self.open):
-            nxt = next_flat if i == last else post
-            self._push(state, action, immediate + share, nxt,
-                       terminal and i == last, 0.0)
-        self.open = []
         self.events = 0.0
 
     def _guide_index(self, engine) -> int | None:
@@ -522,45 +525,47 @@ class DqnTrainingPolicy:
         return encode_action(pick, self.encoder.n_dcs, self.encoder.vnf_names)
 
     def act(self, engine) -> None:
-        vnf_names = self.encoder.vnf_names
-        enc = self.encoder.encode(engine)
-        flat = self._flat(enc)
+        # the only train_step calls of a phase run here, before any action:
+        # the parameters are fixed from here on, so q (the Q-vector of enc)
+        # stays valid until an action changes the state
         self._collect_events(engine)
-        self._close_invocation(flat, terminal=False)
+        self._close_invocation()
+        vnf_names = self.encoder.vnf_names
+        phase = self.encoder.phase_features(engine)
+        enc = q = None
         for _ in range(self.max_actions):
+            if enc is None:
+                enc = self.encoder.encode(engine, phase)
+                flat = np.concatenate(enc)
+                q = None
             idx = None
             if self.guide_prob > 0.0 and self.agent.rng.random() < self.guide_prob:
                 idx = self._guide_index(engine)
             if idx is None:
-                idx = self.agent.act_index(enc, self.epsilon)
+                idx, q = self.agent.act_index(enc, self.epsilon, q)
             action = decode_action(idx, self.encoder.n_dcs, vnf_names)
             if action.kind == IDLE_WAIT:
                 # not a stop during training: keeps exploration throughput
                 # independent of the current value estimates
                 if self.agent.rng.random() < self.IDLE_KEEP:
-                    self.open.append([flat, idx, 0.0, flat])
+                    self.open.append((flat, idx, 0.0))
                 continue
             if not engine.apply_action(action):
                 # state unchanged; record the penalty and draw again
                 if self.agent.rng.random() < self.INVALID_KEEP:
-                    self.open.append([flat, idx, -self.rewards.invalid, flat])
+                    self.open.append((flat, idx, -self.rewards.invalid))
                 continue
-            enc = self.encoder.encode(engine)
-            new_flat = self._flat(enc)
             if engine.last_allocated_tag is not None:
-                tag = engine.last_allocated_tag
-                self.open_by_tag.setdefault(tag, []).append([flat, idx, new_flat])
+                self.open_by_tag.setdefault(engine.last_allocated_tag, []).append((flat, idx))
             else:
-                self.open.append([flat, idx, 0.0, new_flat])
-            flat = new_flat
+                self.open.append((flat, idx, 0.0))
+            enc = None
 
     def finish(self, engine) -> None:
         self._collect_events(engine)
-        enc = self.encoder.encode(engine)
-        flat = self._flat(enc)
         for tag in list(self.open_by_tag):
             self._resolve_tag(tag, 0.0)
-        self._close_invocation(flat, terminal=True)
+        self._close_invocation()
 
 
 # -- training loop -----------------------------------------------------------------

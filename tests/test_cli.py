@@ -245,11 +245,21 @@ class TestScenarioConfig:
         ("t_model", 0), ("target_sync", 0), ("batch", 0), ("batch", -8),
         ("t_model", 1.5), ("target_sync", "500"), ("batch", True),
         ("credit", "bogus"), ("credit", "timeline"),
+        ("buffer", 0), ("count_cap", 0), ("max_actions", 0), ("train_interval", 0),
+        ("buffer", 2.5), ("min_buffer", -1), ("min_buffer", 1.0),
+        ("hidden", [16]), ("hidden", [16, 0]), ("hidden", [16, 8.0]), ("hidden", 16),
+        ("buffer", 63),
     ])
     def test_bad_dqn_settings(self, key, value):
-        # unchecked, each fails mid-run: a zero division, a nan loss or a bad mode
+        # unchecked, each fails mid-run (an index or unpacking error, a zero
+        # division, a nan loss, a bad mode) or, for a ring smaller than one
+        # batch, trains nothing without a word
         with pytest.raises(ConfigError, match=f"dqn.{key}"):
             ScenarioConfig({"dqn": {key: value}})
+
+    def test_smallest_dqn_settings_accepted(self):
+        ScenarioConfig({"dqn": {"buffer": 8, "batch": 8, "min_buffer": 0,
+                                "count_cap": 1, "hidden": [1, 1]}})
 
     def test_datacenter_count_must_match_topology(self):
         cfg = ScenarioConfig({"datacenters": {"count": 4}})

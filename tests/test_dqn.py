@@ -147,7 +147,7 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(3, 2)
         for i in range(5):
-            buf.push(np.full(2, i), i, float(i), np.full(2, i + 1), False)
+            buf.push(np.full(2, i), i, float(i))
         assert buf.size == 3
         kept = sorted(buf.actions[:buf.size].tolist())
         assert kept == [2, 3, 4]
@@ -155,11 +155,11 @@ class TestReplayBuffer:
     def test_uniform_sampling(self):
         buf = ReplayBuffer(10, 1)
         for i in range(10):
-            buf.push(np.zeros(1), i, 0.0, np.zeros(1), False)
+            buf.push(np.zeros(1), i, 0.0)
         rng = np.random.default_rng(0)
         counts = np.zeros(10)
         for _ in range(200):
-            _, actions, _, _, _, _ = buf.sample(50, rng)
+            _, actions, _ = buf.sample(50, rng)
             for a in actions:
                 counts[a] += 1
         assert counts.min() > 0.5 * counts.mean()
@@ -175,7 +175,7 @@ class TestAgent:
     def test_epsilon_one_uniform_over_action_space(self):
         agent = DqnAgent([4, 3, 2], 13, agent_hp(), seed=3)
         xs = [np.zeros(4), np.zeros(3), np.zeros(2)]
-        draws = np.array([agent.act_index(xs, 1.0) for _ in range(10_000)])
+        draws = np.array([agent.act_index(xs, 1.0)[0] for _ in range(10_000)])
         counts = np.bincount(draws, minlength=13)
         expected = len(draws) / 13
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -187,7 +187,16 @@ class TestAgent:
         agent.online.params["W3"][:] = 0.0
         agent.online.params["b3"] = np.array([0.0, 3.0, 1.0, -2.0, 2.0])
         xs = [np.zeros(4), np.zeros(3), np.zeros(2)]
-        assert agent.act_index(xs, 0.0) == 1
+        assert agent.act_index(xs, 0.0)[0] == 1
+
+    def test_memoised_q_skips_the_forward_pass(self):
+        agent = DqnAgent([4, 3, 2], 5, agent_hp(), seed=3)
+        xs = [np.zeros(4), np.zeros(3), np.zeros(2)]
+        idx, q = agent.act_index(xs, 0.0)
+        assert q is not None and idx == int(np.argmax(q))
+        # a q handed back is trusted as the Q-vector of the encoding
+        fake = np.array([0.0, 0.0, 0.0, 9.0, 0.0])
+        assert agent.act_index(xs, 0.0, fake) == (3, fake)
 
     def test_epsilon_schedule_monotone_bounded(self):
         agent = DqnAgent([4, 3, 2], 5, agent_hp(eps_start=1.0, eps_min=0.05), seed=0)
@@ -199,51 +208,46 @@ class TestAgent:
         assert values[60] == 0.05
 
     def test_terminal_batch_with_matching_q_has_zero_loss(self):
+        # every transition is terminal: no next-state term enters the target
         agent = DqnAgent([2, 2, 2], 3, agent_hp(lr=0.0), seed=1)
-        # force Q(s, a) == reward for a terminal transition
+        # force Q(s, a) == reward
         agent.online.params["W3"][:] = 0.0
         agent.online.params["b3"][:] = 4.0
-        batch = (np.zeros((2, 6)), np.array([0, 2]), np.array([4.0, 4.0]),
-                 np.zeros((2, 6)), np.array([True, True]))
+        batch = (np.zeros((2, 6)), np.array([0, 2]), np.array([4.0, 4.0]))
         assert agent.train_step(batch) == pytest.approx(0.0)
 
     def test_gamma_zero_target_is_reward(self):
-        hp = agent_hp(gamma=0.0, lr=0.05, grad_clip=1e9, target_sync=10_000)
+        hp = agent_hp(lr=0.05, grad_clip=1e9)
         agent = DqnAgent([2, 2, 2], 3, hp, seed=1)
         state = np.array([1.0, 0.5, -0.2, 0.3, 0.8, -0.5])
-        batch = (state[None, :], np.array([1]), np.array([2.5]),
-                 state[None, :], np.array([False]))
+        batch = (state[None, :], np.array([1]), np.array([2.5]))
         for _ in range(500):
             agent.train_step(batch)
         q = agent.online.forward(agent.split(state[None, :]))[0]
         assert abs(q[1] - 2.5) < 1e-3
 
-    def test_single_transition_converges_to_bellman_fixed_point(self):
-        hp = agent_hp(gamma=0.9, lr=0.05, grad_clip=1e9, target_sync=10_000)
-        agent = DqnAgent([2, 2, 2], 3, hp, seed=2)
+    def test_repeated_pair_regresses_to_mean_label(self):
+        # least squares: one (s, a) seen with labels 1 and 3 fits their mean
+        agent = DqnAgent([2, 2, 2], 3, agent_hp(lr=0.05, grad_clip=1e9), seed=2)
         state = np.array([0.3, -0.1, 0.7, 0.2, -0.4, 0.9])
-        nxt = np.array([-0.2, 0.5, 0.1, -0.6, 0.3, 0.4])
-        batch = (state[None, :], np.array([0]), np.array([1.0]),
-                 nxt[None, :], np.array([False]))
-        target = 1.0 + 0.9 * float(agent.target.forward(agent.split(nxt[None, :]))[0].max())
+        batch = (np.stack([state, state]), np.array([0, 0]), np.array([1.0, 3.0]))
         for _ in range(500):
             agent.train_step(batch)
         q = agent.online.forward(agent.split(state[None, :]))[0]
-        assert abs(q[0] - target) < 1e-3
+        assert abs(q[0] - 2.0) < 1e-3
 
-    def test_target_sync_copies_online(self):
-        hp = agent_hp(target_sync=3, lr=0.01)
-        agent = DqnAgent([2, 2, 2], 3, hp, seed=1)
-        batch = (np.random.default_rng(0).standard_normal((4, 6)),
-                 np.array([0, 1, 2, 0]), np.ones(4),
-                 np.random.default_rng(1).standard_normal((4, 6)),
-                 np.array([False, False, True, False]))
+    def test_only_sampled_actions_move_their_output_weights(self):
+        agent = DqnAgent([2, 2, 2], 4, agent_hp(lr=0.01), seed=1)
+        before = {k: v.copy() for k, v in agent.online.params.items()}
+        rng = np.random.default_rng(0)
+        batch = (rng.standard_normal((4, 6)), np.array([0, 2, 2, 0]), rng.standard_normal(4))
         agent.train_step(batch)
-        assert not np.array_equal(agent.online.params["W3"], agent.target.params["W3"])
-        agent.train_step(batch)
-        agent.train_step(batch)  # third step: hard sync
-        for key in agent.online.params:
-            assert np.array_equal(agent.online.params[key], agent.target.params[key])
+        after = agent.online.params
+        for a in (1, 3):
+            assert np.array_equal(after["W3"][:, a], before["W3"][:, a])
+            assert after["b3"][a] == before["b3"][a]
+        for a in (0, 2):
+            assert not np.array_equal(after["W3"][:, a], before["W3"][:, a])
 
     def test_save_load_roundtrip(self, tmp_path):
         agent = DqnAgent([4, 3, 2], 5, agent_hp(), seed=9)
@@ -251,10 +255,37 @@ class TestAgent:
         agent.episode = 3
         path = str(tmp_path / "ck.npz")
         agent.save(path)
+        with np.load(path) as data:
+            assert json.loads(str(data["meta"]))["version"] == 2
+            assert not [k for k in data.files if k.startswith("target_")]
         back = load_agent(path)
         assert back.train_steps == 17 and back.episode == 3
         for key in agent.online.params:
             assert np.array_equal(agent.online.params[key], back.online.params[key])
+
+    def _write_checkpoint(self, path, agent, version):
+        # the version-1 layout: online and target parameters side by side
+        meta = {"version": version, "branch_widths": list(agent.branch_widths),
+                "n_actions": agent.n_actions, "hp": agent.hp, "train_steps": 5,
+                "episode": 2, "decay_episodes": 4}
+        arrays = {f"online_{k}": v for k, v in agent.online.params.items()}
+        arrays.update({f"target_{k}": np.zeros_like(v) for k, v in agent.online.params.items()})
+        np.savez(path, meta=json.dumps(meta), **arrays)
+
+    def test_version_1_checkpoint_loads_online_parameters(self, tmp_path):
+        agent = DqnAgent([4, 3, 2], 5, agent_hp(), seed=9)
+        path = str(tmp_path / "v1.npz")
+        self._write_checkpoint(path, agent, 1)
+        back = load_agent(path)
+        assert (back.train_steps, back.episode, back.decay_episodes) == (5, 2, 4)
+        for key in agent.online.params:
+            assert np.array_equal(agent.online.params[key], back.online.params[key])
+
+    def test_unknown_checkpoint_version_rejected(self, tmp_path):
+        path = str(tmp_path / "v3.npz")
+        self._write_checkpoint(path, DqnAgent([4, 3, 2], 5, agent_hp(), seed=9), 3)
+        with pytest.raises(ValueError, match="version 3"):
+            load_agent(path)
 
 
 class TestStateEncoder:
@@ -343,8 +374,11 @@ class TestTraining:
         agent = build_agent(cfg, 2)
         result, policy = run_training_episode(cfg, agent, epsilon=1.0, episode_seed=2)
         assert agent.buffer.size > 0
-        assert agent.buffer.terminal[:agent.buffer.size].sum() == 1
+        # every label is an outcome, an invalid-action penalty or zero
+        labels = set(agent.buffer.rewards[:agent.buffer.size].tolist())
+        assert labels <= {10.0, -10.0, -1.0, 0.0}
         assert result.generated == 1
+        assert (10.0 in labels) == (result.accepted == 1)
 
     def test_reward_spec_signs(self):
         with pytest.raises(ValueError):
@@ -358,7 +392,7 @@ def _sha256(text: str) -> str:
 class TestTrainEvalDigest:
     def test_seeded_train_then_eval_is_pinned(self):
         # a small batch makes the three training episodes reach train_step,
-        # so learning, replay sampling and target sync all feed the digests;
+        # so learning and replay sampling feed the digests;
         # the two evaluations run DqnPolicy greedy and epsilon-greedy
         cfg = load_config("tiny", seed=5, overrides={"dqn.min_buffer": 8, "dqn.batch": 8})
         result = train(cfg, episodes=3)
@@ -387,3 +421,73 @@ class TestTrainEvalDigest:
             "eval eps=0.0": "f5fd452cdc23747778d7903ce0f3795354c6e0af49b104a74b3342e333bde562",
             "eval eps=0.3": "c57ddd8293f74383c8c9e882f4a0037b1fad5f09ca76e6ea589ce64e85f52b58",
         }
+
+
+def _busy_tiny(seed):
+    """tiny with three waves of mixed SFC types: several live cohorts at once."""
+    wave = [{"type": "Ind4.0", "src": 0, "dest": 1}, {"type": "AugR", "src": 1, "dest": 0},
+            {"type": "MIoT", "src": 1, "dest": 0}]
+    return load_config("tiny", seed=seed, overrides={
+        "dqn.min_buffer": 8, "dqn.batch": 8,
+        "requests.wave_times": [0, 15, 30], "requests.manual": [wave, wave[:2], wave],
+    })
+
+
+class TestPolicyPhase:
+    """What one policy phase shares between its actions, checked against the
+    same work done afresh."""
+
+    def test_at_most_one_forward_per_encoding(self, monkeypatch):
+        real_encode = StateEncoder.encode
+        real_forward = QNetwork.forward_cached
+        real_train = DqnAgent.train_step
+        log = []
+        training = [False]
+
+        def encode(self, engine, phase=None):
+            log.append("encode")
+            return real_encode(self, engine, phase)
+
+        def forward_cached(self, xs):
+            if not training[0]:
+                log.append("forward")
+            return real_forward(self, xs)
+
+        def train_step(self, batch=None):
+            training[0] = True
+            try:
+                return real_train(self, batch)
+            finally:
+                training[0] = False
+
+        monkeypatch.setattr(StateEncoder, "encode", encode)
+        monkeypatch.setattr(QNetwork, "forward_cached", forward_cached)
+        monkeypatch.setattr(DqnAgent, "train_step", train_step)
+        cfg = _busy_tiny(5)
+        agent = train(cfg, episodes=3).agent
+        assert agent.train_steps > 0
+        for eps in (0.0, 0.3):
+            run_one(cfg, 5, policy=DqnPolicy(agent, cfg, 5, epsilon=eps))
+        assert log.count("forward") > 0
+        assert log[0] == "encode"
+        assert ("forward", "forward") not in set(zip(log, log[1:]))
+
+    def test_phase_encoding_matches_a_fresh_encode(self, monkeypatch):
+        real_encode = StateEncoder.encode
+        steps = []
+
+        def encode(self, engine, phase=None):
+            enc = real_encode(self, engine, phase)
+            if phase is not None:
+                for shared, fresh in zip(enc, real_encode(self, engine)):
+                    assert np.array_equal(shared, fresh)
+                steps.append(engine.step_no)
+            return enc
+
+        monkeypatch.setattr(StateEncoder, "encode", encode)
+        cfg = _busy_tiny(2)
+        from sfcsim.dqn import build_agent
+
+        run_training_episode(cfg, build_agent(cfg, 2), epsilon=1.0, episode_seed=2)
+        # re-encodes after successful actions share their phase's features
+        assert len(set(steps)) < len(steps)
