@@ -16,6 +16,7 @@ import sys
 from .config import BUILTIN_SCENARIOS, ConfigError, ScenarioConfig, load_config, make_runtime
 from .datacenter import DataCenterError
 from .engine import EngineError, run_episode
+from .topology import TopologyError
 from .trace import TraceWriter
 
 EXIT_OK = 0
@@ -106,7 +107,7 @@ def cmd_run(args) -> int:
     except (ConfigError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EngineError, DataCenterError) as exc:
+    except (EngineError, DataCenterError, TopologyError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     _write_config_copy(cfg, out_dir)
@@ -142,7 +143,7 @@ def cmd_train(args) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} (last good checkpoint kept)", file=sys.stderr)
         return EXIT_DIVERGED
-    except (EngineError, DataCenterError) as exc:
+    except (EngineError, DataCenterError, TopologyError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"checkpoint: {result.checkpoint_path}")

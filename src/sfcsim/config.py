@@ -15,12 +15,12 @@ import math
 
 import yaml
 
-from .catalog import Catalog, load_catalog
+from .catalog import Catalog, CatalogError, load_catalog
 from .datacenter import DataCenter
 from .metrics import MetricsBundle
 from .policy import HeuristicPolicy, PriorityWeights, RandomPolicy
-from .requestgen import RequestGenerator, WavePlan, schedule_waves
-from .topology import NetworkGraph, circle_topology
+from .requestgen import RequestError, RequestGenerator, WavePlan, schedule_waves
+from .topology import NetworkGraph, TopologyError, circle_topology
 
 
 class ConfigError(ValueError):
@@ -89,6 +89,7 @@ DEFAULTS = {
         # fraction of the training run over which guided exploration (a
         # reflex on the locally-pending features) decays from 1 to 0
         "guide_frac": 0.4,
+        # step must be 0 (no label has a per-step term); kept like gamma
         "reward": {"complete": 10.0, "drop": 10.0, "invalid": 1.0, "step": 0.0},
     },
     "run": {
@@ -154,6 +155,8 @@ class ScenarioConfig:
         dqn = self.data["dqn"]
         if dqn["credit"] != "outcome":
             raise ConfigError(f"dqn.credit must be 'outcome', got {dqn['credit']!r}")
+        if dqn["reward"]["step"] != 0:
+            raise ConfigError(f"dqn.reward.step must be 0, got {dqn['reward']['step']!r}")
         for key, low in (("t_model", 1), ("target_sync", 1), ("batch", 1), ("buffer", 1),
                          ("count_cap", 1), ("max_actions", 1), ("train_interval", 1),
                          ("min_buffer", 0)):
@@ -204,24 +207,30 @@ class ScenarioConfig:
     # -- builders ----------------------------------------------------------------
 
     def build_catalog(self) -> Catalog:
-        return load_catalog(self.data["catalog"])
+        try:
+            return load_catalog(self.data["catalog"])
+        except CatalogError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def build_graph(self) -> NetworkGraph:
         topo = self.data["topology"]
-        if topo["nodes"] is not None:
-            nodes = [(int(n["id"]), float(n["x"]), float(n["y"])) for n in topo["nodes"]]
-            edges = []
-            for e in topo["edges"]:
-                edges.append((int(e["m"]), int(e["n"]),
-                              float(e.get("capacity_mbps", topo["default_capacity_mbps"])),
-                              e.get("distance_km")))
-            return NetworkGraph(nodes, edges, propagation=topo["propagation"])
-        gen = topo["generator"]
-        return circle_topology(
-            int(gen["n"]), float(gen["radius_km"]), float(gen["edge_prob"]),
-            int(gen.get("seed", 0)), capacity_mbps=float(topo["default_capacity_mbps"]),
-            propagation=topo["propagation"],
-        )
+        try:
+            if topo["nodes"] is not None:
+                nodes = [(int(n["id"]), float(n["x"]), float(n["y"])) for n in topo["nodes"]]
+                edges = []
+                for e in topo["edges"]:
+                    edges.append((int(e["m"]), int(e["n"]),
+                                  float(e.get("capacity_mbps", topo["default_capacity_mbps"])),
+                                  e.get("distance_km")))
+                return NetworkGraph(nodes, edges, propagation=topo["propagation"])
+            gen = topo["generator"]
+            return circle_topology(
+                int(gen["n"]), float(gen["radius_km"]), float(gen["edge_prob"]),
+                int(gen.get("seed", 0)), capacity_mbps=float(topo["default_capacity_mbps"]),
+                propagation=topo["propagation"],
+            )
+        except TopologyError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def build_dcs(self, graph: NetworkGraph) -> list[DataCenter]:
         cfg = self.data["datacenters"]
@@ -357,7 +366,10 @@ def make_runtime(cfg: ScenarioConfig, seed: int | None = None, *, trace=None):
         metrics=metrics,
         trace=trace,
     )
-    generator = cfg.build_generator(catalog, graph.n, episode_seed)
     plan = cfg.build_plan()
-    check_bandwidth(graph, generator, plan)
+    try:
+        generator = cfg.build_generator(catalog, graph.n, episode_seed)
+        check_bandwidth(graph, generator, plan)
+    except RequestError as exc:
+        raise ConfigError(str(exc)) from exc
     return engine, generator, plan

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
+from .config import ConfigError
 from .policy import ALLOCATE, IDLE_WAIT, UNINSTALL, PolicyAction
 
 
@@ -74,7 +75,6 @@ class StateEncoder:
         self.vnf_names = list(catalog.vnfs)
         self.sfc_names = list(catalog.sfcs)
         self.n_dcs = n_dcs
-        self.n_edges = n_edges
         self.cap = float(count_cap)
         nv = len(self.vnf_names)
         self.widths = (
@@ -261,10 +261,13 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class RewardSpec:
+    """Label magnitudes: a completed request's allocations read +complete,
+    a dropped one's -drop, and an infeasible choice -invalid. There is no
+    per-step term; every label comes from an outcome or a refusal."""
+
     complete: float = 10.0
     drop: float = 10.0
     invalid: float = 1.0
-    step: float = 0.0
 
     def __post_init__(self):
         if min(self.complete, self.drop, self.invalid) < 0:
@@ -299,9 +302,6 @@ class DqnAgent:
             start += w
         return out
 
-    def q_values(self, enc: list[np.ndarray]) -> np.ndarray:
-        return self.online.forward(enc)[0]
-
     def act_index(self, enc: list[np.ndarray], epsilon: float,
                   q: np.ndarray | None = None) -> tuple[int, np.ndarray | None]:
         """One epsilon-greedy draw on encoding enc; returns (index, q).
@@ -312,7 +312,7 @@ class DqnAgent:
         if self.rng.random() < epsilon:
             return int(self.rng.integers(self.n_actions)), q
         if q is None:
-            q = self.q_values(enc)
+            q = self.online.forward(enc)[0]
         return int(np.argmax(q)), q
 
     def epsilon(self, episode: int) -> float:
@@ -369,19 +369,33 @@ class DqnAgent:
 
 
 def load_agent(path: str) -> DqnAgent:
-    """Read a checkpoint. Version 1 files also hold target-network arrays,
-    which are ignored; version 2 holds only the online parameters."""
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    if meta.get("version") not in (1, 2):
-        raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-    agent = DqnAgent(meta["branch_widths"], meta["n_actions"], meta["hp"])
-    for k in agent.online.params:
-        agent.online.params[k] = data[f"online_{k}"]
-    agent.train_steps = meta["train_steps"]
-    agent.episode = meta["episode"]
-    agent.decay_episodes = meta["decay_episodes"]
+    """Read a checkpoint; ConfigError when it is missing or unreadable.
+    Version 1 files also hold target-network arrays, which are ignored;
+    version 2 holds only the online parameters."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        meta = json.loads(str(data["meta"]))
+        if meta.get("version") not in (1, 2):
+            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+        agent = DqnAgent(meta["branch_widths"], meta["n_actions"], meta["hp"])
+        for k in agent.online.params:
+            agent.online.params[k] = data[f"online_{k}"]
+        agent.train_steps = meta["train_steps"]
+        agent.episode = meta["episode"]
+        agent.decay_episodes = meta["decay_episodes"]
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
     return agent
+
+
+def agent_encoder(agent: DqnAgent, catalog: Catalog, graph, count_cap: int) -> StateEncoder:
+    """The scenario's state encoder; ConfigError when its branch widths are
+    not the ones the agent's network was built for."""
+    encoder = StateEncoder(catalog, graph.n, len(graph.edge_keys()), count_cap)
+    if encoder.widths != agent.branch_widths:
+        raise ConfigError(f"checkpoint expects branches {agent.branch_widths}, "
+                          f"scenario produces {encoder.widths}")
+    return encoder
 
 
 # -- policies ----------------------------------------------------------------------
@@ -397,21 +411,10 @@ class DqnPolicy:
         dqn_cfg = cfg.data["dqn"]
         self.max_actions = int(dqn_cfg["max_actions"])
         self.epsilon = dqn_cfg["eps_eval"] if epsilon is None else epsilon
-        self.count_cap = int(dqn_cfg["count_cap"])
-        self.encoder = None
-
-    def _ensure_encoder(self, engine) -> None:
-        if self.encoder is None:
-            self.encoder = StateEncoder(engine.catalog, len(engine.dcs),
-                                        len(engine.graph.edge_keys()), self.count_cap)
-            if self.encoder.widths != self.agent.branch_widths:
-                raise ValueError(
-                    f"checkpoint expects branches {self.agent.branch_widths}, "
-                    f"scenario produces {self.encoder.widths}"
-                )
+        self.encoder = agent_encoder(agent, cfg.build_catalog(), cfg.build_graph(),
+                                     int(dqn_cfg["count_cap"]))
 
     def act(self, engine) -> None:
-        self._ensure_encoder(engine)
         vnf_names = self.encoder.vnf_names
         phase = self.encoder.phase_features(engine)
         enc = q = None
@@ -436,7 +439,9 @@ class DqnTrainingPolicy:
     Outcome credit: every transition that allocated a request's VNF is held
     open until that request finalises, then labelled with the request's own
     completion reward or drop penalty. Infeasible choices are penalised on
-    the spot; IdleWait and uninstalls read zero. The label is the regression
+    the spot; IdleWait and uninstalls read zero. Those immediate labels wait
+    in `open` and are pushed, in draw order, when the next policy phase
+    starts. No label has a per-step term. The label is the regression
     target of Q(s, a) itself, with no bootstrap term, which turns placement
     scoring into a plain regression on the encoded state.
 
@@ -461,12 +466,10 @@ class DqnTrainingPolicy:
         self.guide_prob = guide_prob
         self.open: list[tuple] = []  # (state, action, immediate reward)
         self.open_by_tag: dict[int, list[tuple]] = {}  # tag -> [(state, action)]
-        self.events = 0.0
         self.cum_reward = 0.0
         self.losses: list[float] = []
         self._seen_done = 0
         self._seen_dropped = 0
-        self._seen_step = 0
         self._since_train = 0
 
     def _push(self, state, action, reward) -> None:
@@ -483,27 +486,20 @@ class DqnTrainingPolicy:
 
     def _collect_events(self, engine) -> None:
         done, dropped = len(engine.done), len(engine.dropped)
-        steps = engine.step_no
         for rec in engine.done[self._seen_done:]:
             self._resolve_tag(rec.tag, self.rewards.complete)
         for rec in engine.dropped[self._seen_dropped:]:
             self._resolve_tag(rec.tag, -self.rewards.drop)
-        self.events += self.rewards.step * (steps - self._seen_step)
-        self._seen_done, self._seen_dropped, self._seen_step = done, dropped, steps
+        self._seen_done, self._seen_dropped = done, dropped
 
     def _resolve_tag(self, tag: int, reward: float) -> None:
         for state, action in self.open_by_tag.pop(tag, ()):
             self._push(state, action, reward)
 
     def _close_invocation(self) -> None:
-        if self.open:
-            share = self.events / len(self.open)
-            for state, action, immediate in self.open:
-                self._push(state, action, immediate + share)
-            self.open = []
-        else:
-            self.cum_reward += self.events
-        self.events = 0.0
+        for state, action, reward in self.open:
+            self._push(state, action, reward)
+        self.open = []
 
     def _guide_index(self, engine) -> int | None:
         """A reflex on observable features: a uniformly chosen allocate action
@@ -585,12 +581,12 @@ def run_training_episode(cfg, agent: DqnAgent, epsilon: float, episode_seed: int
     from .engine import run_episode
 
     engine, generator, plan = make_runtime(cfg, episode_seed)
-    encoder = StateEncoder(engine.catalog, len(engine.dcs),
-                           len(engine.graph.edge_keys()),
-                           int(cfg.data["dqn"]["count_cap"]))
     dqn_cfg = cfg.data["dqn"]
+    encoder = agent_encoder(agent, engine.catalog, engine.graph, int(dqn_cfg["count_cap"]))
+    reward = dqn_cfg["reward"]
+    rewards = RewardSpec(reward["complete"], reward["drop"], reward["invalid"])
     policy = DqnTrainingPolicy(
-        agent, encoder, RewardSpec(**dqn_cfg["reward"]), epsilon,
+        agent, encoder, rewards, epsilon,
         int(dqn_cfg["max_actions"]), int(dqn_cfg["train_interval"]),
         int(dqn_cfg["min_buffer"]), guide_prob=guide_prob,
     )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from .catalog import Catalog
 from .datacenter import DataCenter, InsufficientResources
+from .metrics import MetricsBundle
 from .policy import (
     ALLOCATE,
     IDLE_WAIT,
@@ -102,7 +103,7 @@ class Engine:
         self.weights = weights or PriorityWeights()
         self.urgency_fraction = urgency_fraction
         self.t_urgency_steps = t_urgency_steps
-        self.metrics = metrics
+        self.metrics = metrics or MetricsBundle()
         self.trace = trace or NullTrace()
 
         self.step_no = 0
@@ -110,7 +111,6 @@ class Engine:
         self.final_tx: dict[int, SfcRecord] = {}  # in final TX; rec.tx is the final path
         self.done: list[CompletionRecord] = []
         self.dropped: list[DropRecord] = []
-        self.generated = 0
 
         # waiting[vname][score_key] is an ordered set of tags whose head is
         # unallocated; empty groups are deleted
@@ -146,9 +146,7 @@ class Engine:
             key = (rec.type_name, rec.inject_step)
             self.cohorts[key] = self.cohorts.get(key, 0) + 1
             heapq.heappush(self._drop_heap, (rec.inject_step + rec.deadline_steps + 1, rec.tag))
-            self.generated += 1
-            if self.metrics is not None:
-                self.metrics.record_generated(rec.type_name)
+            self.metrics.record_generated(rec.type_name)
             self.trace.event(self.step_no, "inject", tag=rec.tag, type=rec.type_name,
                              src=rec.src_dc, dest=rec.dest_dc, bw=rec.bw)
 
@@ -228,8 +226,7 @@ class Engine:
             del self.live[tag]
             drop = DropRecord(tag, rec.type_name, now, len(rec.chain))
             self.dropped.append(drop)
-            if self.metrics is not None:
-                self.metrics.record_drop(drop)
+            self.metrics.record_drop(drop)
             self.trace.event(now, "drop", tag=tag, type=rec.type_name, pending=len(rec.chain))
 
     def _head_pass(self, now: int) -> list[int]:
@@ -312,14 +309,12 @@ class Engine:
             if accepted:
                 done = CompletionRecord(tag, rec.type_name, e2e)
                 self.done.append(done)
-                if self.metrics is not None:
-                    self.metrics.record_completion(done, rec.deadline_steps)
+                self.metrics.record_completion(done, rec.deadline_steps)
             else:
                 # Delivery happened past the deadline; counts as a drop.
                 drop = DropRecord(tag, rec.type_name, now, 0)
                 self.dropped.append(drop)
-                if self.metrics is not None:
-                    self.metrics.record_drop(drop)
+                self.metrics.record_drop(drop)
             self.trace.event(now, "complete", tag=tag, type=rec.type_name,
                              e2e_steps=e2e, accepted=accepted)
 
@@ -381,7 +376,6 @@ class Engine:
         dc.allocate_vnf(vname, fid)
         self._waiting_remove(rec)
         head = rec.head
-        head.t_vcurr = 0
         head.vnf_dc = dc_id
         head.func_id = fid
         self.last_allocated_tag = tag
@@ -489,12 +483,12 @@ def run_episode(engine: Engine, generator: RequestGenerator, plan: WavePlan, pol
         if now in waves:
             idx = waves[now]
             if plan.manual is not None:
-                records = generator.manual_wave(list(plan.manual[idx]), idx)
+                records = generator.manual_wave(list(plan.manual[idx]))
             else:
                 records = generator.generate_wave(idx)
             engine.inject(records)
             injected += 1
-        if sample_period and engine.metrics is not None and now % sample_period == 0:
+        if sample_period and now % sample_period == 0:
             engine.metrics.sample_resources(now, engine.dcs)
         if injected == len(plan.times) and engine.idle() and engine.no_instances():
             break
@@ -505,10 +499,9 @@ def run_episode(engine: Engine, generator: RequestGenerator, plan: WavePlan, pol
             policy.act(engine)
         if on_step is not None:
             on_step(engine)
-    accepted = len(engine.done)
     return EpisodeResult(
         steps=engine.step_no,
-        generated=engine.generated,
-        accepted=accepted,
+        generated=engine.metrics.total_generated(),
+        accepted=len(engine.done),
         dropped=len(engine.dropped),
     )

@@ -71,22 +71,13 @@ def score_key(record) -> tuple:
             record.sfc_dc, record.dest_dc, record.bw)
 
 
-def candidate_set(engine, dc: int, vtype: str) -> list[int]:
-    """Tags whose head chain entry has this vtype and is unallocated, ascending.
-
-    Only heads are eligible: downstream VNFs cannot start until every
-    predecessor has completed.
-    """
-    return sorted(tag for group in engine.waiting.get(vtype, {}).values() for tag in group)
-
-
 def urgency_threshold(engine, record) -> float:
     if engine.t_urgency_steps is not None:
         return engine.t_urgency_steps
     return engine.urgency_fraction * record.deadline_steps
 
 
-def priority(engine, tag: int, dc: int, weights: PriorityWeights | None = None) -> PriorityScore:
+def priority(engine, tag: int, dc: int) -> PriorityScore:
     """Score one live tag for allocation at a DC.
 
     p1 rises as the deadline nears (1 - remaining fraction, clamped to [0,1]).
@@ -100,7 +91,7 @@ def priority(engine, tag: int, dc: int, weights: PriorityWeights | None = None) 
     record = engine.live.get(tag)
     if record is None:
         raise KeyError(f"unknown or finished tag {tag}")
-    w = weights or engine.weights
+    w = engine.weights
 
     remaining = record.deadline_steps - record.t_ccurr(engine.step_no)
     frac = remaining / record.deadline_steps if record.deadline_steps > 0 else 0.0

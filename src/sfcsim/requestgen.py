@@ -16,19 +16,18 @@ class RequestError(ValueError):
 
 @dataclass
 class VnfState:
-    """State of one VNF in a chain. t_vcurr is -1 until allocation; vnf_dc and
-    func_id are None exactly while unallocated."""
+    """State of one VNF in a chain. vnf_dc and func_id are None exactly while
+    the VNF is unallocated, so vnf_dc is the allocation flag."""
 
     vtype: str
     t_req: int
-    t_vcurr: int = -1
     vnf_dc: int | None = None
     func_id: int | None = None
     proc_start: int | None = None  # step processing began (post-TX), engine internal
 
     @property
     def allocated(self) -> bool:
-        return self.t_vcurr != -1
+        return self.vnf_dc is not None
 
 
 @dataclass
@@ -52,12 +51,10 @@ class SfcRecord:
     dest_dc: int
     bw: float  # Mbps, quantized to 0.001
     packet_len_mb: float
-    e2e_ms: float
     deadline_steps: int
     chain: list[VnfState]
     sfc_dc: int = -1
     inject_step: int = -1
-    wave: int = 0
     tx: TxState | None = None
 
     def __post_init__(self):
@@ -77,7 +74,7 @@ def _quantize_bw(bw: float) -> float:
 
 
 def _make_record(tag: int, styp: SfcType, catalog: Catalog, src: int, dest: int,
-                 bw: float, wave: int) -> SfcRecord:
+                 bw: float) -> SfcRecord:
     bw = _quantize_bw(bw)
     if bw <= 0:
         raise RequestError(f"request {tag}: bandwidth must be positive")
@@ -90,10 +87,8 @@ def _make_record(tag: int, styp: SfcType, catalog: Catalog, src: int, dest: int,
         dest_dc=dest,
         bw=bw,
         packet_len_mb=packet,
-        e2e_ms=styp.e2e_ms,
         deadline_steps=styp.deadline_steps,
         chain=chain,
-        wave=wave,
     )
 
 
@@ -136,45 +131,53 @@ class RequestGenerator:
                         dest += 1
                 bw = blo if blo == bhi else float(rng.uniform(blo, bhi))
                 records.append(
-                    _make_record(self.next_tag, styp, self.catalog, src, dest, bw, wave_index)
+                    _make_record(self.next_tag, styp, self.catalog, src, dest, bw)
                 )
                 self.next_tag += 1
         return records
 
-    def manual_wave(self, specs: list[dict], wave_index: int = 0) -> list[SfcRecord]:
+    def manual_wave(self, specs: list[dict]) -> list[SfcRecord]:
         """Build an explicit request list: [{"type", "src", "dest", "bw"?}, ...]."""
         records = []
         for spec in specs:
-            name = spec["type"]
-            if name not in self.catalog.sfcs:
-                raise RequestError(f"unknown SFC type {name!r}")
-            styp = self.catalog.sfcs[name]
-            src, dest = int(spec["src"]), int(spec["dest"])
-            if not (0 <= src < self.n_dcs) or not (0 <= dest < self.n_dcs):
-                raise RequestError(f"src/dest out of range for request {spec}")
-            if src == dest and not self.allow_loopback:
-                raise RequestError("src == dest requires allow_loopback")
-            records.append(_make_record(self.next_tag, styp, self.catalog, src, dest,
-                                        self._spec_bw(spec), wave_index))
+            styp, src, dest, bw = self._parse_spec(spec)
+            records.append(_make_record(self.next_tag, styp, self.catalog, src, dest, bw))
             self.next_tag += 1
         return records
 
-    def _spec_bw(self, spec: dict) -> float:
+    def _parse_spec(self, spec: dict) -> tuple[SfcType, int, int, float]:
+        """(type, src, dest, bw) of a manual request spec; RequestError when malformed.
+        A spec without bw asks for the middle of its type's bandwidth range."""
+        name = spec.get("type")
+        if name not in self.catalog.sfcs:
+            raise RequestError(f"unknown SFC type {name!r}")
+        styp = self.catalog.sfcs[name]
         bw = spec.get("bw")
         if bw is None:
-            lo, hi = self.catalog.sfcs[spec["type"]].bandwidth_range
+            lo, hi = styp.bandwidth_range
             bw = (lo + hi) / 2.0
-        return float(bw)
+        try:
+            src, dest, bw = int(spec["src"]), int(spec["dest"]), float(bw)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RequestError(f"malformed request {spec}: {exc!r}") from exc
+        if not (0 <= src < self.n_dcs) or not (0 <= dest < self.n_dcs):
+            raise RequestError(f"src/dest out of range for request {spec}")
+        if src == dest and not self.allow_loopback:
+            raise RequestError("src == dest requires allow_loopback")
+        if not _quantize_bw(bw) > 0:
+            raise RequestError(f"request {spec}: bandwidth must be positive")
+        return styp, src, dest, bw
 
     def max_bandwidth(self, plan: WavePlan) -> tuple[float, str] | None:
         """The largest bandwidth a run of plan can request, with its SFC type;
-        None when it requests nothing."""
+        None when it requests nothing. Every manual spec is parsed, so a
+        malformed one raises RequestError here, before the run starts."""
         if plan.manual is None:
             asks = [(styp.bandwidth_range[1], name) for name, styp in self.catalog.sfcs.items()
                     if self.bundles[name][1] > 0]
         else:
-            asks = [(self._spec_bw(spec), spec["type"]) for wave in plan.manual
-                    for spec in wave if spec.get("type") in self.catalog.sfcs]
+            asks = [(self._parse_spec(spec)[3], spec["type"]) for wave in plan.manual
+                    for spec in wave]
         return max(asks, default=None)
 
 

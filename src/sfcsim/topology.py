@@ -46,7 +46,7 @@ class NetworkGraph:
     skip repeating a path search whose inputs cannot have changed.
     """
 
-    def __init__(self, nodes, edges, *, propagation=True, c_fiber_km_s=C_FIBER_KM_S):
+    def __init__(self, nodes, edges, *, propagation=True):
         """nodes: [(dc_id, x_km, y_km)], ids must be 0..n-1.
 
         edges: [(m, n, capacity_mbps)] or [(m, n, capacity_mbps, distance_km)];
@@ -63,7 +63,6 @@ class NetworkGraph:
         self._residual: dict[tuple[int, int], int] = {}
         self._dist: dict[tuple[int, int], float] = {}
         self.propagation = propagation
-        self.c_fiber_km_s = c_fiber_km_s
         self.bw_version = 0
         total_km = 0.0
         for edge in edges:
@@ -210,7 +209,7 @@ class NetworkGraph:
         """Propagation delay of a path in whole steps; 0 when disabled."""
         if not self.propagation or len(path.hops) < 2:
             return 0
-        return math.ceil((path.length_km / self.c_fiber_km_s) / STEP_SECONDS)
+        return math.ceil((path.length_km / C_FIBER_KM_S) / STEP_SECONDS)
 
 
 def circle_topology(n, radius_km, edge_prob, seed, *, capacity_mbps=500.0,

@@ -19,15 +19,9 @@ class TraceWriter:
         rec.update(fields)
         self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    def close(self) -> None:
-        self._fh.close()
-
 
 class NullTrace:
     def event(self, step, kind, **fields):
-        pass
-
-    def close(self):
         pass
 
 

@@ -326,9 +326,18 @@ class RefSim:
 
 # policy oracles over a production engine
 
+def candidate_set(engine, dc, vtype):
+    """Tags whose head chain entry has this vtype and is unallocated, ascending.
+
+    Only heads are eligible: downstream VNFs cannot start until every
+    predecessor has completed.
+    """
+    return sorted(tag for group in engine.waiting.get(vtype, {}).values() for tag in group)
+
+
 def naive_select(engine, dc, vtype):
     """Argmax of priority().total over every candidate tag; smallest tag on ties."""
-    from sfcsim.policy import candidate_set, priority
+    from sfcsim.policy import priority
 
     best_tag, best_total = None, -1.0
     for tag in candidate_set(engine, dc, vtype):

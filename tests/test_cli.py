@@ -11,6 +11,7 @@ from sfcsim.cli import EXIT_CONFIG, EXIT_RUNTIME, main, run_one
 from sfcsim.config import ConfigError, ScenarioConfig, load_config, make_runtime
 from sfcsim.datacenter import LedgerError
 from sfcsim.engine import InvariantError
+from sfcsim.topology import TopologyError
 
 
 def run_cli(args, tmp_path, monkeypatch, subdir="o"):
@@ -78,7 +79,7 @@ class TestRun:
             digests.append(blob)
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("error", [LedgerError, InvariantError])
+    @pytest.mark.parametrize("error", [LedgerError, InvariantError, TopologyError])
     def test_invariant_violation_exit_code(self, error, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise error("books differ")
@@ -129,6 +130,50 @@ class TestRun:
             "datacenters.count": 3,
             "requests.manual": [[{"type": "Ind4.0", "src": 0, "dest": 2}]]})
         with pytest.raises(ConfigError, match="do not connect all 3 DCs"):
+            make_runtime(cfg, 0)
+
+    def test_missing_checkpoint_is_config_error(self, tmp_path, monkeypatch, capsys):
+        missing = str(tmp_path / "missing.npz")
+        code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "dqn",
+                           "--checkpoint", missing], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert f"config error: cannot load checkpoint {missing}" in capsys.readouterr().err
+
+    def test_checkpoint_for_another_scenario_is_config_error(self, tmp_path, monkeypatch,
+                                                              capsys):
+        from sfcsim.dqn import build_agent
+
+        ckpt = str(tmp_path / "tiny.npz")
+        build_agent(load_config("tiny"), 0).save(ckpt)
+        code, _ = run_cli(["run", "--scenario", "paper3dc", "--policy", "dqn",
+                           "--checkpoint", ckpt], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert "config error: checkpoint expects branches (40, 48, 1), scenario produces " \
+               "(60, 48, 3)" in capsys.readouterr().err
+
+    def test_negative_edge_distance_is_config_error(self, tmp_path, monkeypatch, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(yaml.safe_dump({"topology": {
+            "nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 100.0, "y": 0.0}],
+            "edges": [{"m": 0, "n": 1, "distance_km": -5}]}}))
+        code, _ = run_cli(["run", "--scenario", str(scenario)], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert "config error: edge (0, 1) distance -5.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("{type: Nope, src: 0, dest: 1}", "unknown SFC type 'Nope'"),
+        ("{type: Ind4.0, src: 0}", "malformed request"),
+        ("{type: Ind4.0, src: 0, dest: 1, bw: -3}", "bandwidth must be positive"),
+    ], ids=["unknown-type", "missing-dest", "negative-bw"])
+    def test_malformed_manual_request_is_config_error(self, spec, message, tmp_path,
+                                                       monkeypatch, capsys):
+        # unchecked, each raises at the step its wave is injected
+        code, _ = run_cli(["run", "--scenario", "tiny", "--set", f"requests.manual=[[{spec}]]"],
+                          tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert "config error: " in capsys.readouterr().err
+        cfg = load_config("tiny", overrides={"requests.manual": [[yaml.safe_load(spec)]]})
+        with pytest.raises(ConfigError, match=message):
             make_runtime(cfg, 0)
 
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
@@ -189,6 +234,22 @@ class TestTrain:
         # the schedule picks up where it stopped rather than resetting
         assert second.epsilon(2) <= first.epsilon(0)
 
+    def test_bad_resume_is_config_error(self, tmp_path, monkeypatch, capsys):
+        missing = str(tmp_path / "missing.npz")
+        code, _ = run_cli(["train", "--scenario", "tiny", "--episodes", "1", "--quiet",
+                           "--resume", missing], tmp_path, monkeypatch, subdir="t1")
+        assert code == EXIT_CONFIG
+        assert f"config error: cannot load checkpoint {missing}" in capsys.readouterr().err
+        # a checkpoint of another scenario is refused before its ring takes a transition
+        from sfcsim.dqn import build_agent
+
+        ckpt = str(tmp_path / "tiny.npz")
+        build_agent(load_config("tiny"), 0).save(ckpt)
+        code, _ = run_cli(["train", "--scenario", "paper3dc", "--episodes", "1", "--quiet",
+                           "--resume", ckpt], tmp_path, monkeypatch, subdir="t2")
+        assert code == EXIT_CONFIG
+        assert "config error: checkpoint expects branches" in capsys.readouterr().err
+
     def test_zero_episode_train_checkpoints_initialization(self, tmp_path, monkeypatch):
         code, out = run_cli(["train", "--scenario", "tiny", "--episodes", "0",
                              "--quiet"], tmp_path, monkeypatch)
@@ -248,7 +309,7 @@ class TestScenarioConfig:
         ("buffer", 0), ("count_cap", 0), ("max_actions", 0), ("train_interval", 0),
         ("buffer", 2.5), ("min_buffer", -1), ("min_buffer", 1.0),
         ("hidden", [16]), ("hidden", [16, 0]), ("hidden", [16, 8.0]), ("hidden", 16),
-        ("buffer", 63),
+        ("buffer", 63), ("reward", {"step": 0.5}),
     ])
     def test_bad_dqn_settings(self, key, value):
         # unchecked, each fails mid-run (an index or unpacking error, a zero
@@ -257,9 +318,27 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=f"dqn.{key}"):
             ScenarioConfig({"dqn": {key: value}})
 
+    @pytest.mark.parametrize("step", [0, 0.0])
+    def test_zero_step_reward_accepted(self, step):
+        ScenarioConfig({"dqn": {"reward": {"step": step}}})
+
     def test_smallest_dqn_settings_accepted(self):
         ScenarioConfig({"dqn": {"buffer": 8, "batch": 8, "min_buffer": 0,
                                 "count_cap": 1, "hidden": [1, 1]}})
+
+    def test_per_dc_specs_build_each_dc(self):
+        cfg = ScenarioConfig({"topology": {"generator": {"n": 2}}, "datacenters": {"per_dc": [
+            {"max_storage_gb": 100.0, "cpus": 8.0, "ram_gb": 32.0},
+            {"max_storage_gb": 300.5, "cpus": 16.0, "ram_gb": 64.0}]}})
+        dcs = cfg.build_dcs(cfg.build_graph())
+        assert [(dc.max_storage, dc.max_compute) for dc in dcs] == [
+            (100_000, 8 * 32 * 1000), (300_500, 16 * 64 * 1000)]
+
+    def test_per_dc_length_must_match_topology(self):
+        spec = {"max_storage_gb": 100.0, "cpus": 8.0, "ram_gb": 32.0}
+        cfg = ScenarioConfig({"datacenters": {"per_dc": [spec] * 4}})
+        with pytest.raises(ConfigError, match="datacenter count 4 != topology nodes 5"):
+            cfg.build_dcs(cfg.build_graph())
 
     def test_datacenter_count_must_match_topology(self):
         cfg = ScenarioConfig({"datacenters": {"count": 4}})

@@ -282,6 +282,16 @@ class TestRunEpisode:
             assert dc.installed_count() == 0
         engine.check_invariants()
 
+    def test_engine_without_metrics_tallies_outcomes(self):
+        engine, gen, _ = build(t_thresh=50)
+        result = run_episode(engine, gen, schedule_waves([0, 100]), HeuristicPolicy(),
+                             step_cap=100_000)
+        metrics = engine.metrics
+        assert result.generated == metrics.total_generated() > 0
+        assert result.accepted == metrics.total_accepted() == len(engine.done)
+        assert result.dropped == metrics.total_dropped() == len(engine.dropped)
+        metrics.check_conservation()
+
     def test_policy_cadence(self):
         engine, gen, _ = build()
         calls = []
@@ -385,7 +395,7 @@ class TestWaitingGroupInvariants:
 
     def test_allocated_head_left_waiting_detected(self):
         engine = self.queued()
-        engine.live[2].head.t_vcurr = 0
+        engine.live[2].head.vnf_dc = 0
         with pytest.raises(InvariantError):
             engine.check_invariants()
 

@@ -12,14 +12,13 @@ from sfcsim.policy import (
     HeuristicPolicy,
     PolicyAction,
     PriorityWeights,
-    candidate_set,
     priority,
     select_for_allocation,
 )
 from sfcsim.requestgen import RequestGenerator
 from sfcsim.topology import NetworkGraph
 
-from reference_sim import chain_scan_p3, naive_select
+from reference_sim import candidate_set, chain_scan_p3, naive_select
 
 
 def three_dc_engine(catalog=None, weights=None, capacity_01=500.0, **engine_kw):

@@ -60,7 +60,7 @@ class TestGenerateWave:
         assert recs
         r = recs[0]
         assert [v.t_req for v in r.chain] == [6, 3, 7, 3, 6]
-        assert all(v.t_vcurr == -1 and v.vnf_dc is None and v.func_id is None
+        assert all(not v.allocated and v.vnf_dc is None and v.func_id is None
                    for v in r.chain)
         assert r.sfc_dc == r.src_dc
 
