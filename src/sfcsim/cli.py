@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import statistics
 import sys
@@ -45,14 +44,6 @@ def _parse_set(pairs: list[str]) -> dict[str, object]:
 
 def _load(args) -> ScenarioConfig:
     return load_config(args.scenario, seed=args.seed, overrides=_parse_set(args.set))
-
-
-def _write_config_copy(cfg: ScenarioConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_used.json"), "w") as fh:
-        json.dump({"config_hash": cfg.config_hash(), "config": cfg.resolved()},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def run_one(cfg: ScenarioConfig, seed: int, out_dir: str | None = None,
@@ -110,7 +101,7 @@ def cmd_run(args) -> int:
     except (EngineError, DataCenterError, TopologyError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    _write_config_copy(cfg, out_dir)
+    cfg.write_copy(out_dir)
     print(_summary_line(result, metrics))
     print(f"artifacts: {out_dir}")
     return EXIT_OK
@@ -125,7 +116,6 @@ def cmd_train(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = os.path.join(_out_root(args), f"train-{cfg.config_hash()}-s{cfg.seed}")
-    _write_config_copy(cfg, out_dir)
 
     def progress(row):
         if args.quiet:

@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 
 import yaml
 
@@ -20,7 +21,7 @@ from .datacenter import DataCenter
 from .metrics import MetricsBundle
 from .policy import HeuristicPolicy, PriorityWeights, RandomPolicy
 from .requestgen import RequestError, RequestGenerator, WavePlan, schedule_waves
-from .topology import NetworkGraph, TopologyError, circle_topology
+from .topology import QUANTUM, NetworkGraph, TopologyError, circle_topology
 
 
 class ConfigError(ValueError):
@@ -99,6 +100,22 @@ DEFAULTS = {
 }
 
 
+def _check_capacity(where: str, spec) -> None:
+    """ConfigError unless spec gives each DC capacity as a finite number whose
+    ledger value (to_milli) is positive, the compute product cpus * ram_gb too."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a mapping, got {spec!r}")
+    # to_milli(x) > 0 exactly when x * QUANTUM > 0.5; the comparison also rejects NaN
+    for key in ("max_storage_gb", "cpus", "ram_gb"):
+        value = spec.get(key)
+        if not (type(value) in (int, float) and 0.5 < value * QUANTUM < math.inf):
+            raise ConfigError(f"{where}.{key} must be a finite number that rounds to at "
+                              f"least {1 / QUANTUM}, got {value!r}")
+    if not 0.5 < spec["cpus"] * spec["ram_gb"] * QUANTUM < math.inf:
+        raise ConfigError(f"{where}: cpus * ram_gb must be finite and round to at least "
+                          f"{1 / QUANTUM}")
+
+
 def _deep_merge(base: dict, override: dict, path="") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -152,11 +169,23 @@ class ScenarioConfig:
                 type(w) in (int, float) and 0 <= w < math.inf for w in weights)):
             raise ConfigError(f"policy.weights must be four finite non-negative numbers, "
                               f"got {weights!r}")
+        dcs = self.data["datacenters"]
+        per_dc = dcs["per_dc"]
+        if per_dc is not None and not isinstance(per_dc, list):
+            raise ConfigError(f"datacenters.per_dc must be a list, got {per_dc!r}")
+        _check_capacity("datacenters", dcs)
+        for i, spec in enumerate(per_dc or ()):
+            _check_capacity(f"datacenters.per_dc[{i}]", spec)
         dqn = self.data["dqn"]
         if dqn["credit"] != "outcome":
             raise ConfigError(f"dqn.credit must be 'outcome', got {dqn['credit']!r}")
         if dqn["reward"]["step"] != 0:
             raise ConfigError(f"dqn.reward.step must be 0, got {dqn['reward']['step']!r}")
+        for key in ("complete", "drop", "invalid"):
+            value = dqn["reward"][key]
+            if not (type(value) in (int, float) and 0 <= value < math.inf):
+                raise ConfigError(f"dqn.reward.{key} must be a finite non-negative number, "
+                                  f"got {value!r}")
         for key, low in (("t_model", 1), ("target_sync", 1), ("batch", 1), ("buffer", 1),
                          ("count_cap", 1), ("max_actions", 1), ("train_interval", 1),
                          ("min_buffer", 0)):
@@ -184,6 +213,14 @@ class ScenarioConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+    def write_copy(self, out_dir: str) -> None:
+        """Write config_used.json (the hash and the resolved config) into out_dir."""
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "config_used.json"), "w") as fh:
+            json.dump({"config_hash": self.config_hash(), "config": self.resolved()},
+                      fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
     def with_overrides(self, pairs: dict[str, object]) -> "ScenarioConfig":
         """Apply dotted-key overrides like {"policy.kind": "dqn"}."""

@@ -447,7 +447,11 @@ class DqnTrainingPolicy:
 
     Infeasible and IdleWait draws vastly outnumber informative transitions
     during exploration; only a sample of them is recorded so they cannot
-    flush allocation outcomes from the replay ring.
+    flush allocation outcomes from the replay ring. A refused action leaves
+    the state unchanged, so a repeat of it before the next accepted action
+    is refused without asking the engine: it draws and is labelled like the
+    first refusal, but engine.invalid_actions counts only the draws that
+    reached the engine.
     """
 
     INVALID_KEEP = 0.25
@@ -534,6 +538,7 @@ class DqnTrainingPolicy:
                 enc = self.encoder.encode(engine, phase)
                 flat = np.concatenate(enc)
                 q = None
+                failed = set()  # indices refused since the state last changed
             idx = None
             if self.guide_prob > 0.0 and self.agent.rng.random() < self.guide_prob:
                 idx = self._guide_index(engine)
@@ -546,8 +551,10 @@ class DqnTrainingPolicy:
                 if self.agent.rng.random() < self.IDLE_KEEP:
                     self.open.append((flat, idx, 0.0))
                 continue
-            if not engine.apply_action(action):
-                # state unchanged; record the penalty and draw again
+            if idx in failed or not engine.apply_action(action):
+                # state unchanged, so a repeat would be refused again; record
+                # the penalty and draw again
+                failed.add(idx)
                 if self.agent.rng.random() < self.INVALID_KEEP:
                     self.open.append((flat, idx, -self.rewards.invalid))
                 continue
@@ -609,20 +616,23 @@ def train(cfg, out_dir: str | None = None, episodes: int | None = None,
           progress=None) -> TrainResult:
     """Train an agent on a scenario; returns the agent and per-episode curve.
 
-    Aborts with TrainingDiverged on a non-finite loss, keeping the last good
-    checkpoint on disk when out_dir is given.
+    With out_dir, writes config_used.json and the checkpoint there once the
+    agent is set up, so a refused resume leaves nothing behind. Aborts with
+    TrainingDiverged on a non-finite loss, keeping the last good checkpoint.
     """
     seed = cfg.seed if seed is None else seed
     episodes = int(cfg.data["dqn"]["episodes"]) if episodes is None else int(episodes)
     if resume:
         agent = load_agent(resume)
+        agent_encoder(agent, cfg.build_catalog(), cfg.build_graph(),
+                      int(cfg.data["dqn"]["count_cap"]))
     else:
         agent = build_agent(cfg, seed)
         agent.decay_episodes = max(1, episodes // 2)
     curve: list[dict] = []
     ckpt_path = None
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        cfg.write_copy(out_dir)
         ckpt_path = os.path.join(out_dir, "checkpoint.npz")
         agent.save(ckpt_path)
     checkpoint_every = int(cfg.data["dqn"]["checkpoint_every"])

@@ -23,7 +23,8 @@ cache, which answers a repeated search from memory until the bandwidth
 version moves; so a blocked TX starts on the step a release frees a path.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
-allocation argmax scores each group once instead of each tag.
+allocation argmax scores each group once instead of each tag, from a score
+table that lives for one policy phase.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ class Engine:
         self._await_tx: set[int] = set()  # allocated remote heads with no TX path yet
         self._await_final: set[int] = set()  # finished chains with no final path yet
         self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
+        self._score_stamp: tuple[int, int] | None = None  # (step_no, bw_version)
+        self._score_rows: dict[tuple, list] = {}
         self.invalid_actions = 0
         self.last_allocated_tag: int | None = None
 
@@ -184,6 +187,18 @@ class Engine:
         path = self.graph.select_min_path(src, dest, bw)
         self._path_cache[key] = (self.graph.bw_version, path)
         return path
+
+    def score_rows(self) -> dict[tuple, list]:
+        """The policy phase's score table: policy.score_row by score_key.
+
+        Emptied whenever step_no or the bandwidth version moves, the two
+        inputs of a row that are not in its key.
+        """
+        stamp = (self.step_no, self.graph.bw_version)
+        if stamp != self._score_stamp:
+            self._score_stamp = stamp
+            self._score_rows = {}
+        return self._score_rows
 
     def no_instances(self) -> bool:
         return all(dc.installed_count() == 0 for dc in self.dcs)

@@ -6,7 +6,13 @@ SFC is always chosen here, by the four-criterion priority score.
 
 The engine keeps waiting tags grouped by score_key: every input of a waiting
 tag's score, so all tags of one group score the same and the argmax scores
-each group once, through its smallest tag.
+each group once, through its smallest tag. Within one policy phase the step
+and the bandwidth version are fixed as well, so a group's DC-independent
+components (score_row: p1, p4, the source DC and, once needed, the hops of
+its min path) are computed once per phase into the engine's score table, and
+per DC only p2 is read from the row. Every total is w1*p1 + w2*p2 + w3*p3 +
+w4*p4 summed in that order, as priority() sums it: a regrouped float sum can
+flip an argmax tie.
 """
 
 from __future__ import annotations
@@ -77,36 +83,51 @@ def urgency_threshold(engine, record) -> float:
     return engine.urgency_fraction * record.deadline_steps
 
 
-def priority(engine, tag: int, dc: int) -> PriorityScore:
-    """Score one live tag for allocation at a DC.
+def score_row(engine, record) -> list:
+    """The DC-independent parts of a waiting record's score at the current
+    step: [p1, p4, src_dc, hops].
 
-    p1 rises as the deadline nears (1 - remaining fraction, clamped to [0,1]).
-    p2 is 2 at the request's source DC, 1 on the current feasible min path
-    from the chain's position to the destination, else 0. p3 is 1 if an
+    p1 rises as the deadline nears (1 - remaining fraction, clamped to [0,1]);
+    p4 is 1 once remaining time falls below the urgency threshold. hops, the
+    DCs on the current feasible min path from the chain's position to the
+    destination, stays None until dc_relation first needs it, so a record
+    only ever scored at its source DC never searches a path.
+    """
+    remaining = record.deadline_steps - record.t_ccurr(engine.step_no)
+    frac = remaining / record.deadline_steps if record.deadline_steps > 0 else 0.0
+    p1 = min(1.0, max(0.0, 1.0 - frac))
+    p4 = 1.0 if remaining < urgency_threshold(engine, record) else 0.0
+    return [p1, p4, record.src_dc, None]
+
+
+def dc_relation(engine, row: list, record, dc: int) -> float:
+    """p2 from a score row: 2 at the request's source DC, 1 on the min path, else 0."""
+    if dc == row[2]:
+        return 2.0
+    hops = row[3]
+    if hops is None:
+        path = engine.cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
+        hops = row[3] = () if path is None else path.hops
+    return 1.0 if dc in hops else 0.0
+
+
+def priority(engine, tag: int, dc: int) -> PriorityScore:
+    """Score one live tag for allocation at a DC, every component shown.
+
+    p1, p2 and p4 are those of score_row and dc_relation. p3 is 1 if an
     allocated VNF of the chain sits in this DC; only the head is ever
     allocated, so p3 is nonzero only when the head is allocated here, never
-    for an allocation candidate. p4 is 1 once remaining time falls below the
-    urgency threshold.
+    for an allocation candidate.
     """
     record = engine.live.get(tag)
     if record is None:
         raise KeyError(f"unknown or finished tag {tag}")
     w = engine.weights
-
-    remaining = record.deadline_steps - record.t_ccurr(engine.step_no)
-    frac = remaining / record.deadline_steps if record.deadline_steps > 0 else 0.0
-    p1 = min(1.0, max(0.0, 1.0 - frac))
-
-    if dc == record.src_dc:
-        p2 = 2.0
-    else:
-        path = engine.cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
-        p2 = 1.0 if path is not None and dc in path.hops else 0.0
-
+    row = score_row(engine, record)
+    p1, p4 = row[0], row[1]
+    p2 = dc_relation(engine, row, record, dc)
     head = record.head
     p3 = 1.0 if head is not None and head.allocated and head.vnf_dc == dc else 0.0
-    p4 = 1.0 if remaining < urgency_threshold(engine, record) else 0.0
-
     total = w.w1 * p1 + w.w2 * p2 + w.w3 * p3 + w.w4 * p4
     return PriorityScore(p1, p2, p3, p4, total)
 
@@ -115,13 +136,27 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     """Argmax of priority total over the candidate set; smallest tag on ties.
 
     Tags of one waiting group score the same, so each group is scored once,
-    through its smallest tag.
+    through its smallest tag, from its row in the engine's score table; the
+    total is priority's expression in priority's order, with p3 = 0 for an
+    unallocated head.
     """
+    groups = engine.waiting.get(vtype)
+    if not groups:
+        return None
+    rows = engine.score_rows()
+    live = engine.live
+    w = engine.weights
+    w1, w2, w3, w4 = w.w1, w.w2, w.w3, w.w4
+    p3 = 0.0
     best_tag = None
     best_total = -1.0
-    for group in engine.waiting.get(vtype, {}).values():
+    for key, group in groups.items():
         tag = min(group)
-        total = priority(engine, tag, dc).total
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = score_row(engine, live[tag])
+        p2 = 2.0 if dc == row[2] else dc_relation(engine, row, live[tag], dc)
+        total = w1 * row[0] + w2 * p2 + w3 * p3 + w4 * row[1]
         if total > best_total or (total == best_total and (best_tag is None or tag < best_tag)):
             best_total = total
             best_tag = tag

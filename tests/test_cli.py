@@ -176,6 +176,23 @@ class TestRun:
         with pytest.raises(ConfigError, match=message):
             make_runtime(cfg, 0)
 
+    @pytest.mark.parametrize("override, message", [
+        ("datacenters.max_storage_gb=0", "datacenters.max_storage_gb"),
+        ("datacenters.cpus=-1", "datacenters.cpus"),
+        ("datacenters.ram_gb=.nan", "datacenters.ram_gb"),
+        ("datacenters.per_dc=[{max_storage_gb: 10, cpus: 2, ram_gb: 4}, "
+         "{max_storage_gb: 10, cpus: 2, ram_gb: 0.0004}]", "datacenters.per_dc[1].ram_gb"),
+    ], ids=["max_storage_gb", "cpus", "ram_gb", "per_dc"])
+    def test_bad_datacenter_capacity_is_config_error(self, override, message, tmp_path,
+                                                     monkeypatch, capsys):
+        # unchecked, a zero storage ends in a ZeroDivisionError at the first
+        # resource sample and negative compute runs to the end
+        code, out = run_cli(["run", "--scenario", "tiny", "--set", override],
+                            tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert f"config error: {message} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],
                           tmp_path, monkeypatch)
@@ -250,6 +267,26 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "config error: checkpoint expects branches" in capsys.readouterr().err
 
+    def test_refused_resume_leaves_no_run_directory(self, tmp_path, monkeypatch, capsys):
+        from sfcsim.dqn import build_agent
+
+        ckpt = str(tmp_path / "tiny.npz")
+        build_agent(load_config("tiny"), 0).save(ckpt)
+        code, out = run_cli(["train", "--scenario", "paper3dc", "--episodes", "1", "--quiet",
+                             "--resume", ckpt], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert "config error: checkpoint expects branches" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/train-*"))
+
+    def test_negative_reward_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # unchecked, the first training episode raises a ValueError
+        code, out = run_cli(["train", "--scenario", "tiny", "--episodes", "1", "--quiet",
+                             "--set", "dqn.reward.complete=-1"], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert "config error: dqn.reward.complete must be a finite non-negative number" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_episode_train_checkpoints_initialization(self, tmp_path, monkeypatch):
         code, out = run_cli(["train", "--scenario", "tiny", "--episodes", "0",
                              "--quiet"], tmp_path, monkeypatch)
@@ -317,6 +354,37 @@ class TestScenarioConfig:
         # batch, trains nothing without a word
         with pytest.raises(ConfigError, match=f"dqn.{key}"):
             ScenarioConfig({"dqn": {key: value}})
+
+    @pytest.mark.parametrize("key", ["complete", "drop", "invalid"])
+    @pytest.mark.parametrize("value", [-1, -0.5, float("nan"), float("inf"), "10", True])
+    def test_bad_reward_magnitudes(self, key, value):
+        with pytest.raises(ConfigError, match=f"dqn.reward.{key}"):
+            ScenarioConfig({"dqn": {"reward": {key: value}}})
+
+    @pytest.mark.parametrize("key", ["max_storage_gb", "cpus", "ram_gb"])
+    @pytest.mark.parametrize("value", [0, -1, 0.0005, float("nan"), float("inf"), 1e308,
+                                       "64", True, None])
+    def test_bad_datacenter_capacities(self, key, value):
+        with pytest.raises(ConfigError, match=f"datacenters.{key}"):
+            ScenarioConfig({"datacenters": {key: value}})
+        spec = {"max_storage_gb": 10, "cpus": 2, "ram_gb": 4, key: value}
+        with pytest.raises(ConfigError, match=rf"datacenters.per_dc\[0\].{key}"):
+            ScenarioConfig({"datacenters": {"per_dc": [spec]}})
+
+    @pytest.mark.parametrize("per_dc", [{}, [3], [{"cpus": 2, "ram_gb": 4}],
+                                        [{"max_storage_gb": 10, "cpus": 1e200,
+                                          "ram_gb": 1e200}],
+                                        [{"max_storage_gb": 10, "cpus": 0.001,
+                                          "ram_gb": 0.001}]])
+    def test_malformed_per_dc_entries(self, per_dc):
+        with pytest.raises(ConfigError, match="datacenters.per_dc"):
+            ScenarioConfig({"datacenters": {"per_dc": per_dc}})
+
+    def test_smallest_datacenter_capacities_accepted(self):
+        cfg = ScenarioConfig({"topology": {"generator": {"n": 2}}, "datacenters": {
+            "max_storage_gb": 0.001, "cpus": 1, "ram_gb": 0.001}})
+        assert [(dc.max_storage, dc.max_compute)
+                for dc in cfg.build_dcs(cfg.build_graph())] == [(1, 1), (1, 1)]
 
     @pytest.mark.parametrize("step", [0, 0.0])
     def test_zero_step_reward_accepted(self, step):

@@ -14,6 +14,7 @@ from sfcsim.datacenter import DataCenter
 from sfcsim.dqn import (
     DqnAgent,
     DqnPolicy,
+    DqnTrainingPolicy,
     QNetwork,
     ReplayBuffer,
     RewardSpec,
@@ -491,3 +492,47 @@ class TestPolicyPhase:
         run_training_episode(cfg, build_agent(cfg, 2), epsilon=1.0, episode_seed=2)
         # re-encodes after successful actions share their phase's features
         assert len(set(steps)) < len(steps)
+
+    def test_refused_action_reaches_the_engine_once_per_state(self, monkeypatch):
+        import sfcsim.dqn
+
+        real_act = DqnTrainingPolicy.act
+        real_apply = Engine.apply_action
+        real_decode = sfcsim.dqn.decode_action
+        refused = set()
+        counts = {"drawn": 0, "applied": 0, "refused": 0}
+
+        def act(self, engine):
+            refused.clear()
+            return real_act(self, engine)
+
+        def decode(idx, n_dcs, vnf_names):
+            action = real_decode(idx, n_dcs, vnf_names)
+            counts["drawn"] += action.kind != IDLE_WAIT
+            return action
+
+        def apply_action(self, action):
+            # a refusal leaves the state as it was, so asking again is waste
+            assert action not in refused, action
+            ok = real_apply(self, action)
+            counts["applied"] += 1
+            if ok:
+                refused.clear()
+            else:
+                refused.add(action)
+                counts["refused"] += 1
+            return ok
+
+        monkeypatch.setattr(DqnTrainingPolicy, "act", act)
+        monkeypatch.setattr(Engine, "apply_action", apply_action)
+        monkeypatch.setattr(sfcsim.dqn, "decode_action", decode)
+        cfg = _busy_tiny(3).with_overrides({"dqn.max_actions": 40})
+        from sfcsim.dqn import build_agent
+
+        agent = build_agent(cfg, 3)
+        for eps in (1.0, 0.0):
+            run_training_episode(cfg, agent, epsilon=eps, episode_seed=3)
+        # repeated refusals were drawn, labelled and answered without the engine
+        assert counts["refused"] > 0
+        assert counts["drawn"] > counts["applied"]
+

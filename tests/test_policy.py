@@ -202,6 +202,46 @@ class TestSelectForAllocation:
         assert select_for_allocation(engine, 2, "NAT") == second.tag
         assert naive_select(engine, 2, "NAT") == second.tag
 
+    def test_float_tie_keeps_the_order_of_the_terms(self):
+        # the older, urgent head y on the path to DC 2 ties exactly with the
+        # younger head x at its source DC 2; adding w1*p1 + w4*p4 before
+        # w2*p2 would round y's total below x's and flip the argmax
+        engine, gen = three_dc_engine(weights=PriorityWeights(1.0, 0.2, 1.0, 0.1))
+        y = inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 2}])[0]
+        engine.step_no = 800
+        x = inject_manual(engine, gen, [{"type": "CG", "src": 2, "dest": 0}])[0]
+        engine.step_no = 7008
+        sy, sx = priority(engine, y.tag, 2), priority(engine, x.tag, 2)
+        assert (sy.p2_dc_relation, sy.p4_urgency) == (1.0, 1.0)
+        assert (sx.p2_dc_relation, sx.p4_urgency) == (2.0, 0.0)
+        assert sy.total == sx.total
+        assert select_for_allocation(engine, 2, "NAT") == y.tag == naive_select(engine, 2, "NAT")
+
+    def test_bandwidth_change_refreshes_the_table(self):
+        # b (older) wins at DC 2 until a reservation on link 0-1 detours a's
+        # larger bandwidth through DC 2, in the same step
+        engine, gen = three_dc_engine()
+        b = inject_manual(engine, gen, [{"type": "CG", "src": 1, "dest": 0, "bw": 10.0}])[0]
+        engine.step_no = 1000
+        a = inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1, "bw": 100.0}])[0]
+        engine.step_no = 2000
+        assert select_for_allocation(engine, 2, "NAT") == b.tag
+        engine.graph.reserve_bw(engine.graph.select_min_path(0, 1, 450.0), 450.0)
+        assert priority(engine, a.tag, 2).p2_dc_relation == 1.0
+        assert select_for_allocation(engine, 2, "NAT") == a.tag == naive_select(engine, 2, "NAT")
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0, 0.0), (0.0, 1.0, 1.0, 1.0)],
+                             ids=["p1", "p4"])
+    def test_step_advance_refreshes_the_table(self, weights):
+        # two heads at their source tie on the first step; a step later the
+        # shorter deadline is further along (p1) and urgent (p4)
+        engine, gen = three_dc_engine(weights=PriorityWeights(*weights), t_urgency_steps=450)
+        inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1},
+                                    {"type": "MIoT", "src": 0, "dest": 1}])
+        assert select_for_allocation(engine, 0, "NAT") == 0
+        engine.step_no = 100
+        assert select_for_allocation(engine, 0, "NAT") == 1 == naive_select(engine, 0, "NAT")
+
     def test_scaling_all_weights_preserves_argmax(self):
         for scale in (0.25, 1.0, 7.0):
             weights = PriorityWeights(scale, scale, scale, scale)
@@ -240,8 +280,6 @@ class TestGroupedSelectionOracle:
             for vname, groups in engine.waiting.items():
                 seen["shared"] += any(len(tags) > 1 for tags in groups.values())
                 for dc in range(len(engine.dcs)):
-                    assert select_for_allocation(engine, dc, vname) \
-                        == naive_select(engine, dc, vname), (scenario, engine.step_no, dc)
                     scores = [priority(engine, min(tags), dc) for tags in groups.values()]
                     totals = [sc.total for sc in scores]
                     seen["ties"] += totals.count(max(totals, default=-1.0)) > 1
@@ -252,19 +290,31 @@ class TestGroupedSelectionOracle:
                         p3 = priority(engine, tag, dc).p3_affinity
                         assert p3 == chain_scan_p3(engine, tag, dc), (tag, dc)
                         seen["p3"] += p3 == 1.0
-            policy.act(engine)
+            # the phase's score table must answer like the per-tag oracle at
+            # its start and after every action, which removes tags from it
+            TestGroupedSelectionOracle.check_all(engine, scenario)
+            for action in policy.plan(engine):
+                seen["in_phase"] += engine.apply_action(action)
+                TestGroupedSelectionOracle.check_all(engine, scenario)
         engine.check_invariants()
 
+    @staticmethod
+    def check_all(engine, scenario):
+        for vname in engine.waiting:
+            for dc in range(len(engine.dcs)):
+                assert select_for_allocation(engine, dc, vname) \
+                    == naive_select(engine, dc, vname), (scenario, engine.step_no, dc, vname)
+
     def test_grouped_argmax_matches_naive(self):
-        seen = {"shared": 0, "ties": 0, "urgent": 0, "p3": 0}
+        seen = {"shared": 0, "ties": 0, "urgent": 0, "p3": 0, "in_phase": 0}
         self.drive("paper5dc", 0, {}, seen)
         self.drive("paper5dc", 1, {"policy.t_urgency_steps": 300,
                                    "policy.weights": [0.5, 2.0, 1.5, 3.0]}, seen)
         self.drive("paper3dc", 2, {}, seen)
         self.drive("paper3dc", 3, {"policy.t_urgency_steps": 350,
                                    "policy.weights": [2.0, 0.5, 1.0, 0.25]}, seen)
-        # the runs reach multi-tag groups, cross-group ties, urgent heads
-        # and allocated heads
+        # the runs reach multi-tag groups, cross-group ties, urgent heads,
+        # allocated heads and allocations inside a phase
         assert all(seen.values()), seen
 
 
