@@ -12,8 +12,11 @@ import os
 import statistics
 import sys
 
+import yaml
+
 from .config import BUILTIN_SCENARIOS, ConfigError, ScenarioConfig, load_config, make_runtime
 from .datacenter import DataCenterError
+from .dqn import TrainingDiverged, train
 from .engine import EngineError, run_episode
 from .topology import TopologyError
 from .trace import TraceWriter
@@ -31,8 +34,6 @@ def _out_root(args) -> str:
 
 
 def _parse_set(pairs: list[str]) -> dict[str, object]:
-    import yaml
-
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -43,20 +44,30 @@ def _parse_set(pairs: list[str]) -> dict[str, object]:
 
 
 def _load(args) -> ScenarioConfig:
-    return load_config(args.scenario, seed=args.seed, overrides=_parse_set(args.set))
+    """The scenario with --seed and --set applied; every failure to read or
+    parse it is a ConfigError."""
+    try:
+        return load_config(args.scenario, seed=args.seed, overrides=_parse_set(args.set))
+    except ConfigError:
+        raise
+    except (yaml.YAMLError, OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load scenario {args.scenario!r}: {exc}") from exc
 
 
 def run_one(cfg: ScenarioConfig, seed: int, out_dir: str | None = None,
             trace_path: str | None = None, policy=None):
-    """Run a single episode; returns (EpisodeResult, MetricsBundle)."""
-    trace = None
-    trace_fh = None
-    if trace_path:
-        trace_fh = open(trace_path, "w")
-        trace = TraceWriter(trace_fh)
-    engine, generator, plan = make_runtime(cfg, seed, trace=trace)
+    """Run a single episode; returns (EpisodeResult, MetricsBundle).
+
+    The runtime and policy are set up before the trace file is created, so
+    a set-up ConfigError writes nothing."""
+    engine, generator, plan = make_runtime(cfg, seed)
     if policy is None:
         policy = cfg.build_policy(engine.catalog, engine.graph, seed)
+    trace_fh = None
+    if trace_path:
+        os.makedirs(os.path.dirname(os.path.abspath(trace_path)), exist_ok=True)
+        trace_fh = open(trace_path, "w")
+        engine.trace = TraceWriter(trace_fh)
     run_cfg = cfg.data["run"]
     try:
         result = run_episode(
@@ -84,23 +95,10 @@ def _summary_line(result, metrics) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
     out_dir = os.path.join(_out_root(args), f"run-{cfg.config_hash()}-s{cfg.seed}")
     trace_path = os.path.join(out_dir, "trace.jsonl") if args.trace else None
-    if trace_path:
-        os.makedirs(out_dir, exist_ok=True)
-    try:
-        result, metrics = run_one(cfg, cfg.seed, out_dir=out_dir, trace_path=trace_path)
-    except (ConfigError,) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (EngineError, DataCenterError, TopologyError) as exc:
-        print(f"runtime invariant violation: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result, metrics = run_one(cfg, cfg.seed, out_dir=out_dir, trace_path=trace_path)
     cfg.write_copy(out_dir)
     print(_summary_line(result, metrics))
     print(f"artifacts: {out_dir}")
@@ -108,13 +106,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .dqn import TrainingDiverged, train
-
-    try:
-        cfg = _load(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
     out_dir = os.path.join(_out_root(args), f"train-{cfg.config_hash()}-s{cfg.seed}")
 
     def progress(row):
@@ -124,18 +116,8 @@ def cmd_train(args) -> int:
               f"loss={row['mean_loss']:.4f} acceptance={row['acceptance_ratio']:.3f} "
               f"reward={row['cumulative_reward']:.1f}")
 
-    try:
-        result = train(cfg, out_dir=out_dir, episodes=args.episodes,
-                       resume=args.resume, progress=progress)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc} (last good checkpoint kept)", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (EngineError, DataCenterError, TopologyError) as exc:
-        print(f"runtime invariant violation: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = train(cfg, out_dir=out_dir, episodes=args.episodes,
+                   resume=args.resume, progress=progress)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"curve: {os.path.join(out_dir, 'curve.csv')}")
     return EXIT_OK
@@ -152,30 +134,31 @@ def _sweep_policy_once(cfg: ScenarioConfig, seed: int):
 
 
 def cmd_sweep(args) -> int:
+    cfg = _load(args)
     try:
-        cfg = _load(args)
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        if not seeds:
-            raise ConfigError("need at least one seed")
-        policies = args.policies.split(",")
-        for p in policies:
-            if p not in ("heuristic", "dqn", "random"):
-                raise ConfigError(f"unknown policy {p!r}")
-        if "dqn" in policies and not (args.checkpoint or cfg.data["policy"]["checkpoint"]):
-            raise ConfigError("sweeping dqn needs --checkpoint")
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError(f"--seeds must be comma separated ints, got {args.seeds!r}") from exc
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    policies = {}
+    for policy_name in args.policies.split(","):
+        if policy_name not in ("heuristic", "dqn", "random"):
+            raise ConfigError(f"unknown policy {policy_name!r}")
+        overrides = {"policy.kind": policy_name}
+        if policy_name == "dqn" and args.checkpoint:
+            overrides["policy.checkpoint"] = args.checkpoint
+        pcfg = cfg.with_overrides(overrides)
+        # set-up does not depend on the seed: check it once, before any output
+        engine, _, _ = make_runtime(pcfg, seeds[0])
+        pcfg.build_policy(engine.catalog, engine.graph, seeds[0])
+        policies[policy_name] = pcfg
 
     out_dir = os.path.join(_out_root(args), f"sweep-{cfg.config_hash()}")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     failures = []
-    for policy_name in policies:
-        overrides = {"policy.kind": policy_name}
-        if policy_name == "dqn" and args.checkpoint:
-            overrides["policy.checkpoint"] = args.checkpoint
-        pcfg = cfg.with_overrides(overrides)
+    for policy_name, pcfg in policies.items():
         ratios = []
         for seed in seeds:
             try:
@@ -254,7 +237,17 @@ def main(argv=None) -> int:
         args.set = (args.set or []) + [f"policy.kind={args.policy}"]
     if getattr(args, "checkpoint", None) and args.command == "run":
         args.set = (args.set or []) + [f"policy.checkpoint={args.checkpoint}"]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc} (last good checkpoint kept)", file=sys.stderr)
+        return EXIT_DIVERGED
+    except (EngineError, DataCenterError, TopologyError) as exc:
+        print(f"runtime invariant violation: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

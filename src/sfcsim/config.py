@@ -100,20 +100,38 @@ DEFAULTS = {
 }
 
 
+def _check_ledger_value(name: str, value) -> None:
+    """ConfigError unless value is a finite number whose ledger value
+    (to_milli) is positive."""
+    # to_milli(x) > 0 exactly when x * QUANTUM > 0.5; the comparison also rejects NaN
+    if not (type(value) in (int, float) and 0.5 < value * QUANTUM < math.inf):
+        raise ConfigError(f"{name} must be a finite number that rounds to at least "
+                          f"{1 / QUANTUM}, got {value!r}")
+
+
 def _check_capacity(where: str, spec) -> None:
     """ConfigError unless spec gives each DC capacity as a finite number whose
     ledger value (to_milli) is positive, the compute product cpus * ram_gb too."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a mapping, got {spec!r}")
-    # to_milli(x) > 0 exactly when x * QUANTUM > 0.5; the comparison also rejects NaN
     for key in ("max_storage_gb", "cpus", "ram_gb"):
-        value = spec.get(key)
-        if not (type(value) in (int, float) and 0.5 < value * QUANTUM < math.inf):
-            raise ConfigError(f"{where}.{key} must be a finite number that rounds to at "
-                              f"least {1 / QUANTUM}, got {value!r}")
+        _check_ledger_value(f"{where}.{key}", spec.get(key))
     if not 0.5 < spec["cpus"] * spec["ram_gb"] * QUANTUM < math.inf:
         raise ConfigError(f"{where}: cpus * ram_gb must be finite and round to at least "
                           f"{1 / QUANTUM}")
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _check_number(name: str, value, high: float = math.inf) -> None:
+    """ConfigError unless value is a finite int or float in [0, high]."""
+    # the comparisons also reject NaN
+    if not (type(value) in (int, float) and 0 <= value <= high and value < math.inf):
+        bound = "non-negative number" if high == math.inf else f"number in [0, {high}]"
+        raise ConfigError(f"{name} must be a finite {bound}, got {value!r}")
 
 
 def _deep_merge(base: dict, override: dict, path="") -> dict:
@@ -158,12 +176,23 @@ class ScenarioConfig:
             raise ConfigError("topology required: give nodes or a generator")
         if (topo["nodes"] is None) != (topo["edges"] is None):
             raise ConfigError("explicit topology needs both nodes and edges")
-        kind = self.data["policy"]["kind"]
+        gen = topo["generator"]
+        if gen is not None:
+            if not isinstance(gen, dict):
+                raise ConfigError(f"topology.generator must be a mapping, got {gen!r}")
+            _check_int("topology.generator.n", gen["n"], 1)
+            _check_int("topology.generator.seed", gen["seed"], 0)
+            _check_number("topology.generator.radius_km", gen["radius_km"])
+            _check_number("topology.generator.edge_prob", gen["edge_prob"], 1)
+        _check_ledger_value("topology.default_capacity_mbps", topo["default_capacity_mbps"])
+        policy = self.data["policy"]
+        kind = policy["kind"]
         if kind not in ("heuristic", "dqn", "random"):
             raise ConfigError(f"unknown policy kind {kind!r}")
-        if self.data["policy"]["t_model"] < 1:
-            raise ConfigError("t_model must be >= 1")
-        weights = self.data["policy"]["weights"]
+        if policy["t_urgency_steps"] is not None:
+            _check_int("policy.t_urgency_steps", policy["t_urgency_steps"], 0)
+        _check_number("policy.urgency_fraction", policy["urgency_fraction"])
+        weights = policy["weights"]
         # the comparison also rejects NaN
         if not (isinstance(weights, (list, tuple)) and len(weights) == 4 and all(
                 type(w) in (int, float) and 0 <= w < math.inf for w in weights)):
@@ -182,15 +211,18 @@ class ScenarioConfig:
         if dqn["reward"]["step"] != 0:
             raise ConfigError(f"dqn.reward.step must be 0, got {dqn['reward']['step']!r}")
         for key in ("complete", "drop", "invalid"):
-            value = dqn["reward"][key]
-            if not (type(value) in (int, float) and 0 <= value < math.inf):
-                raise ConfigError(f"dqn.reward.{key} must be a finite non-negative number, "
-                                  f"got {value!r}")
-        for key, low in (("t_model", 1), ("target_sync", 1), ("batch", 1), ("buffer", 1),
-                         ("count_cap", 1), ("max_actions", 1), ("train_interval", 1),
-                         ("min_buffer", 0)):
-            if type(dqn[key]) is not int or dqn[key] < low:
-                raise ConfigError(f"dqn.{key} must be an int >= {low}, got {dqn[key]!r}")
+            _check_number(f"dqn.reward.{key}", dqn["reward"][key])
+        for key, high in (("lr", math.inf), ("grad_clip", math.inf), ("eps_start", 1),
+                          ("eps_min", 1), ("eps_eval", 1), ("guide_frac", 1)):
+            _check_number(f"dqn.{key}", dqn[key], high)
+        for name, low in (("policy.t_model", 1), ("policy.t_thresh", 0), ("run.step_cap", 1),
+                          ("run.sample_period", 0), ("dqn.t_model", 1), ("dqn.target_sync", 1),
+                          ("dqn.batch", 1), ("dqn.buffer", 1), ("dqn.count_cap", 1),
+                          ("dqn.max_actions", 1), ("dqn.train_interval", 1),
+                          ("dqn.min_buffer", 0), ("dqn.episodes", 0),
+                          ("dqn.checkpoint_every", 1)):
+            section, key = name.split(".")
+            _check_int(name, self.data[section][key], low)
         hidden = dqn["hidden"]
         if not (isinstance(hidden, (list, tuple)) and len(hidden) == 2
                 and all(type(h) is int and h >= 1 for h in hidden)):

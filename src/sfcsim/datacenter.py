@@ -1,11 +1,11 @@
 """Per-DC resource ledger and the VNF instance lifecycle.
 
 An instance is Installed (consuming storage and compute), and is either
-InUse (allocated to exactly one SFC's VNF) or Idle. An instance that goes
-idle is stamped with the DC's tick count and appended to an expiry queue,
-which the monotone tick count keeps in stamp order; each tick pops only the
-instances whose idle time reached the threshold, so the reaper costs nothing
-per idle instance per step.
+InUse (allocated to exactly one SFC's VNF) or Idle, which it is exactly
+while it holds an idle stamp: the DC's tick count when it went idle. Each
+stamp is also appended to an expiry queue, which the monotone tick count
+keeps in stamp order; each tick pops only the instances whose idle time
+reached the threshold, so the reaper costs nothing per idle instance per step.
 
 Storage and compute are kept in integer units of 0.001 (topology.to_milli),
 so any install/uninstall sequence restores the exact initial state.
@@ -17,9 +17,6 @@ from collections import deque
 
 from .catalog import VnfType
 from .topology import QUANTUM, to_milli
-
-IN_USE = 1
-IDLE = 0
 
 
 class DataCenterError(Exception):
@@ -58,9 +55,9 @@ class DataCenter:
         self.max_compute = to_milli(float(cpus) * float(ram_gb))
         self.cur_storage = self.max_storage
         self.cur_compute = self.max_compute
-        # installed[vtype][fid] -> IN_USE | IDLE; idle_since[vtype][fid] -> the
-        # tick count when that idle instance went idle
-        self.installed: dict[str, dict[int, int]] = {}
+        # installed[vtype] is the set of installed fids; idle_since[vtype][fid]
+        # is the tick count when that instance went idle, held only while idle
+        self.installed: dict[str, set[int]] = {}
         self.idle_since: dict[str, dict[int, int]] = {}
         self.ticks = 0
         # (since, vtype, fid) per idle period, in stamp order; an entry whose
@@ -125,11 +122,9 @@ class DataCenter:
                 and 0 <= self.cur_compute <= self.max_compute):
             raise LedgerError(f"DC {self.dc_id}: free resources out of [0, capacity]")
         queued = set(self._expiry)
-        for vname, table in self.installed.items():
-            idle = {fid for fid, status in table.items() if status == IDLE}
-            since = self.idle_since.get(vname, {})
-            if idle != set(since):
-                raise LedgerError(f"DC {self.dc_id}: idle {vname} instances differ from stamps")
+        for vname, since in self.idle_since.items():
+            if not since.keys() <= self.installed.get(vname, set()):
+                raise LedgerError(f"DC {self.dc_id}: idle {vname} stamps for uninstalled fids")
             for fid, stamp in since.items():
                 if (stamp, vname, fid) not in queued:
                     raise LedgerError(f"DC {self.dc_id}: idle {vname}/{fid} has no expiry entry")
@@ -146,49 +141,42 @@ class DataCenter:
             )
         fid = self._next_fid.get(vtype.name, 1)
         self._next_fid[vtype.name] = fid + 1
-        self.installed.setdefault(vtype.name, {})[fid] = IDLE
+        self.installed.setdefault(vtype.name, set()).add(fid)
         self._go_idle(vtype.name, fid)
         storage, compute = self._demand(vtype)
         self.cur_storage -= storage
         self.cur_compute -= compute
         return fid
 
-    def _lookup(self, vname: str, fid: int) -> int:
-        table = self.installed.get(vname)
-        if table is None or fid not in table:
+    def _is_idle(self, vname: str, fid: int) -> bool:
+        if fid not in self.installed.get(vname, ()):
             raise UnknownFunction(f"DC {self.dc_id}: no {vname} function {fid}")
-        return table[fid]
+        return fid in self.idle_since[vname]
 
     def uninstall_vnf(self, vname: str, fid: int) -> None:
-        status = self._lookup(vname, fid)
-        if status == IN_USE:
+        if not self._is_idle(vname, fid):
             raise FunctionInUse(f"DC {self.dc_id}: {vname}/{fid} is in use")
-        del self.installed[vname][fid]
+        self.installed[vname].remove(fid)
         del self.idle_since[vname][fid]
         storage, compute = self._demands[vname]
         self.cur_storage += storage
         self.cur_compute += compute
 
     def allocate_vnf(self, vname: str, fid: int) -> None:
-        status = self._lookup(vname, fid)
-        if status == IN_USE:
+        if not self._is_idle(vname, fid):
             raise AlreadyInUse(f"DC {self.dc_id}: {vname}/{fid} already in use")
-        self.installed[vname][fid] = IN_USE
         del self.idle_since[vname][fid]
 
     def revoke_vnf(self, vname: str, fid: int) -> None:
-        status = self._lookup(vname, fid)
-        if status != IN_USE:
+        if self._is_idle(vname, fid):
             raise NotInUse(f"DC {self.dc_id}: {vname}/{fid} is not in use")
-        self.installed[vname][fid] = IDLE
         self._go_idle(vname, fid)
 
     def force_revoke_vnf(self, vname: str, fid: int) -> None:
         """Revoke regardless of status; used on deadline drops mid-processing.
 
         An idle instance restarts its idle time."""
-        self._lookup(vname, fid)
-        self.installed[vname][fid] = IDLE
+        self._is_idle(vname, fid)
         self._go_idle(vname, fid)
 
     def _go_idle(self, vname: str, fid: int) -> None:

@@ -617,11 +617,14 @@ def train(cfg, out_dir: str | None = None, episodes: int | None = None,
     """Train an agent on a scenario; returns the agent and per-episode curve.
 
     With out_dir, writes config_used.json and the checkpoint there once the
-    agent is set up, so a refused resume leaves nothing behind. Aborts with
-    TrainingDiverged on a non-finite loss, keeping the last good checkpoint.
+    agent and an episode's runtime are set up, so a set-up ConfigError leaves
+    nothing behind. Aborts with TrainingDiverged on a non-finite loss,
+    keeping the last good checkpoint.
     """
     seed = cfg.seed if seed is None else seed
     episodes = int(cfg.data["dqn"]["episodes"]) if episodes is None else int(episodes)
+    if episodes < 0:
+        raise ConfigError(f"episodes must be >= 0, got {episodes}")
     if resume:
         agent = load_agent(resume)
         agent_encoder(agent, cfg.build_catalog(), cfg.build_graph(),
@@ -632,6 +635,9 @@ def train(cfg, out_dir: str | None = None, episodes: int | None = None,
     curve: list[dict] = []
     ckpt_path = None
     if out_dir:
+        from .config import make_runtime
+
+        make_runtime(cfg, seed)  # the set-up checks every training episode makes
         cfg.write_copy(out_dir)
         ckpt_path = os.path.join(out_dir, "checkpoint.npz")
         agent.save(ckpt_path)

@@ -11,11 +11,11 @@ Waiting records cost nothing per step: elapsed time is derived from the
 injection step, and head completions, TX endings, and deadline expiries are
 woken by scheduled events. Wake-ups within a pass are processed in live
 (ascending tag) order so the result is identical to scanning every record.
-A record whose chain is done leaves `live` for `final_tx` once its final
-path is reserved, carrying that path in rec.tx. Final TXs sit on a heap
-keyed (end step, start step, tag); the final-TX pass pops the ones due, in
-the order they started, which is the order a scan of every in-flight final
-TX would finish them in.
+A record whose chain is done leaves `live` once its final path is
+reserved, carrying that path in rec.tx. In-flight final TXs live only on a
+heap of (end step, start step, tag, record); the final-TX pass pops the
+ones due, in the order they started, which is the order a scan of every
+in-flight final TX would finish them in.
 
 A TX that finds no path (an allocated remote head, or a finished chain)
 waits in a tag set and searches again on every step through the path
@@ -109,7 +109,6 @@ class Engine:
 
         self.step_no = 0
         self.live: dict[int, SfcRecord] = {}
-        self.final_tx: dict[int, SfcRecord] = {}  # in final TX; rec.tx is the final path
         self.done: list[CompletionRecord] = []
         self.dropped: list[DropRecord] = []
 
@@ -130,7 +129,7 @@ class Engine:
 
         self._drop_heap: list[tuple[int, int]] = []  # (due step, tag)
         self._event_heap: list[tuple[int, int]] = []  # (due step, tag) wake-ups
-        self._final_heap: list[tuple[int, int, int]] = []  # (end step, start step, tag)
+        self._final_heap: list[tuple[int, int, int, SfcRecord]] = []  # (end, start, tag, rec)
         self._await_tx: set[int] = set()  # allocated remote heads with no TX path yet
         self._await_final: set[int] = set()  # finished chains with no final path yet
         self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
@@ -204,15 +203,15 @@ class Engine:
         return all(dc.installed_count() == 0 for dc in self.dcs)
 
     def idle(self) -> bool:
-        return not self.live and not self.final_tx
+        return not self.live and not self._final_heap
 
     # -- the step ------------------------------------------------------------
 
     def step(self) -> None:
         now = self.step_no
         self._drop_pass(now)
-        newly_empty = self._head_pass(now)
-        self._completion_pass(now, newly_empty)
+        self._head_pass(now)
+        self._completion_pass(now)
         self._final_tx_pass(now)
         self._reap_pass(now)
         self.step_no = now + 1
@@ -244,12 +243,11 @@ class Engine:
             self.metrics.record_drop(drop)
             self.trace.event(now, "drop", tag=tag, type=rec.type_name, pending=len(rec.chain))
 
-    def _head_pass(self, now: int) -> list[int]:
+    def _head_pass(self, now: int) -> None:
         woken = set(self._await_tx)
         while self._event_heap and self._event_heap[0][0] <= now:
             _, tag = heapq.heappop(self._event_heap)
             woken.add(tag)
-        newly_empty = []
         for tag in sorted(woken):
             rec = self.live.get(tag)
             if rec is None:
@@ -268,7 +266,7 @@ class Engine:
                 continue
             if head.proc_start is not None:
                 if head.proc_start + head.t_req == now:
-                    self._finish_head(now, rec, newly_empty)
+                    self._finish_head(now, rec)
                 continue
             # allocated in another DC and not yet transferring: try to start TX
             path = self.cached_min_path(rec.sfc_dc, head.vnf_dc, rec.bw)
@@ -282,9 +280,8 @@ class Engine:
             rec.sfc_dc = head.vnf_dc
             self._await_tx.discard(tag)
             heapq.heappush(self._event_heap, (rec.tx.end_step, tag))
-        return newly_empty
 
-    def _finish_head(self, now: int, rec: SfcRecord, newly_empty: list[int]) -> None:
+    def _finish_head(self, now: int, rec: SfcRecord) -> None:
         head = rec.chain.pop(0)
         self.dcs[head.vnf_dc].revoke_vnf(head.vtype, head.func_id)
         self.trace.event(now, "proc_done", tag=rec.tag, vtype=head.vtype,
@@ -292,11 +289,10 @@ class Engine:
         if rec.chain:
             self._waiting_add(rec)
         else:
-            newly_empty.append(rec.tag)
+            self._await_final.add(rec.tag)
 
-    def _completion_pass(self, now: int, newly_empty: list[int]) -> None:
+    def _completion_pass(self, now: int) -> None:
         # the drop pass skips finished chains, so every waiting tag is live
-        self._await_final.update(newly_empty)
         for tag in sorted(self._await_final):
             rec = self.live[tag]
             path = self.cached_min_path(rec.sfc_dc, rec.dest_dc, rec.bw)
@@ -305,8 +301,7 @@ class Engine:
             steps = tx_steps(rec.packet_len_mb, rec.bw, path, self.graph)
             self.graph.reserve_bw(path, rec.bw)
             rec.tx = TxState(path, now + steps)
-            self.final_tx[tag] = rec
-            heapq.heappush(self._final_heap, (now + steps, now, tag))
+            heapq.heappush(self._final_heap, (now + steps, now, tag, rec))
             self._await_final.discard(tag)
             self._cohort_remove(rec)
             del self.live[tag]
@@ -316,8 +311,7 @@ class Engine:
     def _final_tx_pass(self, now: int) -> None:
         heap = self._final_heap
         while heap and heap[0][0] <= now:
-            tag = heapq.heappop(heap)[2]
-            rec = self.final_tx.pop(tag)
+            _, _, tag, rec = heapq.heappop(heap)
             self.graph.release_bw(rec.tx.path, rec.bw)
             e2e = now - rec.inject_step + 1
             accepted = e2e <= rec.deadline_steps
@@ -418,8 +412,9 @@ class Engine:
         self.graph.check_residuals()
         for dc in self.dcs:
             dc.check_ledger()
+        final = [entry[3] for entry in self._final_heap]
         reserved = 0
-        for rec in [*self.live.values(), *self.final_tx.values()]:
+        for rec in [*self.live.values(), *final]:
             if rec.tx is not None:
                 reserved += to_milli(rec.bw) * (len(rec.tx.path.hops) - 1)
         deficit = sum(
@@ -428,11 +423,9 @@ class Engine:
         )
         if reserved != deficit:
             raise InvariantError(f"bandwidth books differ: {reserved} != {deficit}")
-        for tag, rec in self.final_tx.items():
-            if rec.tx is None or tag in self.live:
-                raise InvariantError(f"final-TX tag {tag} is live or has no path")
-        if sorted(e[2] for e in self._final_heap) != sorted(self.final_tx):
-            raise InvariantError("final-TX heap and in-flight final TXs differ")
+        for rec in final:
+            if rec.tx is None or rec.tag in self.live:
+                raise InvariantError(f"final-TX tag {rec.tag} is live or has no path")
         await_tx = {tag for tag, rec in self.live.items()
                     if rec.head is not None and rec.head.allocated and rec.tx is None
                     and rec.head.proc_start is None and rec.head.vnf_dc != rec.sfc_dc}
@@ -444,6 +437,15 @@ class Engine:
             raise InvariantError(f"final-TX waiting set differs from the finished chains: "
                                  f"{sorted(self._await_final ^ await_final)}")
         self._check_waiting()
+        # each allocated head holds its own instance, and no other is in use
+        in_use = {(dc.dc_id, v, fid) for dc in self.dcs
+                  for v, fids in dc.installed.items() for fid in fids
+                  if fid not in dc.idle_since[v]}
+        heads = [(rec.head.vnf_dc, rec.head.vtype, rec.head.func_id)
+                 for rec in self.live.values() if rec.head is not None and rec.head.allocated]
+        if len(heads) != len(in_use) or set(heads) != in_use:
+            raise InvariantError(f"in-use instances differ from the allocated heads: "
+                                 f"{in_use ^ set(heads)}")
 
     def _check_waiting(self) -> None:
         by_type = {s: {v: 0 for v in self.catalog.vnfs} for s in self.catalog.sfcs}

@@ -193,6 +193,50 @@ class TestRun:
         assert f"config error: {message} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+    def test_setup_error_writes_nothing(self, trace, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", "tiny", "--out", str(out),
+                     "--set", "topology.default_capacity_mbps=1"] + ["--trace"] * trace)
+        assert code == EXIT_CONFIG
+        assert "config error: SFC type Ind4.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--set", "policy.kind=["],
+        ["--set", "policy.t_model=abc"],
+        ["--seed", "0", "--set", "requests.manual=[[{type: Ind4.0, src: 0, dest: 1}"],
+    ], ids=["yaml-flow", "t_model", "yaml-manual"])
+    def test_malformed_override_is_config_error(self, args, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", "tiny", "--out", str(out)] + args)
+        assert code == EXIT_CONFIG
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", ["topology: [\n", "topology: {generator: {n: 2}\n"])
+    def test_malformed_scenario_file_is_config_error(self, body, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(body)
+        code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"config error: cannot load scenario {str(scenario)!r}" in capsys.readouterr().err
+
+    def test_missing_scenario_file_is_config_error(self, tmp_path, capsys):
+        code = main(["run", "--scenario", str(tmp_path / "none.yaml"),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "No such file" in capsys.readouterr().err
+
+    def test_value_error_during_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(sfcsim.cli, "run_one", broken)
+        with pytest.raises(ValueError, match="a bug") as info:
+            main(["run", "--scenario", "tiny", "--out", str(tmp_path / "o")])
+        assert not isinstance(info.value, ConfigError)
+
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],
                           tmp_path, monkeypatch)
@@ -221,6 +265,37 @@ class TestSweep:
         code, _ = run_cli(["sweep", "--scenario", "tiny", "--seeds", "1",
                            "--policies", "dqn"], tmp_path, monkeypatch)
         assert code == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--set", "topology.default_capacity_mbps=1"], "SFC type Ind4.0"),
+        (["--policies", "heuristic,dqn", "--checkpoint", "missing.npz"],
+         "cannot load checkpoint missing.npz"),
+        (["--seeds", "1,x"], "--seeds must be comma separated ints"),
+    ], ids=["unroutable", "missing-checkpoint", "bad-seed"])
+    def test_setup_error_writes_nothing(self, args, message, tmp_path, capsys):
+        # the seeds never reach a run: set-up is checked once per policy first
+        out = tmp_path / "o"
+        code = main(["sweep", "--scenario", "tiny", "--seeds", "1,2", "--out", str(out)]
+                    + args)
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_seed_keeps_the_sweep_going(self, tmp_path, monkeypatch, capsys):
+        real = sfcsim.cli.run_one
+
+        def flaky(cfg, seed, *args, **kwargs):
+            if seed == 2:
+                raise InvariantError("books differ")
+            return real(cfg, seed, *args, **kwargs)
+
+        monkeypatch.setattr(sfcsim.cli, "run_one", flaky)
+        code, out = run_cli(["sweep", "--scenario", "tiny", "--seeds", "1,2,3"],
+                            tmp_path, monkeypatch)
+        assert code == 0
+        rows = (artifact_dir(out) / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["1", "3", "mean±sd"]
+        assert "failed seeds: [('heuristic', 2, 'books differ')]" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -287,6 +362,36 @@ class TestTrain:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--episodes", "1", "--set", "topology.default_capacity_mbps=1"], "SFC type Ind4.0"),
+        (["--episodes", "-1"], "episodes must be >= 0, got -1"),
+    ], ids=["unroutable", "negative-episodes"])
+    def test_setup_error_writes_nothing(self, args, message, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--scenario", "tiny", "--quiet", "--out", str(out)] + args)
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out_dir, calls", [(False, 2), (True, 3)])
+    def test_setup_check_runs_only_with_an_output_directory(self, out_dir, calls, tmp_path,
+                                                            monkeypatch):
+        # without out_dir nothing is written, so train builds no extra runtime
+        import sfcsim.config
+        from sfcsim.dqn import train
+
+        real = sfcsim.config.make_runtime
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sfcsim.config, "make_runtime", counted)
+        train(load_config("tiny"), out_dir=str(tmp_path / "t") if out_dir else None,
+              episodes=2, progress=lambda row: None)
+        assert len(built) == calls
+
     def test_zero_episode_train_checkpoints_initialization(self, tmp_path, monkeypatch):
         code, out = run_cli(["train", "--scenario", "tiny", "--episodes", "0",
                              "--quiet"], tmp_path, monkeypatch)
@@ -347,6 +452,10 @@ class TestScenarioConfig:
         ("buffer", 2.5), ("min_buffer", -1), ("min_buffer", 1.0),
         ("hidden", [16]), ("hidden", [16, 0]), ("hidden", [16, 8.0]), ("hidden", 16),
         ("buffer", 63), ("reward", {"step": 0.5}),
+        ("episodes", -1), ("episodes", 2.0), ("checkpoint_every", 0),
+        ("checkpoint_every", "50"), ("lr", "abc"), ("lr", -1e-3), ("lr", float("nan")),
+        ("grad_clip", float("inf")), ("grad_clip", None), ("eps_start", 1.5),
+        ("eps_min", "abc"), ("eps_eval", -0.1), ("guide_frac", 2), ("guide_frac", True),
     ])
     def test_bad_dqn_settings(self, key, value):
         # unchecked, each fails mid-run (an index or unpacking error, a zero
@@ -354,6 +463,37 @@ class TestScenarioConfig:
         # batch, trains nothing without a word
         with pytest.raises(ConfigError, match=f"dqn.{key}"):
             ScenarioConfig({"dqn": {key: value}})
+
+    @pytest.mark.parametrize("name, value", [
+        ("policy.t_model", 2.5), ("policy.t_model", "abc"), ("policy.t_thresh", -5),
+        ("policy.t_thresh", 1.0), ("policy.t_urgency_steps", -1),
+        ("policy.t_urgency_steps", "abc"), ("policy.urgency_fraction", "abc"),
+        ("policy.urgency_fraction", -0.2), ("policy.urgency_fraction", float("inf")),
+        ("run.step_cap", "abc"), ("run.step_cap", 0), ("run.sample_period", -1),
+        ("run.sample_period", 1.5), ("topology.generator.n", 0),
+        ("topology.generator.n", "5"), ("topology.generator.seed", -1),
+        ("topology.generator.seed", "abc"), ("topology.generator.radius_km", -1),
+        ("topology.generator.radius_km", float("nan")), ("topology.generator.edge_prob", 1.5),
+        ("topology.generator.edge_prob", "abc"), ("topology.generator", 5),
+        ("topology.default_capacity_mbps", 0), ("topology.default_capacity_mbps", 0.0004),
+        ("topology.default_capacity_mbps", float("inf")),
+        ("topology.default_capacity_mbps", "500"),
+    ])
+    def test_bad_policy_run_and_topology_settings(self, name, value):
+        # unchecked, each runs with a meaningless setting (t_model 2.5, a
+        # negative threshold, a sample every step) or fails mid-run
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig({}).with_overrides({name: value})
+
+    def test_smallest_policy_run_and_topology_settings_accepted(self):
+        ScenarioConfig({
+            "topology": {"generator": {"n": 1, "radius_km": 0, "edge_prob": 0},
+                         "default_capacity_mbps": 0.001},
+            "policy": {"t_thresh": 0, "t_urgency_steps": 0, "urgency_fraction": 0},
+            "run": {"step_cap": 1, "sample_period": 0},
+            "dqn": {"episodes": 0, "checkpoint_every": 1, "lr": 0, "grad_clip": 0,
+                    "eps_start": 1, "eps_min": 0, "eps_eval": 1, "guide_frac": 0},
+        })
 
     @pytest.mark.parametrize("key", ["complete", "drop", "invalid"])
     @pytest.mark.parametrize("value", [-1, -0.5, float("nan"), float("inf"), "10", True])

@@ -346,10 +346,12 @@ class TestLedgerCheck:
             dc.check_ledger()
 
     def test_idle_set_drift_rejected(self):
+        # an idle stamp, with its expiry entry, for a fid that is not installed
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
-        del dc.idle_since["NAT"][fid]
-        with pytest.raises(LedgerError):
+        fid = dc.install_vnf(NAT) + 1
+        dc.idle_since["NAT"][fid] = dc.ticks
+        dc._expiry.append((dc.ticks, "NAT", fid))
+        with pytest.raises(LedgerError, match="uninstalled"):
             dc.check_ledger()
 
     def test_checks_survive_optimize_flag(self):

@@ -434,6 +434,29 @@ def _busy_tiny(seed):
     })
 
 
+def _recount_deadlines(sfc_names, engine):
+    """StateEncoder's deadline features rebuilt tag by tag: per SFC type, the
+    (min, count-weighted mean) remaining-deadline fraction, the mean summed
+    over cohorts (same inject step) in inject-step order."""
+    now = engine.step_no
+    out = []
+    for styp in sfc_names:
+        cohorts = {}
+        for rec in engine.live.values():
+            if rec.type_name == styp:
+                frac = max(0, rec.deadline_steps - (now - rec.inject_step)) / rec.deadline_steps
+                inject = rec.inject_step
+                cohorts[inject] = (frac, cohorts.get(inject, (frac, 0))[1] + 1)
+        if not cohorts:
+            out.append((1.0, 1.0))
+            continue
+        ordered = [cohorts[inject] for inject in sorted(cohorts)]
+        total = sum(count for _, count in ordered)
+        out.append((min(frac for frac, _ in ordered),
+                    sum(frac * count for frac, count in ordered) / total))
+    return out
+
+
 class TestPolicyPhase:
     """What one policy phase shares between its actions, checked against the
     same work done afresh."""
@@ -492,6 +515,24 @@ class TestPolicyPhase:
         run_training_episode(cfg, build_agent(cfg, 2), epsilon=1.0, episode_seed=2)
         # re-encodes after successful actions share their phase's features
         assert len(set(steps)) < len(steps)
+
+    def test_deadline_features_match_a_per_tag_recount(self, monkeypatch):
+        real_phase = StateEncoder.phase_features
+        multi = []
+
+        def phase_features(self, engine):
+            deadlines, links = real_phase(self, engine)
+            assert deadlines == _recount_deadlines(self.sfc_names, engine)
+            cohorts = {(rec.type_name, rec.inject_step) for rec in engine.live.values()}
+            multi.append(len(cohorts) > len({styp for styp, _ in cohorts}))
+            return deadlines, links
+
+        monkeypatch.setattr(StateEncoder, "phase_features", phase_features)
+        cfg = _busy_tiny(3)
+        agent = train(cfg, episodes=2).agent
+        run_one(cfg, 3, policy=DqnPolicy(agent, cfg, 3, epsilon=0.3))
+        # some phases see one SFC type injected on more than one step
+        assert any(multi) and len(multi) > 20
 
     def test_refused_action_reaches_the_engine_once_per_state(self, monkeypatch):
         import sfcsim.dqn

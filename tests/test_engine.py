@@ -147,7 +147,7 @@ class TestHeadProcessing:
             engine.check_invariants()
             if engine.step_no == 50:
                 assert engine._await_final == {1}
-                assert list(engine.final_tx) == [0]
+                assert [entry[2] for entry in engine._final_heap] == [0]
         starts = [e for e in trace.events if e["event"] == "final_start"]
         completes = [e for e in trace.events if e["event"] == "complete"]
         assert [s["tag"] for s in starts] == [0, 1]
@@ -437,7 +437,7 @@ class TestTxWaitingInvariants:
         engine.allocate_head(0, 0)
         for _ in range(6):
             engine.step()
-        assert list(engine.final_tx) == [0]
+        assert [entry[2] for entry in engine._final_heap] == [0]
         engine.check_invariants()
         return engine
 
@@ -467,14 +467,49 @@ class TestTxWaitingInvariants:
 
     def test_final_tx_without_path_detected(self):
         engine = self.in_final_tx()
-        engine.final_tx[0].tx = None
+        engine._final_heap[0][3].tx = None
         with pytest.raises(InvariantError, match="^final-TX tag 0"):
             engine.check_invariants()
 
     def test_final_tx_record_still_live_detected(self):
         engine = self.in_final_tx()
-        engine.live[0] = engine.final_tx[0]
+        engine.live[0] = engine._final_heap[0][3]
         with pytest.raises(InvariantError, match="^final-TX tag 0"):
+            engine.check_invariants()
+
+
+class TestInstanceInvariants:
+    @staticmethod
+    def allocated():
+        # tag 0's head holds NAT/1 at DC 0; tag 1 still waits
+        engine, gen, _ = build(single_vnf_catalog())
+        engine.inject(gen.manual_wave(
+            [{"type": "Ind4.0", "src": 0, "dest": 1, "bw": 70}] * 2))
+        engine.step()
+        engine.allocate_head(0, 0)
+        engine.check_invariants()
+        return engine
+
+    def test_leaked_in_use_instance_detected(self):
+        engine = self.allocated()
+        dc = engine.dcs[1]
+        dc.allocate_vnf("NAT", dc.install_vnf(engine.catalog.vnfs["NAT"]))
+        with pytest.raises(InvariantError, match="^in-use instances"):
+            engine.check_invariants()
+
+    def test_head_on_idle_instance_detected(self):
+        engine = self.allocated()
+        engine.dcs[0].revoke_vnf("NAT", engine.live[0].head.func_id)
+        with pytest.raises(InvariantError, match="^in-use instances"):
+            engine.check_invariants()
+
+    def test_two_heads_on_one_instance_detected(self):
+        engine = self.allocated()
+        head = engine.live[1].head
+        engine._waiting_remove(engine.live[1])
+        head.vnf_dc, head.func_id = 0, engine.live[0].head.func_id
+        head.proc_start = 0
+        with pytest.raises(InvariantError, match="^in-use instances"):
             engine.check_invariants()
 
 
