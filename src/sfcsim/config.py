@@ -134,6 +134,44 @@ def _check_number(name: str, value, high: float = math.inf) -> None:
         raise ConfigError(f"{name} must be a finite {bound}, got {value!r}")
 
 
+def _check_entry(where: str, entry, required: tuple[str, ...]) -> None:
+    """ConfigError unless entry is a mapping holding every required key."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a mapping, got {entry!r}")
+    for key in required:
+        if key not in entry:
+            raise ConfigError(f"{where} needs {key!r}, got {entry!r}")
+
+
+def _check_topology(topo: dict) -> None:
+    """ConfigError unless the explicit node and edge lists are well formed:
+    nodes {id: int, x, y: finite}, edges {m, n: int, capacity_mbps?,
+    distance_km?: a number or null}."""
+    for name in ("nodes", "edges"):
+        if not isinstance(topo[name], list):
+            raise ConfigError(f"topology.{name} must be a list, got {topo[name]!r}")
+    for i, node in enumerate(topo["nodes"]):
+        where = f"topology.nodes[{i}]"
+        _check_entry(where, node, ("id", "x", "y"))
+        _check_int(f"{where}.id", node["id"], 0)
+        for key in ("x", "y"):
+            value = node[key]
+            if not (type(value) in (int, float) and math.isfinite(value)):
+                raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    for i, edge in enumerate(topo["edges"]):
+        where = f"topology.edges[{i}]"
+        _check_entry(where, edge, ("m", "n"))
+        for key in ("m", "n"):
+            _check_int(f"{where}.{key}", edge[key], 0)
+        if "capacity_mbps" in edge:
+            _check_ledger_value(f"{where}.capacity_mbps", edge["capacity_mbps"])
+        # NetworkGraph rejects a negative or non-finite distance by its edge
+        distance = edge.get("distance_km")
+        if distance is not None and type(distance) not in (int, float):
+            raise ConfigError(f"{where}.distance_km must be a number or null, "
+                              f"got {distance!r}")
+
+
 def _deep_merge(base: dict, override: dict, path="") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -176,6 +214,8 @@ class ScenarioConfig:
             raise ConfigError("topology required: give nodes or a generator")
         if (topo["nodes"] is None) != (topo["edges"] is None):
             raise ConfigError("explicit topology needs both nodes and edges")
+        if topo["nodes"] is not None:
+            _check_topology(topo)
         gen = topo["generator"]
         if gen is not None:
             if not isinstance(gen, dict):

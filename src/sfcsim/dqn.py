@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import Catalog
 from .config import ConfigError
-from .policy import ALLOCATE, IDLE_WAIT, UNINSTALL, PolicyAction
+from .policy import ALLOCATE, IDLE_WAIT, UNINSTALL, PolicyAction, allocation_candidates
 
 
 class TrainingDiverged(Exception):
@@ -59,16 +59,37 @@ def encode_action(action: PolicyAction, n_dcs: int, vnf_names) -> int:
 
 # -- state encoding -----------------------------------------------------------
 
+@dataclass
+class PhaseFeatures:
+    """What StateEncoder counts once per policy phase. No policy action moves
+    deadlines (per SFC type) or links (per edge): apply_action reserves no
+    bandwidth and ends no record. The waiting-head counts, pending[sfc
+    type][vnf type] and local[(dc the chain sits at, vnf type)], move only by
+    allocation, which the policy applies through take_allocated."""
+
+    deadlines: list[tuple[float, float]]
+    links: np.ndarray
+    pending: dict[str, dict[str, int]]
+    local: dict[tuple[int, str], int]
+
+    def take_allocated(self, engine) -> None:
+        """Uncount the head the last accepted action allocated, if any."""
+        tag = engine.last_allocated_tag
+        if tag is not None:
+            rec = engine.live[tag]  # allocation leaves rec.sfc_dc as it was
+            vname = rec.head.vtype
+            self.pending[rec.type_name][vname] -= 1
+            self.local[(rec.sfc_dc, vname)] -= 1
+
+
 class StateEncoder:
     """Three fixed-width branches: per-DC resources, instance counts and
     locally-pending head counts; per-SFC-type pending work and remaining
     deadlines; per-edge residuals. Counts are capped then scaled into [0, 1].
 
-    The deadline features and the link branch read only the step number, the
-    live cohorts and the reserved bandwidth. No policy action changes those
-    (apply_action reserves no bandwidth and removes no cohort), so
-    `phase_features` computes them once per policy phase and `encode` reuses
-    them for every re-encode after an action.
+    The engine keeps none of these counts: `phase_features` walks its live
+    records once per policy phase, and `encode` reuses the result for every
+    re-encode after an action.
     """
 
     def __init__(self, catalog: Catalog, n_dcs: int, n_edges: int, count_cap: int = 50):
@@ -83,36 +104,40 @@ class StateEncoder:
             n_edges,
         )
 
-    def phase_features(self, engine) -> tuple[list[tuple[float, float]], np.ndarray]:
-        """Per SFC type, the (min, count-weighted mean) remaining-deadline
-        fraction over its live cohorts, and the link branch. Valid until the
-        engine steps again."""
+    def phase_features(self, engine) -> PhaseFeatures:
+        """The phase's features, valid until the engine steps again.
+        deadlines[i] is the (min, count-weighted mean) remaining-deadline
+        fraction over the live cohorts (one inject step) of SFC type i."""
         now = engine.step_no
-        by_type = {s: ([], []) for s in self.sfc_names}
-        for (styp, inject), count in engine.cohorts.items():
-            rec_deadline = engine.catalog.sfcs[styp].deadline_steps
-            rem = max(0, rec_deadline - (now - inject))
-            fracs, counts = by_type[styp]
-            fracs.append(rem / rec_deadline)
-            counts.append(count)
+        # live is in tag order, which is inject order, so each type's cohorts
+        # are met, and their mean summed, by ascending inject step
+        cohorts = {s: {} for s in self.sfc_names}  # type -> inject step -> count
+        pending = {s: dict.fromkeys(self.vnf_names, 0) for s in self.sfc_names}
+        local = {(dc.dc_id, v): 0 for dc in engine.dcs for v in self.vnf_names}
+        for rec in engine.live.values():
+            steps = cohorts[rec.type_name]
+            steps[rec.inject_step] = steps.get(rec.inject_step, 0) + 1
+            head = rec.head
+            if head is not None and not head.allocated:
+                pending[rec.type_name][head.vtype] += 1
+                local[(rec.sfc_dc, head.vtype)] += 1
         deadlines = []
-        for fracs, counts in by_type.values():
-            if fracs:
-                total = sum(counts)
-                deadlines.append(
-                    (min(fracs), sum(f * c for f, c in zip(fracs, counts)) / total))
-            else:
-                deadlines.append((1.0, 1.0))
+        for styp, steps in cohorts.items():
+            deadline = engine.catalog.sfcs[styp].deadline_steps
+            fracs = [max(0, deadline - (now - inject)) / deadline for inject in steps]
+            counts = steps.values()
+            deadlines.append((min(fracs), sum(f * c for f, c in zip(fracs, counts)) / sum(counts))
+                             if steps else (1.0, 1.0))
         links = np.asarray([
             engine.graph.residual_mbps(m, n) / engine.graph.capacity_mbps(m, n)
             for m, n in engine.graph.edge_keys()
         ], dtype=np.float64)
-        return deadlines, links
+        return PhaseFeatures(deadlines, links, pending, local)
 
-    def encode(self, engine, phase=None) -> list[np.ndarray]:
+    def encode(self, engine, phase: PhaseFeatures | None = None) -> list[np.ndarray]:
         """The three branches. `phase` is `self.phase_features(engine)` from
         the same policy phase; it is computed here when not given."""
-        deadlines, links = self.phase_features(engine) if phase is None else phase
+        phase = phase or self.phase_features(engine)
         cap = self.cap
         dc_feats = []
         for dc in engine.dcs:
@@ -123,11 +148,11 @@ class StateEncoder:
             for v in self.vnf_names:
                 dc_feats.append(min(dc.in_use_count(v), cap) / cap)
             for v in self.vnf_names:
-                dc_feats.append(min(engine.local_pending[(dc.dc_id, v)], cap) / cap)
+                dc_feats.append(min(phase.local[(dc.dc_id, v)], cap) / cap)
 
         sfc_feats = []
-        for s, (earliest, mean) in zip(self.sfc_names, deadlines):
-            pending = engine.pending_by_type[s]
+        for s, (earliest, mean) in zip(self.sfc_names, phase.deadlines):
+            pending = phase.pending[s]
             for v in self.vnf_names:
                 sfc_feats.append(min(pending[v], cap) / cap)
             sfc_feats.append(earliest)
@@ -135,7 +160,7 @@ class StateEncoder:
         return [
             np.asarray(dc_feats, dtype=np.float64),
             np.asarray(sfc_feats, dtype=np.float64),
-            links,
+            phase.links,
         ]
 
 
@@ -427,6 +452,7 @@ class DqnPolicy:
             if action.kind == IDLE_WAIT:
                 break
             if engine.apply_action(action):
+                phase.take_allocated(engine)
                 enc = None
             elif self.epsilon == 0.0:
                 break  # a failed greedy choice would just repeat
@@ -505,20 +531,12 @@ class DqnTrainingPolicy:
             self._push(state, action, reward)
         self.open = []
 
-    def _guide_index(self, engine) -> int | None:
+    def _guide_index(self, engine, phase: PhaseFeatures) -> int | None:
         """A reflex on observable features: a uniformly chosen allocate action
         whose DC has locally pending heads of that type and room to serve
         them. Returns None when nothing qualifies."""
-        waiting = [(vname, vtype) for vname, vtype in engine.catalog.vnfs.items()
-                   if engine.waiting[vname]]
-        options = []
-        for dc in engine.dcs:
-            for vname, vtype in waiting:
-                if engine.local_pending[(dc.dc_id, vname)] <= 0:
-                    continue
-                if dc.idle_count(vname) == 0 and not dc.can_install(vtype):
-                    continue
-                options.append(PolicyAction(ALLOCATE, vname, dc.dc_id))
+        options = [action for action in allocation_candidates(engine)
+                   if phase.local[(action.dc, action.vtype)] > 0]
         if not options:
             return None
         pick = options[int(self.agent.rng.integers(len(options)))]
@@ -541,7 +559,7 @@ class DqnTrainingPolicy:
                 failed = set()  # indices refused since the state last changed
             idx = None
             if self.guide_prob > 0.0 and self.agent.rng.random() < self.guide_prob:
-                idx = self._guide_index(engine)
+                idx = self._guide_index(engine, phase)
             if idx is None:
                 idx, q = self.agent.act_index(enc, self.epsilon, q)
             action = decode_action(idx, self.encoder.n_dcs, vnf_names)
@@ -558,6 +576,7 @@ class DqnTrainingPolicy:
                 if self.agent.rng.random() < self.INVALID_KEEP:
                     self.open.append((flat, idx, -self.rewards.invalid))
                 continue
+            phase.take_allocated(engine)
             if engine.last_allocated_tag is not None:
                 self.open_by_tag.setdefault(engine.last_allocated_tag, []).append((flat, idx))
             else:

@@ -24,7 +24,8 @@ version moves; so a blocked TX starts on the step a release frees a path.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
 allocation argmax scores each group once instead of each tag, from a score
-table that lives for one policy phase.
+table that lives for one policy phase. The engine keeps no count that only
+the DQN agent observes: dqn.StateEncoder counts those from `live`.
 """
 
 from __future__ import annotations
@@ -115,17 +116,6 @@ class Engine:
         # waiting[vname][score_key] is an ordered set of tags whose head is
         # unallocated; empty groups are deleted
         self.waiting: dict[str, dict[tuple, dict[int, None]]] = {v: {} for v in catalog.vnfs}
-        self.pending_by_type: dict[str, dict[str, int]] = {
-            s: {v: 0 for v in catalog.vnfs} for s in catalog.sfcs
-        }
-        # waiting heads whose chain currently sits at a DC (sfc_dc == dc);
-        # an allocation there needs no transfer
-        self.local_pending: dict[tuple[int, str], int] = {
-            (dc.dc_id, v): 0 for dc in dcs for v in catalog.vnfs
-        }
-        # live tag counts per (sfc type, inject step): deadlines within a
-        # cohort are identical, which keeps remaining-time stats cheap
-        self.cohorts: dict[tuple[str, int], int] = {}
 
         self._drop_heap: list[tuple[int, int]] = []  # (due step, tag)
         self._event_heap: list[tuple[int, int]] = []  # (due step, tag) wake-ups
@@ -145,35 +135,21 @@ class Engine:
             rec.inject_step = self.step_no
             self.live[rec.tag] = rec
             self._waiting_add(rec)
-            key = (rec.type_name, rec.inject_step)
-            self.cohorts[key] = self.cohorts.get(key, 0) + 1
             heapq.heappush(self._drop_heap, (rec.inject_step + rec.deadline_steps + 1, rec.tag))
             self.metrics.record_generated(rec.type_name)
             self.trace.event(self.step_no, "inject", tag=rec.tag, type=rec.type_name,
                              src=rec.src_dc, dest=rec.dest_dc, bw=rec.bw)
 
     def _waiting_add(self, rec: SfcRecord) -> None:
-        head = rec.head
-        self.waiting[head.vtype].setdefault(score_key(rec), {})[rec.tag] = None
-        self.pending_by_type[rec.type_name][head.vtype] += 1
-        self.local_pending[(rec.sfc_dc, head.vtype)] += 1
+        self.waiting[rec.head.vtype].setdefault(score_key(rec), {})[rec.tag] = None
 
     def _waiting_remove(self, rec: SfcRecord) -> None:
-        head = rec.head
-        groups = self.waiting[head.vtype]
+        groups = self.waiting[rec.head.vtype]
         key = score_key(rec)
         group = groups[key]
         del group[rec.tag]
         if not group:
             del groups[key]
-        self.pending_by_type[rec.type_name][head.vtype] -= 1
-        self.local_pending[(rec.sfc_dc, head.vtype)] -= 1
-
-    def _cohort_remove(self, rec: SfcRecord) -> None:
-        key = (rec.type_name, rec.inject_step)
-        self.cohorts[key] -= 1
-        if self.cohorts[key] == 0:
-            del self.cohorts[key]
 
     # -- alias helpers -------------------------------------------------------
 
@@ -236,7 +212,6 @@ class Engine:
             if not head.allocated:
                 self._waiting_remove(rec)
             self._await_tx.discard(tag)
-            self._cohort_remove(rec)
             del self.live[tag]
             drop = DropRecord(tag, rec.type_name, now, len(rec.chain))
             self.dropped.append(drop)
@@ -303,7 +278,6 @@ class Engine:
             rec.tx = TxState(path, now + steps)
             heapq.heappush(self._final_heap, (now + steps, now, tag, rec))
             self._await_final.discard(tag)
-            self._cohort_remove(rec)
             del self.live[tag]
             self.trace.event(now, "final_start", tag=tag, src=rec.sfc_dc,
                              dest=rec.dest_dc, steps=steps, hops=list(path.hops))
@@ -448,8 +422,6 @@ class Engine:
                                  f"{in_use ^ set(heads)}")
 
     def _check_waiting(self) -> None:
-        by_type = {s: {v: 0 for v in self.catalog.vnfs} for s in self.catalog.sfcs}
-        local = {key: 0 for key in self.local_pending}
         seen = set()
         for vname, groups in self.waiting.items():
             for key, group in groups.items():
@@ -462,15 +434,11 @@ class Engine:
                             or score_key(rec) != key or tag in seen:
                         raise InvariantError(f"tag {tag} misfiled in waiting {vname} {key}")
                     seen.add(tag)
-                    by_type[rec.type_name][vname] += 1
-                    local[(rec.sfc_dc, vname)] += 1
         heads = {tag for tag, rec in self.live.items()
                  if rec.head is not None and not rec.head.allocated}
         if seen != heads:
             raise InvariantError(f"waiting tags differ from unallocated heads: "
                                  f"{sorted(seen ^ heads)}")
-        if by_type != self.pending_by_type or local != self.local_pending:
-            raise InvariantError("waiting groups do not match the pending counts")
 
 
 @dataclass

@@ -163,29 +163,31 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     return best_tag
 
 
+def allocation_candidates(engine) -> list[PolicyAction]:
+    """Every allocation that can succeed now: for each DC in ascending id and
+    each VNF type in catalog order, one whenever heads of that type wait and
+    the DC has an idle matching instance or room to install one."""
+    waiting = [(vname, vtype) for vname, vtype in engine.catalog.vnfs.items()
+               if engine.waiting[vname]]
+    if not waiting:  # most steps: nothing to sweep over the DCs for
+        return []
+    return [PolicyAction(ALLOCATE, vname, dc.dc_id)
+            for dc in engine.dcs for vname, vtype in waiting
+            if dc.idle_count(vname) or dc.can_install(vtype)]
+
+
 class HeuristicPolicy:
     """The benchmark: a greedy sweep over DCs and VNF types.
 
-    For each DC in ascending id and each VNF type in catalog order, emit an
-    allocation whenever candidates exist and the DC has an idle matching
-    instance or room to install one. Never uninstalls; the idle reaper
-    handles cleanup. Stateless and deterministic.
+    Applies allocation_candidates in order; the argmax picks the SFC under
+    each. Never uninstalls; the idle reaper handles cleanup. Stateless and
+    deterministic.
     """
 
     name = "heuristic"
 
     def plan(self, engine) -> list[PolicyAction]:
-        waiting = [(vname, vtype) for vname, vtype in engine.catalog.vnfs.items()
-                   if engine.waiting.get(vname)]
-        if not waiting:
-            return [PolicyAction(IDLE_WAIT)]
-        actions = []
-        for dc in engine.dcs:
-            for vname, vtype in waiting:
-                if dc.idle_count(vname) == 0 and not dc.can_install(vtype):
-                    continue
-                actions.append(PolicyAction(ALLOCATE, vname, dc.dc_id))
-        return actions or [PolicyAction(IDLE_WAIT)]
+        return allocation_candidates(engine) or [PolicyAction(IDLE_WAIT)]
 
     def act(self, engine) -> None:
         for action in self.plan(engine):

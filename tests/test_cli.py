@@ -193,6 +193,43 @@ class TestRun:
         assert f"config error: {message} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("topology.nodes=[{id: 0, x: 0}, {id: 1, x: 1, y: 0}]",
+         "topology.nodes[0] needs 'y'"),
+        ("topology.edges=[{m: 0, n: 1, capacity_mbps: abc}]",
+         "topology.edges[0].capacity_mbps must be a finite number"),
+        ("topology.edges=[{m: 0, n: 1, capacity_mbps: .nan}]",
+         "topology.edges[0].capacity_mbps must be a finite number"),
+        ("topology.nodes=5", "topology.nodes must be a list"),
+        ("topology.nodes=[{id: 0, x: .inf, y: 0}, {id: 1, x: 1, y: 0}]",
+         "topology.nodes[0].x must be a finite number"),
+        ("topology.nodes=[{id: '0', x: 0, y: 0}, {id: 1, x: 1, y: 0}]",
+         "topology.nodes[0].id must be an int"),
+        ("topology.edges=[{m: 0, n: one}]", "topology.edges[0].n must be an int"),
+        ("topology.edges=[[0, 1]]", "topology.edges[0] must be a mapping"),
+        ("topology.edges=[{m: 0, n: 1, distance_km: far}]",
+         "topology.edges[0].distance_km must be a number or null"),
+    ], ids=["missing-y", "capacity-abc", "capacity-nan", "nodes-int", "x-inf", "id-str",
+            "n-str", "edge-list", "distance-str"])
+    def test_malformed_topology_entry_is_config_error(self, override, message, tmp_path,
+                                                      monkeypatch, capsys):
+        # unchecked, each ends in a KeyError, ValueError or TypeError traceback
+        # when the graph is built
+        code, out = run_cli(["run", "--scenario", "tiny",
+                             "--set", "topology.nodes=[{id: 0, x: 0, y: 0}, {id: 1, x: 1, y: 0}]",
+                             "--set", "topology.edges=[{m: 0, n: 1}]", "--set", override],
+                            tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_topology_runs(self, tmp_path, monkeypatch):
+        code, _ = run_cli(["run", "--scenario", "tiny",
+                           "--set", "topology.nodes=[{id: 0, x: 0, y: 0}, {id: 1, x: 1, y: 0}]",
+                           "--set", "topology.edges=[{m: 0, n: 1, capacity_mbps: 200, "
+                           "distance_km: null}]"], tmp_path, monkeypatch)
+        assert code == 0
+
     @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
     def test_setup_error_writes_nothing(self, trace, tmp_path, capsys):
         out = tmp_path / "o"

@@ -15,6 +15,7 @@ from sfcsim.dqn import (
     DqnAgent,
     DqnPolicy,
     DqnTrainingPolicy,
+    PhaseFeatures,
     QNetwork,
     ReplayBuffer,
     RewardSpec,
@@ -457,6 +458,20 @@ def _recount_deadlines(sfc_names, engine):
     return out
 
 
+def _recount_waiting(encoder, engine):
+    """StateEncoder's waiting counts rebuilt from the engine's waiting groups,
+    tag by tag: per (SFC type, VNF type) and per (DC of the chain, VNF type)."""
+    pending = {s: {v: 0 for v in encoder.vnf_names} for s in encoder.sfc_names}
+    local = {(dc.dc_id, v): 0 for dc in engine.dcs for v in encoder.vnf_names}
+    for vname, groups in engine.waiting.items():
+        for group in groups.values():
+            for tag in group:
+                rec = engine.live[tag]
+                pending[rec.type_name][vname] += 1
+                local[(rec.sfc_dc, vname)] += 1
+    return pending, local
+
+
 class TestPolicyPhase:
     """What one policy phase shares between its actions, checked against the
     same work done afresh."""
@@ -516,21 +531,57 @@ class TestPolicyPhase:
         # re-encodes after successful actions share their phase's features
         assert len(set(steps)) < len(steps)
 
-    def test_deadline_features_match_a_per_tag_recount(self, monkeypatch):
+    def test_phase_features_match_a_per_tag_recount(self, monkeypatch):
+        # checked when a phase starts and after every accepted action, for
+        # guided and epsilon training draws and for evaluation at eps 0 and 0.3
         real_phase = StateEncoder.phase_features
+        real_take = PhaseFeatures.take_allocated
+        real_apply = Engine.apply_action
+        encoders = {}
+        counts = {"accepted": 0, "checked": 0}
         multi = []
 
+        def check(encoder, engine, phase):
+            assert phase.deadlines == _recount_deadlines(encoder.sfc_names, engine)
+            assert (phase.pending, phase.local) == _recount_waiting(encoder, engine)
+
         def phase_features(self, engine):
-            deadlines, links = real_phase(self, engine)
-            assert deadlines == _recount_deadlines(self.sfc_names, engine)
+            phase = real_phase(self, engine)
+            check(self, engine, phase)
+            encoders[id(phase)] = self
             cohorts = {(rec.type_name, rec.inject_step) for rec in engine.live.values()}
             multi.append(len(cohorts) > len({styp for styp, _ in cohorts}))
-            return deadlines, links
+            return phase
+
+        def take_allocated(self, engine):
+            real_take(self, engine)
+            check(encoders[id(self)], engine, self)
+            counts["checked"] += 1
+
+        def apply_action(self, action):
+            ok = real_apply(self, action)
+            counts["accepted"] += ok
+            return ok
 
         monkeypatch.setattr(StateEncoder, "phase_features", phase_features)
+        monkeypatch.setattr(PhaseFeatures, "take_allocated", take_allocated)
+        monkeypatch.setattr(Engine, "apply_action", apply_action)
         cfg = _busy_tiny(3)
-        agent = train(cfg, episodes=2).agent
-        run_one(cfg, 3, policy=DqnPolicy(agent, cfg, 3, epsilon=0.3))
+        from sfcsim.dqn import build_agent
+
+        agent = build_agent(cfg, 3)
+        accepted = []
+        for eps, guide in ((1.0, 1.0), (1.0, 0.0), (0.3, 0.0)):
+            run_training_episode(cfg, agent, epsilon=eps, episode_seed=3, guide_prob=guide)
+            accepted.append(counts["accepted"])
+        for eps in (0.0, 0.3):
+            run_one(cfg, 3, policy=DqnPolicy(agent, cfg, 3, epsilon=eps))
+            accepted.append(counts["accepted"])
+        assert counts["checked"] == counts["accepted"]
+        # each run accepts actions, except perhaps the greedy evaluation,
+        # which stops at its first refusal
+        gains = [b - a for a, b in zip([0, *accepted], accepted)]
+        assert all(gains[i] > 0 for i in (0, 1, 2, 4)), gains
         # some phases see one SFC type injected on more than one step
         assert any(multi) and len(multi) > 20
 

@@ -399,12 +399,6 @@ class TestWaitingGroupInvariants:
         with pytest.raises(InvariantError):
             engine.check_invariants()
 
-    def test_pending_count_drift_detected(self):
-        engine = self.queued()
-        engine.local_pending[(0, "NAT")] += 1
-        with pytest.raises(InvariantError):
-            engine.check_invariants()
-
 
 class TestTxWaitingInvariants:
     @staticmethod
