@@ -134,25 +134,30 @@ def _check_number(name: str, value, high: float = math.inf) -> None:
         raise ConfigError(f"{name} must be a finite {bound}, got {value!r}")
 
 
-def _check_entry(where: str, entry, required: tuple[str, ...]) -> None:
-    """ConfigError unless entry is a mapping holding every required key."""
+def _check_entry(where: str, entry, required: tuple[str, ...],
+                 allowed: tuple[str, ...]) -> None:
+    """ConfigError unless entry is a mapping holding every required key and
+    no key outside allowed."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a mapping, got {entry!r}")
     for key in required:
         if key not in entry:
             raise ConfigError(f"{where} needs {key!r}, got {entry!r}")
+    for key in entry:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}; expected {', '.join(allowed)}")
 
 
 def _check_topology(topo: dict) -> None:
     """ConfigError unless the explicit node and edge lists are well formed:
     nodes {id: int, x, y: finite}, edges {m, n: int, capacity_mbps?,
-    distance_km?: a number or null}."""
+    distance_km?: a number or null}, and no other key."""
     for name in ("nodes", "edges"):
         if not isinstance(topo[name], list):
             raise ConfigError(f"topology.{name} must be a list, got {topo[name]!r}")
     for i, node in enumerate(topo["nodes"]):
         where = f"topology.nodes[{i}]"
-        _check_entry(where, node, ("id", "x", "y"))
+        _check_entry(where, node, ("id", "x", "y"), ("id", "x", "y"))
         _check_int(f"{where}.id", node["id"], 0)
         for key in ("x", "y"):
             value = node[key]
@@ -160,7 +165,7 @@ def _check_topology(topo: dict) -> None:
                 raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
     for i, edge in enumerate(topo["edges"]):
         where = f"topology.edges[{i}]"
-        _check_entry(where, edge, ("m", "n"))
+        _check_entry(where, edge, ("m", "n"), ("m", "n", "capacity_mbps", "distance_km"))
         for key in ("m", "n"):
             _check_int(f"{where}.{key}", edge[key], 0)
         if "capacity_mbps" in edge:

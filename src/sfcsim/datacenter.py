@@ -183,6 +183,14 @@ class DataCenter:
         self.idle_since.setdefault(vname, {})[fid] = self.ticks
         self._expiry.append((self.ticks, vname, fid))
 
+    def ticks_to_expiry(self, t_thresh: int) -> int | None:
+        """How many tick_idle calls pass before the first one that may reap:
+        the one that brings the expiry queue's front to t_thresh idle ticks.
+        None when the queue is empty."""
+        if not self._expiry:
+            return None
+        return max(0, self._expiry[0][0] + t_thresh - self.ticks - 1)
+
     def tick_idle(self, t_thresh: int) -> list[tuple[str, int]]:
         """Advance one tick; uninstall the idle instances idle for t_thresh ticks.
 

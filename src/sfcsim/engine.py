@@ -18,9 +18,17 @@ ones due, in the order they started, which is the order a scan of every
 in-flight final TX would finish them in.
 
 A TX that finds no path (an allocated remote head, or a finished chain)
-waits in a tag set and searches again on every step through the path
-cache, which answers a repeated search from memory until the bandwidth
+waits in a tag set and searches again on every executed step through the
+path cache, which answers a repeated search from memory until the bandwidth
 version moves; so a blocked TX starts on the step a release frees a path.
+
+Time advances from one due step to the next. A step is due when one of
+the drop, wake-up or final-TX heaps has an entry for it, when a DC's
+expiry-queue front may be reaped on it, or, while a TX waits for a path,
+when it follows a step that moved the bandwidth version or a policy phase
+that allocated a remote head. No pass changes anything on any other step,
+so run_episode jumps over it and only advances the DC tick counts; waves,
+resource samples, policy ticks and the step cap are due steps as well.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
 allocation argmax scores each group once instead of each tag, from a score
@@ -123,6 +131,7 @@ class Engine:
         self._await_tx: set[int] = set()  # allocated remote heads with no TX path yet
         self._await_final: set[int] = set()  # finished chains with no final path yet
         self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
+        self._bw_seen: int | None = None  # bw_version when the last step began
         self._score_stamp: tuple[int, int] | None = None  # (step_no, bw_version)
         self._score_rows: dict[tuple, list] = {}
         self.invalid_actions = 0
@@ -185,12 +194,45 @@ class Engine:
 
     def step(self) -> None:
         now = self.step_no
+        self._bw_seen = self.graph.bw_version
         self._drop_pass(now)
         self._head_pass(now)
         self._completion_pass(now)
         self._final_tx_pass(now)
         self._reap_pass(now)
         self.step_no = now + 1
+
+    def next_due(self, horizon: int) -> int:
+        """The earliest step >= step_no at which step() can change the state,
+        or horizon if that comes first.
+
+        That is the head of a due-step heap, the step that may reap a DC's
+        expiry-queue front, or, while a TX waits for a path, the next step
+        if the bandwidth version moved since the last step began or a remote
+        head was allocated since (until then every retry is a cached miss).
+        Stale heap and queue entries only make the answer early.
+        """
+        now = self.step_no
+        if (self._await_tx or self._await_final) and self._bw_seen != self.graph.bw_version:
+            return now
+        due = horizon
+        for heap in (self._drop_heap, self._event_heap, self._final_heap):
+            if heap and heap[0][0] < due:
+                due = heap[0][0]
+        for dc in self.dcs:
+            wait = dc.ticks_to_expiry(self.t_thresh)
+            if wait is not None and now + wait < due:
+                due = now + wait
+        return max(now, due)
+
+    def skip_to(self, step: int) -> None:
+        """Advance step_no and every DC's tick count to `step` without
+        running the passes; only valid up to next_due()."""
+        skipped = step - self.step_no
+        if skipped:
+            for dc in self.dcs:
+                dc.ticks += skipped
+            self.step_no = step
 
     def _drop_pass(self, now: int) -> None:
         due = []
@@ -369,6 +411,7 @@ class Engine:
             heapq.heappush(self._event_heap, (head.proc_start + head.t_req, tag))
         else:
             self._await_tx.add(tag)
+            self._bw_seen = None  # its first path search is due on the next step
         return True
 
     def _do_uninstall(self, dc: DataCenter, vname: str) -> bool:
@@ -460,30 +503,66 @@ def run_episode(engine: Engine, generator: RequestGenerator, plan: WavePlan, pol
                 on_step=None) -> EpisodeResult:
     """Drive an engine from request generation until everything is processed,
     dropped, and reaped. The policy acts every t_model steps, after the step's
-    passes (so after the idle reaper's tick), as does the optional on_step callback."""
-    waves = {t: i for i, t in enumerate(plan.times)}
+    passes (so after the idle reaper's tick), as does the optional on_step callback.
+
+    Steps in which nothing can happen are jumped over: after each executed
+    step, time advances to the earliest of engine.next_due(), the next wave,
+    the next resource sample, step_cap, and the next policy tick. A policy
+    whose class sets quiet_after_noop promises that an act which applied
+    nothing (act returned a false value) stays a no-op until the engine next
+    changes; its ticks are then skipped until the next executed step. Any
+    other policy acts on every tick, as before. The outcome, the trace and
+    result.steps are those of stepping one at a time.
+
+    on_step still fires once per simulated step, with engine.step_no at its
+    usual value: when it is given, jumped steps are advanced one at a time
+    and the callback sees each. It must only observe the engine.
+    """
+    times = plan.times
+    quiet_after_noop = getattr(policy, "quiet_after_noop", False)
     injected = 0
+
+    def finished() -> bool:
+        return injected == len(times) and engine.idle() and engine.no_instances()
+
     while True:
         now = engine.step_no
-        if now in waves:
-            idx = waves[now]
+        if injected < len(times) and times[injected] == now:
             if plan.manual is not None:
-                records = generator.manual_wave(list(plan.manual[idx]))
+                records = generator.manual_wave(list(plan.manual[injected]))
             else:
-                records = generator.generate_wave(idx)
+                records = generator.generate_wave(injected)
             engine.inject(records)
             injected += 1
         if sample_period and now % sample_period == 0:
             engine.metrics.sample_resources(now, engine.dcs)
-        if injected == len(plan.times) and engine.idle() and engine.no_instances():
+        if finished():
             break
         if now >= step_cap:
             raise StepLimitExceeded(f"episode exceeded {step_cap} steps")
         engine.step()
+        quiet = False
         if now % t_model == 0:
-            policy.act(engine)
+            quiet = not policy.act(engine) and quiet_after_noop
         if on_step is not None:
             on_step(engine)
+        if finished():
+            continue  # the next iteration ends the episode
+        nxt = engine.step_no
+        horizon = step_cap
+        if injected < len(times):
+            horizon = min(horizon, times[injected])
+        if sample_period:
+            horizon = min(horizon, -(-nxt // sample_period) * sample_period)
+        if not quiet:
+            horizon = min(horizon, -(-nxt // t_model) * t_model)
+        target = engine.next_due(horizon)
+        if on_step is None:
+            engine.skip_to(target)
+        else:
+            while engine.step_no < target:
+                engine.skip_to(engine.step_no + 1)
+                on_step(engine)
     return EpisodeResult(
         steps=engine.step_no,
         generated=engine.metrics.total_generated(),

@@ -182,16 +182,26 @@ class HeuristicPolicy:
     Applies allocation_candidates in order; the argmax picks the SFC under
     each. Never uninstalls; the idle reaper handles cleanup. Stateless and
     deterministic.
+
+    Quiet after a no-op: when there is no candidate, act applies nothing
+    and returns False, and another act changes nothing until the engine
+    next changes, because a head starts waiting and capacity frees only at
+    engine events. A non-empty candidate list always allocates: its first
+    entry has a waiting head and an idle instance or room for one.
     """
 
     name = "heuristic"
+    quiet_after_noop = True  # run_episode may skip ticks after a False act
 
     def plan(self, engine) -> list[PolicyAction]:
         return allocation_candidates(engine) or [PolicyAction(IDLE_WAIT)]
 
-    def act(self, engine) -> None:
-        for action in self.plan(engine):
+    def act(self, engine) -> bool:
+        """Apply the plan; True when it applied more than an IdleWait."""
+        actions = self.plan(engine)
+        for action in actions:
             engine.apply_action(action)
+        return actions[0].kind != IDLE_WAIT
 
 
 class RandomPolicy:

@@ -6,7 +6,7 @@ import numpy as np
 
 from sfcsim.catalog import load_catalog
 from sfcsim.datacenter import DataCenter
-from sfcsim.engine import Engine
+from sfcsim.engine import Engine, StepLimitExceeded
 from sfcsim.policy import UNINSTALL, PolicyAction
 from sfcsim.requestgen import RequestGenerator
 from sfcsim.topology import NetworkGraph, to_milli
@@ -146,3 +146,30 @@ def run_equivalence(seed: int, max_steps: int = 6000, size: str = "micro"):
         "resources": [(to_milli(dc.storage), to_milli(dc.compute)) for dc in ref.dcs],
     }
     return trace.events, ref.events, eng_summary, ref_summary
+
+
+def stepped_episode(engine, generator, plan, policy, *, t_model=1, sample_period=0,
+                    step_cap=200_000):
+    """run_episode without time advance: every step runs its passes and the
+    policy acts on every tick. The oracle for jumped episodes; returns the
+    step the episode ended at."""
+    waves = {t: i for i, t in enumerate(plan.times)}
+    injected = 0
+    while True:
+        now = engine.step_no
+        if now in waves:
+            idx = waves[now]
+            if plan.manual is not None:
+                engine.inject(generator.manual_wave(list(plan.manual[idx])))
+            else:
+                engine.inject(generator.generate_wave(idx))
+            injected += 1
+        if sample_period and now % sample_period == 0:
+            engine.metrics.sample_resources(now, engine.dcs)
+        if injected == len(plan.times) and engine.idle() and engine.no_instances():
+            return now
+        if now >= step_cap:
+            raise StepLimitExceeded(f"episode exceeded {step_cap} steps")
+        engine.step()
+        if now % t_model == 0:
+            policy.act(engine)

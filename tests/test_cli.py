@@ -223,6 +223,24 @@ class TestRun:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("topology.nodes=[{id: 0, x: 0, y: 0, z: 1}, {id: 1, x: 1, y: 0}]",
+         "unknown key 'z' in topology.nodes[0]; expected id, x, y"),
+        ("topology.edges=[{m: 0, n: 1, capacity: 5}]",
+         "unknown key 'capacity' in topology.edges[0]; "
+         "expected m, n, capacity_mbps, distance_km"),
+    ], ids=["node", "edge"])
+    def test_unknown_topology_entry_key_is_config_error(self, override, message, tmp_path,
+                                                        monkeypatch, capsys):
+        # unchecked, a misspelt capacity runs at the default and exits 0
+        code, out = run_cli(["run", "--scenario", "tiny",
+                             "--set", "topology.nodes=[{id: 0, x: 0, y: 0}, {id: 1, x: 1, y: 0}]",
+                             "--set", "topology.edges=[{m: 0, n: 1}]", "--set", override],
+                            tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_topology_runs(self, tmp_path, monkeypatch):
         code, _ = run_cli(["run", "--scenario", "tiny",
                            "--set", "topology.nodes=[{id: 0, x: 0, y: 0}, {id: 1, x: 1, y: 0}]",

@@ -16,7 +16,7 @@ from sfcsim.requestgen import RequestGenerator, schedule_waves
 from sfcsim.topology import NetworkGraph, PathResult
 from sfcsim.trace import TraceWriter
 
-from helpers import ListTrace, run_equivalence
+from helpers import ListTrace, micro_scenario, run_equivalence, stepped_episode
 
 
 def two_dc_graph(capacity=500.0):
@@ -505,6 +505,156 @@ class TestInstanceInvariants:
         head.proc_start = 0
         with pytest.raises(InvariantError, match="^in-use instances"):
             engine.check_invariants()
+
+
+class CountingHeuristic(HeuristicPolicy):
+    """HeuristicPolicy noting the step of each act: at t_model=1, one per executed step."""
+
+    def __init__(self):
+        self.acted = []
+
+    def act(self, engine):
+        self.acted.append(engine.step_no - 1)
+        return super().act(engine)
+
+
+class Flagless(HeuristicPolicy):
+    """HeuristicPolicy without quiet_after_noop: it keeps every tick."""
+
+    quiet_after_noop = False
+
+
+def micro_case(seed, size="micro", t_thresh=None):
+    def make(trace):
+        catalog, nodes, edges, dc_specs, specs, thresh = micro_scenario(seed, size)
+        graph = NetworkGraph(nodes, edges, propagation=True)
+        dcs = [DataCenter(i, s, c, r) for i, (s, c, r) in enumerate(dc_specs)]
+        engine = Engine(graph, dcs, catalog, trace=trace,
+                        t_thresh=thresh if t_thresh is None else t_thresh)
+        generator = RequestGenerator(catalog, len(dcs), seed)
+        return engine, generator, schedule_waves([0], manual=[specs])
+    return make
+
+
+def config_case(name, seed, **overrides):
+    cfg = load_config(name, seed=seed).with_overrides(overrides)
+    kwargs = {"t_model": int(cfg.data["policy"]["t_model"]),
+              "sample_period": int(cfg.data["run"]["sample_period"]),
+              "step_cap": int(cfg.data["run"]["step_cap"])}
+    return (lambda trace: make_runtime(cfg, seed, trace=trace)), kwargs
+
+
+def bandwidth_wait_case(trace):
+    # DC 1 has no room for NAT, so heads from DC 1 transfer to DC 0; a
+    # 100 Mbps link carries one 70 Mbps TX at a time, remote or final
+    catalog = single_vnf_catalog(e2e_ms=20.0)
+    dcs = [DataCenter(0, 2000, 64, 256), DataCenter(1, 5, 64, 256)]
+    engine = Engine(two_dc_graph(capacity=100.0), dcs, catalog, t_thresh=30, trace=trace)
+    specs = [{"type": "Ind4.0", "src": src, "dest": 1 - src, "bw": 70}
+             for src in (1, 1, 0, 0)]
+    return engine, RequestGenerator(catalog, 2, 0), schedule_waves([0, 50], [specs, specs])
+
+
+def outcome(make, policy, run, **kwargs):
+    """(trace text, summary, resource rows, end step, capped) of one episode."""
+    sink = io.StringIO()
+    engine, gen, plan = make(TraceWriter(sink))
+    capped = False
+    try:
+        run(engine, gen, plan, policy, **kwargs)
+    except StepLimitExceeded:
+        capped = True
+    engine.check_invariants()
+    return (sink.getvalue(), engine.metrics.summary_dict(), engine.metrics.resource_rows,
+            engine.step_no, capped), engine
+
+
+def assert_jump_matches_steps(make, **kwargs):
+    """A jumped episode, with and without on_step, equals the stepped one:
+    trace, summary, resource samples, end step and whether the cap fired."""
+    stepped, _ = outcome(make, HeuristicPolicy(), stepped_episode, **kwargs)
+    policy = CountingHeuristic()
+    jumped, engine = outcome(make, policy, run_episode, **kwargs)
+    assert jumped == stepped
+    assert all(dc.ticks == engine.step_no for dc in engine.dcs)
+    seen = []
+    observed, engine = outcome(make, HeuristicPolicy(), run_episode,
+                               on_step=lambda eng: seen.append(eng.step_no), **kwargs)
+    assert observed == stepped
+    assert seen == list(range(1, engine.step_no + 1))
+    assert all(dc.ticks == engine.step_no for dc in engine.dcs)
+    return stepped, policy.acted
+
+
+class TestTimeAdvance:
+    """run_episode jumps over steps in which nothing can happen, and the
+    outcome is exactly that of stepping one at a time."""
+
+    def test_tiny(self):
+        make, kwargs = config_case("tiny", 0)
+        (_, _, _, steps, _), acted = assert_jump_matches_steps(make, **kwargs)
+        assert len(acted) < steps // 2
+
+    def test_micro_scenarios(self):
+        for seed in range(30):
+            assert_jump_matches_steps(micro_case(seed))
+        for seed in range(4):
+            assert_jump_matches_steps(micro_case(seed, "medium"))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_paper3dc(self, seed):
+        make, kwargs = config_case("paper3dc", seed)
+        (_, _, rows, steps, _), acted = assert_jump_matches_steps(make, **kwargs)
+        assert rows and len(acted) < steps // 5
+
+    @pytest.mark.parametrize("t_model", [2, 3])
+    def test_policy_every_few_steps(self, t_model):
+        for seed in range(4):
+            assert_jump_matches_steps(micro_case(seed, "medium"), t_model=t_model)
+        make, kwargs = config_case("paper3dc", 0, **{"requests.wave_times": [0]})
+        assert_jump_matches_steps(make, **{**kwargs, "t_model": t_model})
+
+    def test_zero_idle_threshold(self):
+        for seed in range(10):
+            assert_jump_matches_steps(micro_case(seed, t_thresh=0))
+        make, kwargs = config_case("paper3dc", 0, **{"requests.wave_times": [0],
+                                                     "policy.t_thresh": 0})
+        assert_jump_matches_steps(make, **kwargs)
+
+    def test_transfers_waiting_for_bandwidth(self):
+        (text, _, _, _, _), _ = assert_jump_matches_steps(bandwidth_wait_case, sample_period=7)
+        events = [json.loads(line) for line in text.splitlines()[1:]]
+        first = {}
+        for ev in events:
+            first.setdefault((ev["event"], ev.get("tag")), ev["step"])
+        # a remote TX and a final TX each start later than they could have
+        assert any(first[("tx_start", tag)] > first[("allocate", tag)] + 1
+                   for tag in range(8) if ("tx_start", tag) in first)
+        assert any(first[("final_start", tag)] > first[("proc_done", tag)]
+                   for tag in range(8) if ("final_start", tag) in first)
+
+    def test_step_cap_inside_a_jump(self):
+        make, kwargs = config_case("tiny", 0)
+        _, acted = assert_jump_matches_steps(make, **kwargs)
+        gap, start = max((b - a, a) for a, b in zip(acted, acted[1:]))
+        assert gap > 2
+        (_, _, _, end, capped), _ = assert_jump_matches_steps(
+            make, **{**kwargs, "step_cap": start + gap // 2})
+        assert capped and end == start + gap // 2
+
+    def test_policy_without_the_flag_runs_every_step(self):
+        make, kwargs = config_case("tiny", 0)
+        engine, gen, plan = make(None)
+        steps = []
+        original = engine.step
+
+        def step():
+            steps.append(engine.step_no)
+            original()
+
+        engine.step = step
+        result = run_episode(engine, gen, plan, Flagless(), **kwargs)
+        assert steps == list(range(result.steps))
 
 
 class TestGoldenDigest:
