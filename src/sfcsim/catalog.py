@@ -108,29 +108,6 @@ class Catalog:
         for sfc in self.sfcs.values():
             sfc.validate(self.vnfs)
 
-    def to_dict(self) -> dict:
-        return {
-            "vnfs": {
-                v.name: {
-                    "vcpu": v.vcpu,
-                    "ram_gb": v.ram_gb,
-                    "storage_gb": v.storage_gb,
-                    "proc_time": v.proc_time,
-                }
-                for v in self.vnfs.values()
-            },
-            "sfcs": {
-                s.name: {
-                    "chain": list(s.chain),
-                    "bandwidth": list(s.bandwidth) if isinstance(s.bandwidth, tuple) else s.bandwidth,
-                    "e2e_ms": s.e2e_ms,
-                    "bundle": list(s.bundle),
-                    "packet_len_mb": s.packet_len_mb,
-                }
-                for s in self.sfcs.values()
-            },
-        }
-
 
 # Per-VNF (vcpu, ram GB, storage GB, processing steps).
 DEFAULT_VNFS = {
@@ -206,7 +183,8 @@ def _merge_sfc(base: SfcType, override: dict) -> SfcType:
 def load_catalog(config: dict | None) -> Catalog:
     """Build a catalog from a config mapping, overriding any subset of defaults.
 
-    The config shape matches Catalog.to_dict(): {"vnfs": {...}, "sfcs": {...}}.
+    The config shape is {"vnfs": {name: {field: value}}, "sfcs": {name: {...}}},
+    with the VnfType and SfcType field names.
     Unreferenced defaults are retained; an empty or None config yields the
     default catalog.
     """

@@ -2,10 +2,11 @@
 
 An instance is Installed (consuming storage and compute), and is either
 InUse (allocated to exactly one SFC's VNF) or Idle, which it is exactly
-while it holds an idle stamp: the DC's tick count when it went idle. Each
-stamp is also appended to an expiry queue, which the monotone tick count
-keeps in stamp order; each tick pops only the instances whose idle time
-reached the threshold, so the reaper costs nothing per idle instance per step.
+while it holds an idle stamp: the engine step passed in when it went idle.
+The DC keeps no clock of its own. Each stamp is also appended to an expiry
+queue, which the engine's monotone steps keep in stamp order; each reap
+pops only the instances whose idle time reached the threshold, so the
+reaper costs nothing per idle instance per step.
 
 Storage and compute are kept in integer units of 0.001 (topology.to_milli),
 so any install/uninstall sequence restores the exact initial state.
@@ -56,12 +57,11 @@ class DataCenter:
         self.cur_storage = self.max_storage
         self.cur_compute = self.max_compute
         # installed[vtype] is the set of installed fids; idle_since[vtype][fid]
-        # is the tick count when that instance went idle, held only while idle
+        # is the step that instance went idle on, held only while idle
         self.installed: dict[str, set[int]] = {}
         self.idle_since: dict[str, dict[int, int]] = {}
-        self.ticks = 0
         # (since, vtype, fid) per idle period, in stamp order; an entry whose
-        # stamp no longer matches idle_since is stale and dropped when it comes due
+        # stamp no longer matches idle_since is stale, dropped at the front
         self._expiry: deque[tuple[int, str, int]] = deque()
         self._next_fid: dict[str, int] = {}
         self._demands: dict[str, tuple[int, int]] = {}  # vtype -> (storage, compute)
@@ -84,10 +84,6 @@ class DataCenter:
 
     def idle_count(self, vname: str) -> int:
         return len(self.idle_since.get(vname, ()))
-
-    def idle_steps(self, vname: str, fid: int) -> int:
-        """Ticks since an idle instance went idle; KeyError if it is not idle."""
-        return self.ticks - self.idle_since[vname][fid]
 
     def in_use_count(self, vname: str) -> int:
         table = self.installed.get(vname)
@@ -131,8 +127,8 @@ class DataCenter:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def install_vnf(self, vtype: VnfType) -> int:
-        """Install a new instance, initially Idle. Returns its function id."""
+    def install_vnf(self, vtype: VnfType, now: int) -> int:
+        """Install a new instance, Idle from step now. Returns its function id."""
         if not self.can_install(vtype):
             raise InsufficientResources(
                 f"DC {self.dc_id}: cannot install {vtype.name} "
@@ -142,7 +138,7 @@ class DataCenter:
         fid = self._next_fid.get(vtype.name, 1)
         self._next_fid[vtype.name] = fid + 1
         self.installed.setdefault(vtype.name, set()).add(fid)
-        self._go_idle(vtype.name, fid)
+        self._go_idle(vtype.name, fid, now)
         storage, compute = self._demand(vtype)
         self.cur_storage -= storage
         self.cur_compute -= compute
@@ -167,39 +163,42 @@ class DataCenter:
             raise AlreadyInUse(f"DC {self.dc_id}: {vname}/{fid} already in use")
         del self.idle_since[vname][fid]
 
-    def revoke_vnf(self, vname: str, fid: int) -> None:
+    def revoke_vnf(self, vname: str, fid: int, now: int) -> None:
         if self._is_idle(vname, fid):
             raise NotInUse(f"DC {self.dc_id}: {vname}/{fid} is not in use")
-        self._go_idle(vname, fid)
+        self._go_idle(vname, fid, now)
 
-    def force_revoke_vnf(self, vname: str, fid: int) -> None:
+    def force_revoke_vnf(self, vname: str, fid: int, now: int) -> None:
         """Revoke regardless of status; used on deadline drops mid-processing.
 
         An idle instance restarts its idle time."""
         self._is_idle(vname, fid)
-        self._go_idle(vname, fid)
+        self._go_idle(vname, fid, now)
 
-    def _go_idle(self, vname: str, fid: int) -> None:
-        self.idle_since.setdefault(vname, {})[fid] = self.ticks
-        self._expiry.append((self.ticks, vname, fid))
+    def _go_idle(self, vname: str, fid: int, now: int) -> None:
+        self.idle_since.setdefault(vname, {})[fid] = now
+        self._expiry.append((now, vname, fid))
 
-    def ticks_to_expiry(self, t_thresh: int) -> int | None:
-        """How many tick_idle calls pass before the first one that may reap:
-        the one that brings the expiry queue's front to t_thresh idle ticks.
-        None when the queue is empty."""
-        if not self._expiry:
-            return None
-        return max(0, self._expiry[0][0] + t_thresh - self.ticks - 1)
+    def expiry_step(self, t_thresh: int) -> int | None:
+        """The step whose reap pass reaps the longest-idle instance, or None
+        when nothing is idle. Drops the stale entries at the queue's front."""
+        queue = self._expiry
+        while queue:
+            since, vname, fid = queue[0]
+            if self.idle_since[vname].get(fid) == since:
+                return since + t_thresh - 1
+            queue.popleft()
+        return None
 
-    def tick_idle(self, t_thresh: int) -> list[tuple[str, int]]:
-        """Advance one tick; uninstall the idle instances idle for t_thresh ticks.
+    def tick_idle(self, now: int, t_thresh: int) -> list[tuple[str, int]]:
+        """Reap pass of step now: uninstall the instances idle for t_thresh
+        steps. One stamped `since` has been idle now + 1 - since steps.
 
-        Only the expiry queue's due entries are read, so a tick with nothing
+        Only the expiry queue's due entries are read, so a step with nothing
         due costs one comparison. Returns the uninstalled (vtype, fid) pairs
         sorted for determinism.
         """
-        self.ticks += 1
-        cutoff = self.ticks - t_thresh
+        cutoff = now + 1 - t_thresh
         queue = self._expiry
         if not queue or queue[0][0] > cutoff:
             return []

@@ -394,7 +394,8 @@ class DqnAgent:
 
 
 def load_agent(path: str) -> DqnAgent:
-    """Read a checkpoint; ConfigError when it is missing or unreadable.
+    """Read a checkpoint; ConfigError when it is missing or unreadable, or
+    when an array's shape is not the one its meta builds the network with.
     Version 1 files also hold target-network arrays, which are ignored;
     version 2 holds only the online parameters."""
     try:
@@ -403,8 +404,13 @@ def load_agent(path: str) -> DqnAgent:
         if meta.get("version") not in (1, 2):
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
         agent = DqnAgent(meta["branch_widths"], meta["n_actions"], meta["hp"])
-        for k in agent.online.params:
-            agent.online.params[k] = data[f"online_{k}"]
+        params = agent.online.params
+        for k, built in params.items():
+            array = data[f"online_{k}"]
+            if array.shape != built.shape:
+                raise ConfigError(f"online_{k} has shape {array.shape}, "
+                                  f"its meta builds {built.shape}")
+            params[k] = array
         agent.train_steps = meta["train_steps"]
         agent.episode = meta["episode"]
         agent.decay_episodes = meta["decay_episodes"]

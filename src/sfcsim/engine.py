@@ -27,8 +27,9 @@ the drop, wake-up or final-TX heaps has an entry for it, when a DC's
 expiry-queue front may be reaped on it, or, while a TX waits for a path,
 when it follows a step that moved the bandwidth version or a policy phase
 that allocated a remote head. No pass changes anything on any other step,
-so run_episode jumps over it and only advances the DC tick counts; waves,
-resource samples, policy ticks and the step cap are due steps as well.
+so run_episode jumps over it by setting step_no, the only clock: DCs stamp
+idle instances with the step they are given. Waves, resource samples,
+policy ticks and the step cap are due steps as well.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
 allocation argmax scores each group once instead of each tag, from a score
@@ -210,7 +211,8 @@ class Engine:
         expiry-queue front, or, while a TX waits for a path, the next step
         if the bandwidth version moved since the last step began or a remote
         head was allocated since (until then every retry is a cached miss).
-        Stale heap and queue entries only make the answer early.
+        Stale heap entries only make the answer early; each DC drops the
+        stale fronts of its expiry queue before it answers.
         """
         now = self.step_no
         if (self._await_tx or self._await_final) and self._bw_seen != self.graph.bw_version:
@@ -220,19 +222,10 @@ class Engine:
             if heap and heap[0][0] < due:
                 due = heap[0][0]
         for dc in self.dcs:
-            wait = dc.ticks_to_expiry(self.t_thresh)
-            if wait is not None and now + wait < due:
-                due = now + wait
+            expiry = dc.expiry_step(self.t_thresh)
+            if expiry is not None and expiry < due:
+                due = expiry
         return max(now, due)
-
-    def skip_to(self, step: int) -> None:
-        """Advance step_no and every DC's tick count to `step` without
-        running the passes; only valid up to next_due()."""
-        skipped = step - self.step_no
-        if skipped:
-            for dc in self.dcs:
-                dc.ticks += skipped
-            self.step_no = step
 
     def _drop_pass(self, now: int) -> None:
         due = []
@@ -245,7 +238,7 @@ class Engine:
                 continue
             head = rec.head
             if head.allocated:
-                self.dcs[head.vnf_dc].force_revoke_vnf(head.vtype, head.func_id)
+                self.dcs[head.vnf_dc].force_revoke_vnf(head.vtype, head.func_id, now)
                 self.trace.event(now, "force_revoke", tag=tag, vtype=head.vtype,
                                  dc=head.vnf_dc, fid=head.func_id)
             if rec.tx is not None:
@@ -300,7 +293,7 @@ class Engine:
 
     def _finish_head(self, now: int, rec: SfcRecord) -> None:
         head = rec.chain.pop(0)
-        self.dcs[head.vnf_dc].revoke_vnf(head.vtype, head.func_id)
+        self.dcs[head.vnf_dc].revoke_vnf(head.vtype, head.func_id, now)
         self.trace.event(now, "proc_done", tag=rec.tag, vtype=head.vtype,
                          dc=head.vnf_dc, fid=head.func_id)
         if rec.chain:
@@ -345,7 +338,7 @@ class Engine:
 
     def _reap_pass(self, now: int) -> None:
         for dc in self.dcs:
-            for vname, fid in dc.tick_idle(self.t_thresh):
+            for vname, fid in dc.tick_idle(now, self.t_thresh):
                 self.trace.event(now, "reap", dc=dc.dc_id, vtype=vname, fid=fid)
 
     # -- constrained action executor ------------------------------------------
@@ -394,7 +387,7 @@ class Engine:
             fid = idle[0]
         else:
             try:
-                fid = dc.install_vnf(self.catalog.vnfs[vname])
+                fid = dc.install_vnf(self.catalog.vnfs[vname], self.step_no)
             except InsufficientResources:
                 return False
             self.trace.event(self.step_no, "install", dc=dc_id, vtype=vname, fid=fid)
@@ -503,16 +496,16 @@ def run_episode(engine: Engine, generator: RequestGenerator, plan: WavePlan, pol
                 on_step=None) -> EpisodeResult:
     """Drive an engine from request generation until everything is processed,
     dropped, and reaped. The policy acts every t_model steps, after the step's
-    passes (so after the idle reaper's tick), as does the optional on_step callback.
+    passes (so after the idle reaper), as does the optional on_step callback.
 
     Steps in which nothing can happen are jumped over: after each executed
-    step, time advances to the earliest of engine.next_due(), the next wave,
-    the next resource sample, step_cap, and the next policy tick. A policy
-    whose class sets quiet_after_noop promises that an act which applied
-    nothing (act returned a false value) stays a no-op until the engine next
-    changes; its ticks are then skipped until the next executed step. Any
-    other policy acts on every tick, as before. The outcome, the trace and
-    result.steps are those of stepping one at a time.
+    step, engine.step_no is set to the earliest of engine.next_due(), the
+    next wave, the next resource sample, step_cap, and the next policy tick.
+    A policy whose class sets quiet_after_noop promises that an act which
+    applied nothing (act returned a false value) stays a no-op until the
+    engine next changes; its ticks are then skipped until the next executed
+    step. Any other policy acts on every tick, as before. The outcome, the
+    trace and result.steps are those of stepping one at a time.
 
     on_step still fires once per simulated step, with engine.step_no at its
     usual value: when it is given, jumped steps are advanced one at a time
@@ -558,10 +551,10 @@ def run_episode(engine: Engine, generator: RequestGenerator, plan: WavePlan, pol
             horizon = min(horizon, -(-nxt // t_model) * t_model)
         target = engine.next_due(horizon)
         if on_step is None:
-            engine.skip_to(target)
+            engine.step_no = target
         else:
             while engine.step_no < target:
-                engine.skip_to(engine.step_no + 1)
+                engine.step_no += 1
                 on_step(engine)
     return EpisodeResult(
         steps=engine.step_no,

@@ -76,9 +76,6 @@ class MetricsBundle:
     def total_accepted(self) -> int:
         return sum(self.accepted.values())
 
-    def total_dropped(self) -> int:
-        return sum(self.dropped.values())
-
     def acceptance_ratio(self) -> float | None:
         total = self.total_generated()
         if total == 0:

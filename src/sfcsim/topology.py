@@ -61,7 +61,6 @@ class NetworkGraph:
         self._nbrs: list[list[tuple[int, tuple[int, int], float]]] = [[] for _ in range(self.n)]
         self._capacity: dict[tuple[int, int], int] = {}
         self._residual: dict[tuple[int, int], int] = {}
-        self._dist: dict[tuple[int, int], float] = {}
         self.propagation = propagation
         self.bw_version = 0
         total_km = 0.0
@@ -80,7 +79,6 @@ class NetworkGraph:
             km = float(dist_km) if dist_km is not None else self.euclidean(m, n)
             if not 0.0 <= km < math.inf:  # path search needs finite, non-negative lengths
                 raise TopologyError(f"edge {key} distance {km} must be finite and >= 0")
-            self._dist[key] = km
             self._nbrs[m].append((n, key, km))
             self._nbrs[n].append((m, key, km))
             total_km += km
@@ -93,17 +91,6 @@ class NetworkGraph:
     def euclidean(self, m: int, n: int) -> float:
         (xm, ym), (xn, yn) = self.coords[m], self.coords[n]
         return math.hypot(xm - xn, ym - yn)
-
-    def distance(self, m: int, n: int) -> float:
-        if m == n:
-            return 0.0
-        key = (min(m, n), max(m, n))
-        if key in self._dist:
-            return self._dist[key]
-        return self.euclidean(m, n)
-
-    def distance_matrix(self):
-        return [[self.distance(m, n) for n in range(self.n)] for m in range(self.n)]
 
     # -- bandwidth ---------------------------------------------------------
 

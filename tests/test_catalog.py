@@ -1,4 +1,4 @@
-"""Catalog defaults, overrides, validation, serialization round-trips."""
+"""Catalog defaults, overrides and validation."""
 
 import pytest
 
@@ -57,8 +57,8 @@ class TestDefaults:
 
 class TestLoadCatalog:
     def test_empty_config_is_default(self):
-        assert load_catalog(None).to_dict() == default_catalog().to_dict()
-        assert load_catalog({}).to_dict() == default_catalog().to_dict()
+        assert load_catalog(None) == default_catalog()
+        assert load_catalog({}) == default_catalog()
 
     def test_single_field_override(self):
         cat = load_catalog({"sfcs": {"CG": {"e2e_ms": 40}}})
@@ -94,12 +94,6 @@ class TestLoadCatalog:
             load_catalog({"sfcs": {"CG": {"bundle": [0, 5]}}})
         with pytest.raises(CatalogError):
             load_catalog({"sfcs": {"CG": {"bundle": [6, 5]}}})
-
-    def test_round_trip_through_dict(self):
-        cat = load_catalog({"sfcs": {"VS": {"e2e_ms": 55, "bandwidth": [2, 8]}},
-                            "vnfs": {"FW": {"proc_time": 4}}})
-        again = load_catalog(cat.to_dict())
-        assert again.to_dict() == cat.to_dict()
 
     def test_override_compute_follows_product_rule(self):
         cat = load_catalog({"vnfs": {"NAT": {"vcpu": 2, "ram_gb": 3}}})

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -396,6 +397,27 @@ class TestTrain:
                            "--resume", ckpt], tmp_path, monkeypatch, subdir="t2")
         assert code == EXIT_CONFIG
         assert "config error: checkpoint expects branches" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "tiny", "--policy", "dqn", "--checkpoint"],
+        ["train", "--scenario", "tiny", "--episodes", "1", "--quiet", "--resume"],
+    ], ids=["run", "train-resume"])
+    def test_checkpoint_arrays_not_matching_meta_is_config_error(self, tmp_path, monkeypatch,
+                                                                 capsys, command):
+        # unchecked, the first forward pass raised a numpy ValueError mid-run
+        from sfcsim.dqn import build_agent
+
+        good = str(tmp_path / "good.npz")
+        build_agent(load_config("tiny"), 0).save(good)
+        arrays = dict(np.load(good))
+        arrays["online_W1"] = arrays["online_W1"][:, :5]
+        bad = str(tmp_path / "bad.npz")
+        np.savez(bad, **arrays)
+        code, out = run_cli([*command, bad], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert f"config error: cannot load checkpoint {bad}: online_W1 has shape (48, 5), " \
+               "its meta builds (48, 32)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refused_resume_leaves_no_run_directory(self, tmp_path, monkeypatch, capsys):
         from sfcsim.dqn import build_agent

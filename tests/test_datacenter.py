@@ -31,22 +31,22 @@ def fresh_dc():
 class TestInstall:
     def test_install_decrements_resources(self):
         dc = fresh_dc()
-        dc.install_vnf(NAT)
+        dc.install_vnf(NAT, 0)
         assert dc.cur_storage == 1993_000
         assert dc.cur_compute == 16380_000
 
     def test_exhausted_storage_refused(self):
         dc = DataCenter(0, 5, 64, 256)
         with pytest.raises(InsufficientResources):
-            dc.install_vnf(NAT)
+            dc.install_vnf(NAT, 0)
 
     def test_285_nats_fit_286th_fails(self):
         dc = fresh_dc()
         for _ in range(285):
-            dc.install_vnf(NAT)
+            dc.install_vnf(NAT, 0)
         assert dc.cur_storage == (2000 - 285 * 7) * 1000
         with pytest.raises(InsufficientResources):
-            dc.install_vnf(NAT)
+            dc.install_vnf(NAT, 0)
 
     def test_fractional_demands_keep_exact_ledger(self):
         # 0.1 GB and 1 x 0.3 compute have no exact float form; summed as
@@ -55,7 +55,7 @@ class TestInstall:
         dc = fresh_dc()
         fids = []
         for _ in range(39):
-            fids.append(dc.install_vnf(tiny))
+            fids.append(dc.install_vnf(tiny, 0))
             dc.check_ledger()
         for fid in fids:
             dc.uninstall_vnf("NAT", fid)
@@ -65,23 +65,23 @@ class TestInstall:
         tiny = VnfType("NAT", 1, 0.3, 0.1, 1)
         dc = DataCenter(0, 3.9, 1, 11.7)
         for _ in range(39):
-            dc.install_vnf(tiny)
+            dc.install_vnf(tiny, 0)
         assert (dc.cur_storage, dc.cur_compute) == (0, 0)
         with pytest.raises(InsufficientResources):
-            dc.install_vnf(tiny)
+            dc.install_vnf(tiny, 0)
 
     def test_fids_unique_and_monotonic(self):
         dc = fresh_dc()
-        fids = [dc.install_vnf(NAT) for _ in range(5)]
+        fids = [dc.install_vnf(NAT, 0) for _ in range(5)]
         assert fids == [1, 2, 3, 4, 5]
         dc.uninstall_vnf("NAT", 3)
-        assert dc.install_vnf(NAT) == 6  # ids never reused
+        assert dc.install_vnf(NAT, 0) == 6  # ids never reused
 
 
 class TestLifecycle:
     def test_install_uninstall_restores_fresh_state(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.uninstall_vnf("NAT", fid)
         assert dc.cur_storage == 2000_000
         assert dc.cur_compute == 16384_000
@@ -94,160 +94,190 @@ class TestLifecycle:
 
     def test_uninstall_in_use_refused(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
         with pytest.raises(FunctionInUse):
             dc.uninstall_vnf("NAT", fid)
 
     def test_allocate_removes_idle_clock(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
         assert fid not in dc.idle_since["NAT"]
         assert dc.in_use_count("NAT") == 1
 
     def test_double_allocate_refused(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
         with pytest.raises(AlreadyInUse):
             dc.allocate_vnf("NAT", fid)
 
     def test_allocation_isolated_per_instance(self):
         dc = fresh_dc()
-        a = dc.install_vnf(NAT)
-        dc.tick_idle(1000)
-        b = dc.install_vnf(NAT)
+        a = dc.install_vnf(NAT, 0)
+        dc.tick_idle(0, 1000)
+        b = dc.install_vnf(NAT, 1)
         dc.allocate_vnf("NAT", a)
-        assert dc.idle_steps("NAT", b) == 0
+        assert dc.idle_since["NAT"] == {b: 1}
         assert dc.idle_count("NAT") == 1
 
     def test_revoke_resets_clock_keeps_resources(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         after_install = (dc.cur_storage, dc.cur_compute)
         dc.allocate_vnf("NAT", fid)
-        dc.revoke_vnf("NAT", fid)
-        assert dc.idle_steps("NAT", fid) == 0
+        dc.revoke_vnf("NAT", fid, 5)
+        assert dc.idle_since["NAT"][fid] == 5
         assert (dc.cur_storage, dc.cur_compute) == after_install
 
     def test_revoke_idle_refused(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         with pytest.raises(NotInUse):
-            dc.revoke_vnf("NAT", fid)
+            dc.revoke_vnf("NAT", fid, 0)
 
     def test_reuse_after_revoke(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        dc.revoke_vnf("NAT", fid)
+        dc.revoke_vnf("NAT", fid, 3)
         dc.allocate_vnf("NAT", fid)  # a different chain may take the instance
         assert dc.in_use_count("NAT") == 1
 
     def test_force_revoke_mid_processing(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        dc.force_revoke_vnf("NAT", fid)
-        assert dc.idle_steps("NAT", fid) == 0
+        dc.force_revoke_vnf("NAT", fid, 3)
+        assert dc.idle_since["NAT"][fid] == 3
 
     def test_force_revoke_idle_resets_clock(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
-        dc.tick_idle(1000)
-        assert dc.idle_steps("NAT", fid) == 1
-        dc.force_revoke_vnf("NAT", fid)
-        assert dc.idle_steps("NAT", fid) == 0
+        fid = dc.install_vnf(NAT, 0)
+        dc.tick_idle(0, 1000)
+        dc.force_revoke_vnf("NAT", fid, 1)
+        assert dc.idle_since["NAT"][fid] == 1
 
 
 class TestIdleReaper:
     def test_threshold_boundary(self):
+        # stamped 0, an instance has been idle now + 1 steps at step now's reap
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
-        for _ in range(99):
-            assert dc.tick_idle(100) == []
-        assert dc.tick_idle(100) == [("NAT", fid)]
+        fid = dc.install_vnf(NAT, 0)
+        assert dc.expiry_step(100) == 99
+        for now in range(99):
+            assert dc.tick_idle(now, 100) == []
+        assert dc.tick_idle(99, 100) == [("NAT", fid)]
         assert dc.cur_storage == 2000_000
+        assert dc.expiry_step(100) is None
 
     def test_no_idle_instances(self):
-        assert fresh_dc().tick_idle(100) == []
+        assert fresh_dc().tick_idle(0, 100) == []
+        assert fresh_dc().expiry_step(100) is None
 
     def test_staggered_clocks(self):
         dc = fresh_dc()
-        a = dc.install_vnf(NAT)
-        for _ in range(49):
-            dc.tick_idle(100)
-        b = dc.install_vnf(NAT)
-        for _ in range(50):
-            dc.tick_idle(100)
-        # a has been idle 99 ticks, b 50
-        assert dc.tick_idle(100) == [("NAT", a)]
-        assert dc.idle_steps("NAT", b) == 51
+        a = dc.install_vnf(NAT, 0)
+        for now in range(49):
+            dc.tick_idle(now, 100)
+        b = dc.install_vnf(NAT, 49)
+        for now in range(49, 99):
+            dc.tick_idle(now, 100)
+        # a has been idle 100 steps at step 99's reap, b 51
+        assert dc.tick_idle(99, 100) == [("NAT", a)]
+        assert dc.expiry_step(100) == 148
+        assert dc.idle_since["NAT"] == {b: 49}
 
     def test_in_use_not_reaped(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        for _ in range(300):
-            assert dc.tick_idle(100) == []
+        for now in range(300):
+            assert dc.tick_idle(now, 100) == []
 
 
 class TestExpiryQueue:
     def test_allocate_and_revoke_in_one_tick_reaps_once(self):
-        # install and revoke both stamp tick 0: two queue entries, one instance
+        # install and revoke both stamp step 0: two queue entries, one instance
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
+        fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        dc.revoke_vnf("NAT", fid)
-        for _ in range(9):
-            assert dc.tick_idle(10) == []
-        assert dc.tick_idle(10) == [("NAT", fid)]
-        for _ in range(20):
-            assert dc.tick_idle(10) == []
+        dc.revoke_vnf("NAT", fid, 0)
+        for now in range(9):
+            assert dc.tick_idle(now, 10) == []
+        assert dc.tick_idle(9, 10) == [("NAT", fid)]
+        for now in range(10, 30):
+            assert dc.tick_idle(now, 10) == []
         assert dc.installed_count() == 0
         assert dc.cur_storage == dc.max_storage
         dc.check_ledger()
 
+    def test_expiry_step_skips_stale_install_stamp(self):
+        # the install entry (stamp 0) stays at the queue front after the
+        # instance is taken; only the revoke stamp can expire
+        dc = fresh_dc()
+        fid = dc.install_vnf(NAT, 0)
+        dc.allocate_vnf("NAT", fid)
+        assert dc.expiry_step(50) is None
+        dc.revoke_vnf("NAT", fid, 20)
+        assert dc.expiry_step(50) == 69
+        for now in range(69):
+            assert dc.tick_idle(now, 50) == []
+        assert dc.tick_idle(69, 50) == [("NAT", fid)]
+
+    def test_expiry_step_skips_reaped_instances(self):
+        dc = fresh_dc()
+        a = dc.install_vnf(NAT, 0)
+        dc.allocate_vnf("NAT", a)
+        dc.revoke_vnf("NAT", a, 0)  # a second entry with stamp 0
+        b = dc.install_vnf(NAT, 5)
+        assert dc.tick_idle(9, 10) == [("NAT", a)]
+        assert dc.expiry_step(10) == 14
+        dc.allocate_vnf("NAT", b)
+        assert dc.expiry_step(10) is None
+        dc.check_ledger()
+
     def test_force_revoke_idle_restarts_expiry(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
-        for _ in range(30):
-            dc.tick_idle(50)
-        dc.force_revoke_vnf("NAT", fid)
-        for _ in range(49):
-            assert dc.tick_idle(50) == []  # the install-time entry is stale
-        assert dc.idle_steps("NAT", fid) == 49
-        assert dc.tick_idle(50) == [("NAT", fid)]
-        assert dc.ticks == 80
+        fid = dc.install_vnf(NAT, 0)
+        for now in range(30):
+            dc.tick_idle(now, 50)
+        dc.force_revoke_vnf("NAT", fid, 30)
+        assert dc.expiry_step(50) == 79  # the install-time entry is stale
+        for now in range(30, 79):
+            assert dc.tick_idle(now, 50) == []
+        assert dc.idle_since["NAT"][fid] == 30
+        assert dc.tick_idle(79, 50) == [("NAT", fid)]
 
     def test_reap_order_across_types(self):
         dc = fresh_dc()
         order = ["WO", "FW", "NAT", "FW", "IDPS", "NAT"]
         installed = []
-        for name in order:  # one stamp per install, so queue order is install order
-            installed.append((name, dc.install_vnf(CAT.vnfs[name])))
-            dc.tick_idle(100)
-        reaped = dc.tick_idle(1)
+        for now, name in enumerate(order):  # one stamp per install: queue order is install order
+            installed.append((name, dc.install_vnf(CAT.vnfs[name], now)))
+            dc.tick_idle(now, 100)
+        reaped = dc.tick_idle(len(order), 1)
         assert reaped == sorted(installed)
         assert reaped != installed
         assert dc.installed_count() == 0
 
     def test_random_ops_match_per_tick_clocks(self):
-        # the naive model ages every idle instance on every tick; the
+        # the naive model ages every idle instance on every step; the
         # threshold changes from call to call
         rng = np.random.default_rng(91)
         dc = DataCenter(0, 200, 8, 16)
         vnfs = list(CAT.vnfs.values())
-        clocks = {}  # (vname, fid) -> idle ticks, idle instances only
+        clocks = {}  # (vname, fid) -> idle steps, idle instances only
         in_use = []
         reaps = restarts = 0
+        now = 0  # the next reap pass's step
         for _ in range(10_000):
             op = rng.integers(6)
             if op == 0:
                 vt = vnfs[rng.integers(len(vnfs))]
                 try:
-                    clocks[(vt.name, dc.install_vnf(vt))] = 0
+                    clocks[(vt.name, dc.install_vnf(vt, now))] = 0
                 except InsufficientResources:
                     pass
             elif op == 1 and clocks:
@@ -257,12 +287,12 @@ class TestExpiryQueue:
                 in_use.append(pair)
             elif op == 2 and in_use:
                 pair = in_use.pop(rng.integers(len(in_use)))
-                dc.revoke_vnf(*pair)
+                dc.revoke_vnf(*pair, now)
                 clocks[pair] = 0
                 restarts += 1
             elif op == 3 and clocks:
                 pair = sorted(clocks)[rng.integers(len(clocks))]
-                dc.force_revoke_vnf(*pair)  # already idle: restarts its clock
+                dc.force_revoke_vnf(*pair, now)  # already idle: restarts its clock
                 clocks[pair] = 0
                 restarts += 1
             elif op == 4 and clocks and rng.random() < 0.2:
@@ -276,24 +306,28 @@ class TestExpiryQueue:
                 want = sorted(p for p, c in clocks.items() if c >= t_thresh)
                 for pair in want:
                     del clocks[pair]
-                assert dc.tick_idle(t_thresh) == want
+                assert dc.tick_idle(now, t_thresh) == want
+                now += 1
                 reaps += len(want)
-            assert {(v, f): dc.idle_steps(v, f)
-                    for v, fids in dc.idle_since.items() for f in fids} == clocks
+            assert {(v, f): now - stamp
+                    for v, stamps in dc.idle_since.items()
+                    for f, stamp in stamps.items()} == clocks
+            # the longest-idle instance reaches 30 idle steps at this reap step
+            assert dc.expiry_step(30) == (now + 29 - max(clocks.values()) if clocks else None)
             dc.check_ledger()
         assert reaps > 500 and restarts > 500
 
     def test_idle_instance_without_entry_rejected(self):
         dc = fresh_dc()
-        dc.install_vnf(NAT)
+        dc.install_vnf(NAT, 0)
         dc._expiry.clear()
         with pytest.raises(LedgerError, match="no expiry entry"):
             dc.check_ledger()
 
     def test_idle_stamp_without_matching_entry_rejected(self):
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT)
-        dc.tick_idle(100)
+        fid = dc.install_vnf(NAT, 0)
+        dc.tick_idle(0, 100)
         dc.idle_since["NAT"][fid] = 1  # the only entry carries stamp 0
         with pytest.raises(LedgerError, match="no expiry entry"):
             dc.check_ledger()
@@ -306,12 +340,13 @@ class TestRandomLifecycle:
         vnfs = list(CAT.vnfs.values())
         in_use = []
         idle = []
+        now = 0  # the next reap pass's step
         for _ in range(10_000):
             op = rng.integers(5)
             if op == 0:
                 vt = vnfs[rng.integers(len(vnfs))]
                 try:
-                    fid = dc.install_vnf(vt)
+                    fid = dc.install_vnf(vt, now)
                     idle.append((vt.name, fid))
                 except InsufficientResources:
                     pass
@@ -321,21 +356,22 @@ class TestRandomLifecycle:
                 in_use.append((name, fid))
             elif op == 2 and in_use:
                 name, fid = in_use.pop(rng.integers(len(in_use)))
-                dc.revoke_vnf(name, fid)
+                dc.revoke_vnf(name, fid, now)
                 idle.append((name, fid))
             elif op == 3 and idle:
                 name, fid = idle.pop(rng.integers(len(idle)))
                 dc.uninstall_vnf(name, fid)
             else:
-                reaped = dc.tick_idle(40)
+                reaped = dc.tick_idle(now, 40)
+                now += 1
                 for pair in reaped:
                     idle.remove(pair)
             dc.check_ledger()
             assert dc.cur_storage >= 0 and dc.cur_compute >= 0
         # idle times can never exceed the threshold
-        for vname, stamps in dc.idle_since.items():
-            for fid in stamps:
-                assert dc.idle_steps(vname, fid) < 40
+        for stamps in dc.idle_since.values():
+            for stamp in stamps.values():
+                assert now - stamp < 40
 
 
 class TestLedgerCheck:
@@ -348,9 +384,9 @@ class TestLedgerCheck:
     def test_idle_set_drift_rejected(self):
         # an idle stamp, with its expiry entry, for a fid that is not installed
         dc = fresh_dc()
-        fid = dc.install_vnf(NAT) + 1
-        dc.idle_since["NAT"][fid] = dc.ticks
-        dc._expiry.append((dc.ticks, "NAT", fid))
+        fid = dc.install_vnf(NAT, 0) + 1
+        dc.idle_since["NAT"][fid] = 0
+        dc._expiry.append((0, "NAT", fid))
         with pytest.raises(LedgerError, match="uninstalled"):
             dc.check_ledger()
 

@@ -313,7 +313,7 @@ class TestStateEncoder:
 
     def test_storage_feature_after_install(self):
         engine, catalog = self.make_engine()
-        engine.dcs[0].install_vnf(catalog.vnfs["NAT"])
+        engine.dcs[0].install_vnf(catalog.vnfs["NAT"], engine.step_no)
         dc_block = StateEncoder(catalog, 2, 1).encode(engine)[0]
         assert dc_block[0] == pytest.approx(1993 / 2000)
         assert dc_block[2] == pytest.approx(1 / 50)  # one idle NAT, capped at 50

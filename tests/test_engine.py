@@ -217,7 +217,7 @@ class TestActionExecutor:
 
     def test_allocate_reuses_idle_instance(self):
         engine, gen, trace = build(single_vnf_catalog())
-        fid = engine.dcs[0].install_vnf(engine.catalog.vnfs["NAT"])
+        fid = engine.dcs[0].install_vnf(engine.catalog.vnfs["NAT"], engine.step_no)
         engine.inject(gen.manual_wave([{"type": "Ind4.0", "src": 0, "dest": 1, "bw": 70}]))
         engine.step()
         assert engine.apply_action(PolicyAction(ALLOCATE, "NAT", 0))
@@ -234,8 +234,8 @@ class TestActionExecutor:
     def test_uninstall_smallest_idle(self):
         engine, _, trace = build()
         nat = engine.catalog.vnfs["NAT"]
-        engine.dcs[0].install_vnf(nat)
-        engine.dcs[0].install_vnf(nat)
+        engine.dcs[0].install_vnf(nat, engine.step_no)
+        engine.dcs[0].install_vnf(nat, engine.step_no)
         assert engine.apply_action(PolicyAction(UNINSTALL, "NAT", 0))
         assert list(engine.dcs[0].installed["NAT"]) == [2]
 
@@ -289,7 +289,7 @@ class TestRunEpisode:
         metrics = engine.metrics
         assert result.generated == metrics.total_generated() > 0
         assert result.accepted == metrics.total_accepted() == len(engine.done)
-        assert result.dropped == metrics.total_dropped() == len(engine.dropped)
+        assert result.dropped == sum(metrics.dropped.values()) == len(engine.dropped)
         metrics.check_conservation()
 
     def test_policy_cadence(self):
@@ -487,13 +487,13 @@ class TestInstanceInvariants:
     def test_leaked_in_use_instance_detected(self):
         engine = self.allocated()
         dc = engine.dcs[1]
-        dc.allocate_vnf("NAT", dc.install_vnf(engine.catalog.vnfs["NAT"]))
+        dc.allocate_vnf("NAT", dc.install_vnf(engine.catalog.vnfs["NAT"], engine.step_no))
         with pytest.raises(InvariantError, match="^in-use instances"):
             engine.check_invariants()
 
     def test_head_on_idle_instance_detected(self):
         engine = self.allocated()
-        engine.dcs[0].revoke_vnf("NAT", engine.live[0].head.func_id)
+        engine.dcs[0].revoke_vnf("NAT", engine.live[0].head.func_id, engine.step_no)
         with pytest.raises(InvariantError, match="^in-use instances"):
             engine.check_invariants()
 
@@ -555,6 +555,16 @@ def bandwidth_wait_case(trace):
     return engine, RequestGenerator(catalog, 2, 0), schedule_waves([0, 50], [specs, specs])
 
 
+def reallocation_case(trace):
+    # one NAT instance at DC 0 serves three waves; each idle period is
+    # shorter than t_thresh until the last
+    catalog = single_vnf_catalog()
+    dcs = [DataCenter(i, 2000, 64, 256) for i in range(2)]
+    engine = Engine(two_dc_graph(), dcs, catalog, t_thresh=100, trace=trace)
+    spec = [{"type": "Ind4.0", "src": 0, "dest": 1, "bw": 70}]
+    return engine, RequestGenerator(catalog, 2, 0), schedule_waves([0, 40, 120], [spec] * 3)
+
+
 def outcome(make, policy, run, **kwargs):
     """(trace text, summary, resource rows, end step, capped) of one episode."""
     sink = io.StringIO()
@@ -574,15 +584,13 @@ def assert_jump_matches_steps(make, **kwargs):
     trace, summary, resource samples, end step and whether the cap fired."""
     stepped, _ = outcome(make, HeuristicPolicy(), stepped_episode, **kwargs)
     policy = CountingHeuristic()
-    jumped, engine = outcome(make, policy, run_episode, **kwargs)
+    jumped, _ = outcome(make, policy, run_episode, **kwargs)
     assert jumped == stepped
-    assert all(dc.ticks == engine.step_no for dc in engine.dcs)
     seen = []
     observed, engine = outcome(make, HeuristicPolicy(), run_episode,
                                on_step=lambda eng: seen.append(eng.step_no), **kwargs)
     assert observed == stepped
     assert seen == list(range(1, engine.step_no + 1))
-    assert all(dc.ticks == engine.step_no for dc in engine.dcs)
     return stepped, policy.acted
 
 
@@ -632,6 +640,17 @@ class TestTimeAdvance:
                    for tag in range(8) if ("tx_start", tag) in first)
         assert any(first[("final_start", tag)] > first[("proc_done", tag)]
                    for tag in range(8) if ("final_start", tag) in first)
+
+    def test_instance_taken_again_before_it_expires(self):
+        (text, _, _, _, _), acted = assert_jump_matches_steps(reallocation_case)
+        events = [json.loads(line) for line in text.splitlines()[1:]]
+        assert [ev["event"] for ev in events].count("install") == 1
+        assert {ev["fid"] for ev in events if ev["event"] == "allocate"} == {1}
+        idle_from = [ev["step"] for ev in events if ev["event"] in ("install", "proc_done")]
+        assert [ev["step"] for ev in events if ev["event"] == "reap"] == [idle_from[-1] + 99]
+        # an idle period that ended early leaves a stale expiry entry; its
+        # expiry step is not executed
+        assert not {since + 99 for since in idle_from[:-1]} & set(acted)
 
     def test_step_cap_inside_a_jump(self):
         make, kwargs = config_case("tiny", 0)

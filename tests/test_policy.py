@@ -326,7 +326,7 @@ class TestHeuristicPolicy:
     def test_allocates_idle_instance_at_source(self):
         engine, gen = three_dc_engine()
         nat = engine.catalog.vnfs["NAT"]
-        fid = engine.dcs[0].install_vnf(nat)
+        fid = engine.dcs[0].install_vnf(nat, engine.step_no)
         inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1}])
         engine.step()
         HeuristicPolicy().act(engine)

@@ -33,9 +33,7 @@ def enumerate_min_paths(graph, src, req_bw):
     reachable node, the minimum (hop-by-hop float length, hops).
     """
     req_milli = round(req_bw * 1000)
-    links = {m: [x for x in range(graph.n)
-                 if (min(m, x), max(m, x)) in graph._capacity
-                 and graph._residual[(min(m, x), max(m, x))] >= req_milli]
+    links = {m: [(x, km) for x, key, km in graph._nbrs[m] if graph._residual[key] >= req_milli]
              for m in range(graph.n)}
     best = {}
     stack = [((src,), 0.0)]
@@ -44,9 +42,9 @@ def enumerate_min_paths(graph, src, req_bw):
         node = hops[-1]
         if node not in best or (length, hops) < best[node]:
             best[node] = (length, hops)
-        for nxt in links[node]:
+        for nxt, km in links[node]:
             if nxt not in hops:
-                stack.append((hops + (nxt,), length + graph.distance(node, nxt)))
+                stack.append((hops + (nxt,), length + km))
     return best
 
 
@@ -220,18 +218,10 @@ class TestPropagation:
 
 
 class TestGraphStructure:
-    def test_distance_matrix_symmetric_zero_diagonal(self):
-        g = line_graph()
-        mat = g.distance_matrix()
-        for i in range(3):
-            assert mat[i][i] == 0.0
-            for j in range(3):
-                assert mat[i][j] == mat[j][i]
-
     def test_explicit_distance_overrides_euclidean(self):
         nodes = [(0, 0.0, 0.0), (1, 100.0, 0.0)]
         g = NetworkGraph(nodes, [(0, 1, 500.0, 42.0)])
-        assert g.distance(0, 1) == 42.0
+        assert g.select_min_path(0, 1, 1.0).length_km == 42.0
 
     def test_circle_generator_connected_and_seeded(self):
         g1 = circle_topology(6, 100.0, 0.3, seed=5)
