@@ -123,16 +123,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sweep_policy_once(cfg: ScenarioConfig, seed: int):
-    result, metrics = run_one(cfg, seed)
-    return {
-        "seed": seed,
-        "acceptance_ratio": result.acceptance_ratio,
-        "generated": result.generated,
-        "accepted": result.accepted,
-    }
-
-
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     try:
@@ -162,14 +152,15 @@ def cmd_sweep(args) -> int:
         ratios = []
         for seed in seeds:
             try:
-                row = _sweep_policy_once(pcfg, seed)
+                result, _ = run_one(pcfg, seed)
             except Exception as exc:  # keep the rest of the sweep alive
                 failures.append((policy_name, seed, str(exc)))
                 continue
-            row["policy"] = policy_name
-            rows.append(row)
-            if row["acceptance_ratio"] is not None:
-                ratios.append(row["acceptance_ratio"])
+            rows.append({"policy": policy_name, "seed": seed,
+                         "acceptance_ratio": result.acceptance_ratio,
+                         "generated": result.generated, "accepted": result.accepted})
+            if result.acceptance_ratio is not None:
+                ratios.append(result.acceptance_ratio)
         if ratios:
             mean = statistics.mean(ratios)
             sd = statistics.stdev(ratios) if len(ratios) > 1 else 0.0

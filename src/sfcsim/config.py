@@ -16,7 +16,7 @@ import os
 
 import yaml
 
-from .catalog import Catalog, CatalogError, load_catalog
+from .catalog import DEFAULT_SFCS, Catalog, CatalogError, load_catalog
 from .datacenter import DataCenter
 from .metrics import MetricsBundle
 from .policy import HeuristicPolicy, PriorityWeights, RandomPolicy
@@ -134,6 +134,21 @@ def _check_number(name: str, value, high: float = math.inf) -> None:
         raise ConfigError(f"{name} must be a finite {bound}, got {value!r}")
 
 
+def _check_bundle_overrides(overrides) -> None:
+    """ConfigError unless overrides maps SFC types to two ints lo, hi with
+    0 <= lo <= hi, the range of a wave's request count ([0, 0]: none)."""
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"requests.bundle_overrides must be a mapping, got {overrides!r}")
+    for name, bundle in overrides.items():
+        # a catalog overrides SFC types but adds none, so the default names are all
+        if name not in DEFAULT_SFCS:
+            raise ConfigError(f"requests.bundle_overrides: unknown SFC type {name!r}")
+        if not (isinstance(bundle, (list, tuple)) and len(bundle) == 2
+                and all(type(n) is int for n in bundle) and 0 <= bundle[0] <= bundle[1]):
+            raise ConfigError(f"requests.bundle_overrides.{name} must be two ints lo, hi "
+                              f"with 0 <= lo <= hi, got {bundle!r}")
+
+
 def _check_entry(where: str, entry, required: tuple[str, ...],
                  allowed: tuple[str, ...]) -> None:
     """ConfigError unless entry is a mapping holding every required key and
@@ -247,6 +262,8 @@ class ScenarioConfig:
         per_dc = dcs["per_dc"]
         if per_dc is not None and not isinstance(per_dc, list):
             raise ConfigError(f"datacenters.per_dc must be a list, got {per_dc!r}")
+        if dcs["count"] is not None:
+            _check_int("datacenters.count", dcs["count"], 1)
         _check_capacity("datacenters", dcs)
         for i, spec in enumerate(per_dc or ()):
             _check_capacity(f"datacenters.per_dc[{i}]", spec)
@@ -268,6 +285,11 @@ class ScenarioConfig:
                           ("dqn.checkpoint_every", 1)):
             section, key = name.split(".")
             _check_int(name, self.data[section][key], low)
+        for name in ("topology.propagation", "requests.allow_loopback"):
+            section, key = name.split(".")
+            if type(self.data[section][key]) is not bool:
+                raise ConfigError(f"{name} must be true or false, "
+                                  f"got {self.data[section][key]!r}")
         hidden = dqn["hidden"]
         if not (isinstance(hidden, (list, tuple)) and len(hidden) == 2
                 and all(type(h) is int and h >= 1 for h in hidden)):
@@ -276,9 +298,10 @@ class ScenarioConfig:
             # a ring smaller than one batch never reaches train_step
             raise ConfigError(f"dqn.buffer ({dqn['buffer']}) must be >= dqn.batch "
                               f"({dqn['batch']})")
+        req = self.data["requests"]
+        _check_bundle_overrides(req["bundle_overrides"])
         # reject malformed wave plans early
-        schedule_waves(self.data["requests"]["wave_times"],
-                       self.data["requests"]["manual"])
+        schedule_waves(req["wave_times"], req["manual"])
 
     # -- canonical form -------------------------------------------------------
 
@@ -348,14 +371,9 @@ class ScenarioConfig:
 
     def build_dcs(self, graph: NetworkGraph) -> list[DataCenter]:
         cfg = self.data["datacenters"]
-        if cfg["per_dc"] is not None:
-            specs = cfg["per_dc"]
-        else:
-            count = cfg["count"] if cfg["count"] is not None else graph.n
-            specs = [
-                {"max_storage_gb": cfg["max_storage_gb"], "cpus": cfg["cpus"],
-                 "ram_gb": cfg["ram_gb"]}
-            ] * int(count)
+        specs = cfg["per_dc"]
+        if specs is None:  # every DC has the section's own capacities
+            specs = [cfg] * (cfg["count"] if cfg["count"] is not None else graph.n)
         if len(specs) != graph.n:
             raise ConfigError(f"datacenter count {len(specs)} != topology nodes {graph.n}")
         return [
@@ -369,9 +387,8 @@ class ScenarioConfig:
 
     def build_generator(self, catalog: Catalog, n_dcs: int, seed: int) -> RequestGenerator:
         req = self.data["requests"]
-        overrides = {k: tuple(v) for k, v in (req["bundle_overrides"] or {}).items()}
         return RequestGenerator(catalog, n_dcs, seed,
-                                bundle_overrides=overrides or None,
+                                bundle_overrides=req["bundle_overrides"],
                                 allow_loopback=req["allow_loopback"])
 
     def build_weights(self) -> PriorityWeights:

@@ -1,12 +1,13 @@
 """Per-DC resource ledger and the VNF instance lifecycle.
 
 An instance is Installed (consuming storage and compute), and is either
-InUse (allocated to exactly one SFC's VNF) or Idle, which it is exactly
-while it holds an idle stamp: the engine step passed in when it went idle.
-The DC keeps no clock of its own. Each stamp is also appended to an expiry
-queue, which the engine's monotone steps keep in stamp order; each reap
-pops only the instances whose idle time reached the threshold, so the
-reaper costs nothing per idle instance per step.
+InUse (allocated to exactly one SFC's VNF) or Idle. An idle instance holds
+one idle stamp, the engine step passed in when it went idle; the DC keeps no
+clock of its own. The stamps live in one insertion-ordered table: going idle
+moves an instance's entry to the end, and the engine's steps never decrease,
+so the table is in stamp order and its first entry is the next to expire.
+Each reap reads only the due entries at the front, so the reaper costs
+nothing per idle instance per step.
 
 Storage and compute are kept in integer units of 0.001 (topology.to_milli),
 so any install/uninstall sequence restores the exact initial state.
@@ -14,7 +15,7 @@ so any install/uninstall sequence restores the exact initial state.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
 
 from .catalog import VnfType
 from .topology import QUANTUM, to_milli
@@ -56,13 +57,12 @@ class DataCenter:
         self.max_compute = to_milli(float(cpus) * float(ram_gb))
         self.cur_storage = self.max_storage
         self.cur_compute = self.max_compute
-        # installed[vtype] is the set of installed fids; idle_since[vtype][fid]
-        # is the step that instance went idle on, held only while idle
+        # installed[vtype] is the set of installed fids and idle[vtype] the idle
+        # ones; idle_since[(vtype, fid)] is the step an idle instance went idle
+        # on, one entry per idle instance, in stamp order
         self.installed: dict[str, set[int]] = {}
-        self.idle_since: dict[str, dict[int, int]] = {}
-        # (since, vtype, fid) per idle period, in stamp order; an entry whose
-        # stamp no longer matches idle_since is stale, dropped at the front
-        self._expiry: deque[tuple[int, str, int]] = deque()
+        self.idle: dict[str, set[int]] = {}
+        self.idle_since: dict[tuple[str, int], int] = {}
         self._next_fid: dict[str, int] = {}
         self._demands: dict[str, tuple[int, int]] = {}  # vtype -> (storage, compute)
 
@@ -79,17 +79,16 @@ class DataCenter:
         storage, compute = self._demand(vtype)
         return self.cur_storage >= storage and self.cur_compute >= compute
 
-    def idle_fids(self, vname: str) -> list[int]:
-        return sorted(self.idle_since.get(vname, ()))
+    def first_idle(self, vname: str) -> int | None:
+        """The lowest idle fid of a VNF type, or None when none is idle."""
+        idle = self.idle.get(vname)
+        return min(idle) if idle else None
 
     def idle_count(self, vname: str) -> int:
-        return len(self.idle_since.get(vname, ()))
+        return len(self.idle.get(vname, ()))
 
     def in_use_count(self, vname: str) -> int:
-        table = self.installed.get(vname)
-        if not table:
-            return 0
-        return len(table) - len(self.idle_since.get(vname, ()))
+        return len(self.installed.get(vname, ())) - len(self.idle.get(vname, ()))
 
     def installed_count(self) -> int:
         return sum(len(t) for t in self.installed.values())
@@ -117,13 +116,14 @@ class DataCenter:
         if not (0 <= self.cur_storage <= self.max_storage
                 and 0 <= self.cur_compute <= self.max_compute):
             raise LedgerError(f"DC {self.dc_id}: free resources out of [0, capacity]")
-        queued = set(self._expiry)
-        for vname, since in self.idle_since.items():
-            if not since.keys() <= self.installed.get(vname, set()):
-                raise LedgerError(f"DC {self.dc_id}: idle {vname} stamps for uninstalled fids")
-            for fid, stamp in since.items():
-                if (stamp, vname, fid) not in queued:
-                    raise LedgerError(f"DC {self.dc_id}: idle {vname}/{fid} has no expiry entry")
+        idle = {(vname, fid) for vname, fids in self.idle.items() for fid in fids}
+        if any(fid not in self.installed.get(vname, ()) for vname, fid in idle):
+            raise LedgerError(f"DC {self.dc_id}: idle fids that are uninstalled")
+        if self.idle_since.keys() != idle:
+            raise LedgerError(f"DC {self.dc_id}: idle stamps differ from the idle instances")
+        stamps = list(self.idle_since.values())
+        if stamps != sorted(stamps):
+            raise LedgerError(f"DC {self.dc_id}: idle stamps out of order")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -147,13 +147,14 @@ class DataCenter:
     def _is_idle(self, vname: str, fid: int) -> bool:
         if fid not in self.installed.get(vname, ()):
             raise UnknownFunction(f"DC {self.dc_id}: no {vname} function {fid}")
-        return fid in self.idle_since[vname]
+        return fid in self.idle[vname]
 
     def uninstall_vnf(self, vname: str, fid: int) -> None:
         if not self._is_idle(vname, fid):
             raise FunctionInUse(f"DC {self.dc_id}: {vname}/{fid} is in use")
         self.installed[vname].remove(fid)
-        del self.idle_since[vname][fid]
+        self.idle[vname].remove(fid)
+        del self.idle_since[(vname, fid)]
         storage, compute = self._demands[vname]
         self.cur_storage += storage
         self.cur_compute += compute
@@ -161,7 +162,8 @@ class DataCenter:
     def allocate_vnf(self, vname: str, fid: int) -> None:
         if not self._is_idle(vname, fid):
             raise AlreadyInUse(f"DC {self.dc_id}: {vname}/{fid} already in use")
-        del self.idle_since[vname][fid]
+        self.idle[vname].remove(fid)
+        del self.idle_since[(vname, fid)]
 
     def revoke_vnf(self, vname: str, fid: int, now: int) -> None:
         if self._is_idle(vname, fid):
@@ -176,38 +178,32 @@ class DataCenter:
         self._go_idle(vname, fid, now)
 
     def _go_idle(self, vname: str, fid: int, now: int) -> None:
-        self.idle_since.setdefault(vname, {})[fid] = now
-        self._expiry.append((now, vname, fid))
+        self.idle.setdefault(vname, set()).add(fid)
+        self.idle_since.pop((vname, fid), None)  # a restarted stamp moves to the end
+        self.idle_since[(vname, fid)] = now
 
     def expiry_step(self, t_thresh: int) -> int | None:
         """The step whose reap pass reaps the longest-idle instance, or None
-        when nothing is idle. Drops the stale entries at the queue's front."""
-        queue = self._expiry
-        while queue:
-            since, vname, fid = queue[0]
-            if self.idle_since[vname].get(fid) == since:
-                return since + t_thresh - 1
-            queue.popleft()
+        when nothing is idle."""
+        for since in self.idle_since.values():
+            return since + t_thresh - 1
         return None
 
     def tick_idle(self, now: int, t_thresh: int) -> list[tuple[str, int]]:
         """Reap pass of step now: uninstall the instances idle for t_thresh
         steps. One stamped `since` has been idle now + 1 - since steps.
 
-        Only the expiry queue's due entries are read, so a step with nothing
-        due costs one comparison. Returns the uninstalled (vtype, fid) pairs
-        sorted for determinism.
+        Only the due stamps at the front of the table are read, so a step with
+        nothing due costs one comparison. Returns the uninstalled (vtype, fid)
+        pairs sorted for determinism.
         """
         cutoff = now + 1 - t_thresh
-        queue = self._expiry
-        if not queue or queue[0][0] > cutoff:
-            return []
-        due = set()  # a set: an instance can hold two entries with one stamp
-        while queue and queue[0][0] <= cutoff:
-            since, vname, fid = queue.popleft()
-            if self.idle_since[vname].get(fid) == since:
-                due.add((vname, fid))
-        reaped = sorted(due)
+        due = 0
+        for since in self.idle_since.values():
+            if since > cutoff:
+                break
+            due += 1
+        reaped = sorted(islice(self.idle_since, due)) if due else []
         for vname, fid in reaped:
-            self.uninstall_vnf(vname, fid)  # deletes the stamp: later entries are stale
+            self.uninstall_vnf(vname, fid)
         return reaped

@@ -435,8 +435,6 @@ class DqnPolicy:
     """Evaluation-time policy: epsilon-greedy (default greedy) multi-action
     invocations, stopping early on IdleWait or an infeasible choice."""
 
-    name = "dqn"
-
     def __init__(self, agent: DqnAgent, cfg, seed: int, epsilon: float | None = None):
         self.agent = agent
         dqn_cfg = cfg.data["dqn"]

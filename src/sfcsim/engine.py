@@ -3,8 +3,8 @@
 Each step executes, in order: the drop pass (deadline expiry with force
 revoke), the head pass (only the first VNF of each chain: in-chain TX
 ticking, processing, completion), the completion pass (chain empty, start
-the final packet TX), the final-TX pass, and the idle reaper, which pops
-only the instances due on each DC's expiry queue. Placement policies act
+the final packet TX), the final-TX pass, and the idle reaper, which reads
+only the due front of each DC's idle-stamp table. Placement policies act
 between steps through a constrained action executor.
 
 Waiting records cost nothing per step: elapsed time is derived from the
@@ -24,7 +24,7 @@ version moves; so a blocked TX starts on the step a release frees a path.
 
 Time advances from one due step to the next. A step is due when one of
 the drop, wake-up or final-TX heaps has an entry for it, when a DC's
-expiry-queue front may be reaped on it, or, while a TX waits for a path,
+longest-idle instance may be reaped on it, or, while a TX waits for a path,
 when it follows a step that moved the bandwidth version or a policy phase
 that allocated a remote head. No pass changes anything on any other step,
 so run_episode jumps over it by setting step_no, the only clock: DCs stamp
@@ -208,11 +208,10 @@ class Engine:
         or horizon if that comes first.
 
         That is the head of a due-step heap, the step that may reap a DC's
-        expiry-queue front, or, while a TX waits for a path, the next step
+        longest-idle instance, or, while a TX waits for a path, the next step
         if the bandwidth version moved since the last step began or a remote
         head was allocated since (until then every retry is a cached miss).
-        Stale heap entries only make the answer early; each DC drops the
-        stale fronts of its expiry queue before it answers.
+        Stale heap entries only make the answer early.
         """
         now = self.step_no
         if (self._await_tx or self._await_final) and self._bw_seen != self.graph.bw_version:
@@ -279,17 +278,25 @@ class Engine:
                     self._finish_head(now, rec)
                 continue
             # allocated in another DC and not yet transferring: try to start TX
-            path = self.cached_min_path(rec.sfc_dc, head.vnf_dc, rec.bw)
-            if path is None:
+            steps = self._start_tx(rec, head.vnf_dc, now)
+            if steps is None:
                 continue
-            steps = tx_steps(rec.packet_len_mb, rec.bw, path, self.graph)
-            self.graph.reserve_bw(path, rec.bw)
-            rec.tx = TxState(path, now + steps)
             self.trace.event(now, "tx_start", tag=tag, src=rec.sfc_dc, dc=head.vnf_dc,
-                             steps=steps, hops=list(path.hops))
+                             steps=steps, hops=list(rec.tx.path.hops))
             rec.sfc_dc = head.vnf_dc
             self._await_tx.discard(tag)
             heapq.heappush(self._event_heap, (rec.tx.end_step, tag))
+
+    def _start_tx(self, rec: SfcRecord, dest: int, now: int) -> int | None:
+        """Reserve a path from rec.sfc_dc to dest and set rec.tx; the TX's
+        length in steps, or None when no path carries rec.bw."""
+        path = self.cached_min_path(rec.sfc_dc, dest, rec.bw)
+        if path is None:
+            return None
+        steps = tx_steps(rec.packet_len_mb, rec.bw, path, self.graph)
+        self.graph.reserve_bw(path, rec.bw)
+        rec.tx = TxState(path, now + steps)
+        return steps
 
     def _finish_head(self, now: int, rec: SfcRecord) -> None:
         head = rec.chain.pop(0)
@@ -305,17 +312,14 @@ class Engine:
         # the drop pass skips finished chains, so every waiting tag is live
         for tag in sorted(self._await_final):
             rec = self.live[tag]
-            path = self.cached_min_path(rec.sfc_dc, rec.dest_dc, rec.bw)
-            if path is None:
+            steps = self._start_tx(rec, rec.dest_dc, now)
+            if steps is None:
                 continue
-            steps = tx_steps(rec.packet_len_mb, rec.bw, path, self.graph)
-            self.graph.reserve_bw(path, rec.bw)
-            rec.tx = TxState(path, now + steps)
-            heapq.heappush(self._final_heap, (now + steps, now, tag, rec))
+            heapq.heappush(self._final_heap, (rec.tx.end_step, now, tag, rec))
             self._await_final.discard(tag)
             del self.live[tag]
             self.trace.event(now, "final_start", tag=tag, src=rec.sfc_dc,
-                             dest=rec.dest_dc, steps=steps, hops=list(path.hops))
+                             dest=rec.dest_dc, steps=steps, hops=list(rec.tx.path.hops))
 
     def _final_tx_pass(self, now: int) -> None:
         heap = self._final_heap
@@ -382,10 +386,8 @@ class Engine:
             return False
         dc = self.dcs[dc_id]
         vname = rec.head.vtype
-        idle = dc.idle_fids(vname)
-        if idle:
-            fid = idle[0]
-        else:
+        fid = dc.first_idle(vname)
+        if fid is None:
             try:
                 fid = dc.install_vnf(self.catalog.vnfs[vname], self.step_no)
             except InsufficientResources:
@@ -408,11 +410,11 @@ class Engine:
         return True
 
     def _do_uninstall(self, dc: DataCenter, vname: str) -> bool:
-        idle = dc.idle_fids(vname)
-        if not idle:
+        fid = dc.first_idle(vname)
+        if fid is None:
             return False
-        dc.uninstall_vnf(vname, idle[0])
-        self.trace.event(self.step_no, "uninstall", dc=dc.dc_id, vtype=vname, fid=idle[0])
+        dc.uninstall_vnf(vname, fid)
+        self.trace.event(self.step_no, "uninstall", dc=dc.dc_id, vtype=vname, fid=fid)
         return True
 
     # -- invariants ------------------------------------------------------------
@@ -449,8 +451,7 @@ class Engine:
         self._check_waiting()
         # each allocated head holds its own instance, and no other is in use
         in_use = {(dc.dc_id, v, fid) for dc in self.dcs
-                  for v, fids in dc.installed.items() for fid in fids
-                  if fid not in dc.idle_since[v]}
+                  for v, fids in dc.installed.items() for fid in fids - dc.idle[v]}
         heads = [(rec.head.vnf_dc, rec.head.vtype, rec.head.func_id)
                  for rec in self.live.values() if rec.head is not None and rec.head.allocated]
         if len(heads) != len(in_use) or set(heads) != in_use:

@@ -190,7 +190,6 @@ class HeuristicPolicy:
     entry has a waiting head and an idle instance or room for one.
     """
 
-    name = "heuristic"
     quiet_after_noop = True  # run_episode may skip ticks after a False act
 
     def plan(self, engine) -> list[PolicyAction]:
@@ -206,8 +205,6 @@ class HeuristicPolicy:
 
 class RandomPolicy:
     """Uniform random action each invocation; a sanity baseline."""
-
-    name = "random"
 
     def __init__(self, n_dcs: int, vnf_names, seed: int, actions_per_step: int = 4):
         import numpy as np

@@ -107,11 +107,9 @@ class RequestGenerator:
         self.n_dcs = n_dcs
         self.seed = int(seed)
         self.allow_loopback = allow_loopback
+        # config.ScenarioConfig checks the override names and ranges at load
         self.bundles = {name: styp.bundle for name, styp in catalog.sfcs.items()}
-        for name, rng in (bundle_overrides or {}).items():
-            if name not in self.bundles:
-                raise RequestError(f"bundle override for unknown SFC type {name!r}")
-            self.bundles[name] = (int(rng[0]), int(rng[1]))
+        self.bundles.update(bundle_overrides or {})
         self.next_tag = 0
 
     def generate_wave(self, wave_index: int) -> list[SfcRecord]:

@@ -293,6 +293,46 @@ class TestRun:
             main(["run", "--scenario", "tiny", "--out", str(tmp_path / "o")])
         assert not isinstance(info.value, ConfigError)
 
+    @pytest.mark.parametrize("scenario, override, message", [
+        ("paper3dc", "requests.bundle_overrides={CG: [5, 2]}",
+         "requests.bundle_overrides.CG must be two ints lo, hi with 0 <= lo <= hi"),
+        ("tiny", "requests.bundle_overrides={CG: 5}", "requests.bundle_overrides.CG must be"),
+        ("tiny", "requests.bundle_overrides={CG: [-3, -1]}",
+         "requests.bundle_overrides.CG must be"),
+        ("tiny", "requests.bundle_overrides={CG: [1.5, 2]}",
+         "requests.bundle_overrides.CG must be"),
+        ("tiny", "requests.bundle_overrides=[1, 2]",
+         "requests.bundle_overrides must be a mapping"),
+        ("tiny", "requests.bundle_overrides={Nope: [0, 1]}",
+         "requests.bundle_overrides: unknown SFC type 'Nope'"),
+        ("tiny", "datacenters.count=abc", "datacenters.count must be an int >= 1, got 'abc'"),
+        ("tiny", "datacenters.count=0", "datacenters.count must be an int >= 1, got 0"),
+        ("tiny", "topology.propagation=maybe",
+         "topology.propagation must be true or false, got 'maybe'"),
+        ("tiny", "requests.allow_loopback=1",
+         "requests.allow_loopback must be true or false, got 1"),
+    ], ids=["bundle-lo-gt-hi", "bundle-int", "bundle-negative", "bundle-float", "bundle-list",
+            "bundle-unknown-type", "count-str", "count-zero", "propagation-str",
+            "loopback-int"])
+    def test_bad_request_or_layout_key_is_config_error(self, scenario, override, message,
+                                                       tmp_path, capsys):
+        # unchecked, a reversed or non-list bundle and a non-int count end in
+        # a traceback (the reversed bundle only after the trace is opened),
+        # and the others run on a silently altered reading
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", scenario, "--trace", "--out", str(out),
+                     "--set", override])
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_bundle_override_requests_nothing(self):
+        # [0, 0] is valid: max_bandwidth reads hi == 0 as "never requested"
+        cfg = load_config("paper3dc", overrides={"requests.bundle_overrides": {"CG": [0, 0]}})
+        _, generator, _ = make_runtime(cfg, 0)
+        records = generator.generate_wave(0)
+        assert records and all(rec.type_name != "CG" for rec in records)
+
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],
                           tmp_path, monkeypatch)
@@ -442,7 +482,11 @@ class TestTrain:
     @pytest.mark.parametrize("args, message", [
         (["--episodes", "1", "--set", "topology.default_capacity_mbps=1"], "SFC type Ind4.0"),
         (["--episodes", "-1"], "episodes must be >= 0, got -1"),
-    ], ids=["unroutable", "negative-episodes"])
+        (["--episodes", "1", "--set", "requests.bundle_overrides={CG: [5, 2]}"],
+         "requests.bundle_overrides.CG must be two ints"),
+        (["--episodes", "1", "--set", "datacenters.count=abc"],
+         "datacenters.count must be an int >= 1"),
+    ], ids=["unroutable", "negative-episodes", "bundle-lo-gt-hi", "count-str"])
     def test_setup_error_writes_nothing(self, args, message, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["train", "--scenario", "tiny", "--quiet", "--out", str(out)] + args)

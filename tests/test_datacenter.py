@@ -103,8 +103,20 @@ class TestLifecycle:
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        assert fid not in dc.idle_since["NAT"]
+        assert ("NAT", fid) not in dc.idle_since and fid not in dc.idle["NAT"]
         assert dc.in_use_count("NAT") == 1
+
+    def test_first_idle_is_the_lowest_idle_fid(self):
+        dc = fresh_dc()
+        a, b, c = (dc.install_vnf(NAT, 0) for _ in range(3))
+        dc.allocate_vnf("NAT", a)
+        dc.force_revoke_vnf("NAT", b, 1)  # b is now the latest stamp
+        assert dc.first_idle("NAT") == b
+        dc.allocate_vnf("NAT", b)
+        assert dc.first_idle("NAT") == c
+        dc.allocate_vnf("NAT", c)
+        assert dc.first_idle("NAT") is None
+        assert dc.first_idle("FW") is None
 
     def test_double_allocate_refused(self):
         dc = fresh_dc()
@@ -119,7 +131,7 @@ class TestLifecycle:
         dc.tick_idle(0, 1000)
         b = dc.install_vnf(NAT, 1)
         dc.allocate_vnf("NAT", a)
-        assert dc.idle_since["NAT"] == {b: 1}
+        assert dc.idle_since == {("NAT", b): 1}
         assert dc.idle_count("NAT") == 1
 
     def test_revoke_resets_clock_keeps_resources(self):
@@ -128,7 +140,7 @@ class TestLifecycle:
         after_install = (dc.cur_storage, dc.cur_compute)
         dc.allocate_vnf("NAT", fid)
         dc.revoke_vnf("NAT", fid, 5)
-        assert dc.idle_since["NAT"][fid] == 5
+        assert dc.idle_since[("NAT", fid)] == 5
         assert (dc.cur_storage, dc.cur_compute) == after_install
 
     def test_revoke_idle_refused(self):
@@ -150,14 +162,14 @@ class TestLifecycle:
         fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
         dc.force_revoke_vnf("NAT", fid, 3)
-        assert dc.idle_since["NAT"][fid] == 3
+        assert dc.idle_since[("NAT", fid)] == 3
 
     def test_force_revoke_idle_resets_clock(self):
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.tick_idle(0, 1000)
         dc.force_revoke_vnf("NAT", fid, 1)
-        assert dc.idle_since["NAT"][fid] == 1
+        assert dc.idle_since[("NAT", fid)] == 1
 
 
 class TestIdleReaper:
@@ -187,7 +199,7 @@ class TestIdleReaper:
         # a has been idle 100 steps at step 99's reap, b 51
         assert dc.tick_idle(99, 100) == [("NAT", a)]
         assert dc.expiry_step(100) == 148
-        assert dc.idle_since["NAT"] == {b: 49}
+        assert dc.idle_since == {("NAT", b): 49}
 
     def test_in_use_not_reaped(self):
         dc = fresh_dc()
@@ -199,7 +211,7 @@ class TestIdleReaper:
 
 class TestExpiryQueue:
     def test_allocate_and_revoke_in_one_tick_reaps_once(self):
-        # install and revoke both stamp step 0: two queue entries, one instance
+        # install and revoke both stamp step 0: one instance, one stamp
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
@@ -214,8 +226,8 @@ class TestExpiryQueue:
         dc.check_ledger()
 
     def test_expiry_step_skips_stale_install_stamp(self):
-        # the install entry (stamp 0) stays at the queue front after the
-        # instance is taken; only the revoke stamp can expire
+        # taking the instance deletes its install stamp (0); only the revoke
+        # stamp can expire
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
@@ -230,7 +242,7 @@ class TestExpiryQueue:
         dc = fresh_dc()
         a = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", a)
-        dc.revoke_vnf("NAT", a, 0)  # a second entry with stamp 0
+        dc.revoke_vnf("NAT", a, 0)  # restamped 0
         b = dc.install_vnf(NAT, 5)
         assert dc.tick_idle(9, 10) == [("NAT", a)]
         assert dc.expiry_step(10) == 14
@@ -244,17 +256,17 @@ class TestExpiryQueue:
         for now in range(30):
             dc.tick_idle(now, 50)
         dc.force_revoke_vnf("NAT", fid, 30)
-        assert dc.expiry_step(50) == 79  # the install-time entry is stale
+        assert dc.expiry_step(50) == 79  # the install-time stamp is gone
         for now in range(30, 79):
             assert dc.tick_idle(now, 50) == []
-        assert dc.idle_since["NAT"][fid] == 30
+        assert dc.idle_since[("NAT", fid)] == 30
         assert dc.tick_idle(79, 50) == [("NAT", fid)]
 
     def test_reap_order_across_types(self):
         dc = fresh_dc()
         order = ["WO", "FW", "NAT", "FW", "IDPS", "NAT"]
         installed = []
-        for now, name in enumerate(order):  # one stamp per install: queue order is install order
+        for now, name in enumerate(order):  # one stamp per install: table order is install order
             installed.append((name, dc.install_vnf(CAT.vnfs[name], now)))
             dc.tick_idle(now, 100)
         reaped = dc.tick_idle(len(order), 1)
@@ -300,7 +312,7 @@ class TestExpiryQueue:
                 del clocks[pair]
                 dc.uninstall_vnf(*pair)
             else:
-                t_thresh = int(rng.choice([1, 2, 5, 12, 30]))
+                t_thresh = int(rng.choice([0, 1, 2, 5, 12, 30]))
                 for pair in clocks:
                     clocks[pair] += 1
                 want = sorted(p for p, c in clocks.items() if c >= t_thresh)
@@ -309,9 +321,8 @@ class TestExpiryQueue:
                 assert dc.tick_idle(now, t_thresh) == want
                 now += 1
                 reaps += len(want)
-            assert {(v, f): now - stamp
-                    for v, stamps in dc.idle_since.items()
-                    for f, stamp in stamps.items()} == clocks
+            assert {pair: now - stamp for pair, stamp in dc.idle_since.items()} == clocks
+            assert len(dc.idle_since) == sum(len(s) for s in dc.idle.values())
             # the longest-idle instance reaches 30 idle steps at this reap step
             assert dc.expiry_step(30) == (now + 29 - max(clocks.values()) if clocks else None)
             dc.check_ledger()
@@ -320,16 +331,17 @@ class TestExpiryQueue:
     def test_idle_instance_without_entry_rejected(self):
         dc = fresh_dc()
         dc.install_vnf(NAT, 0)
-        dc._expiry.clear()
-        with pytest.raises(LedgerError, match="no expiry entry"):
+        dc.idle_since.clear()
+        with pytest.raises(LedgerError, match="idle stamps differ from the idle instances"):
             dc.check_ledger()
 
-    def test_idle_stamp_without_matching_entry_rejected(self):
+    def test_idle_stamps_out_of_order_rejected(self):
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.tick_idle(0, 100)
-        dc.idle_since["NAT"][fid] = 1  # the only entry carries stamp 0
-        with pytest.raises(LedgerError, match="no expiry entry"):
+        dc.install_vnf(NAT, 1)
+        dc.idle_since[("NAT", fid)] = 2  # restamped without moving to the end
+        with pytest.raises(LedgerError, match="idle stamps out of order"):
             dc.check_ledger()
 
 
@@ -369,9 +381,8 @@ class TestRandomLifecycle:
             dc.check_ledger()
             assert dc.cur_storage >= 0 and dc.cur_compute >= 0
         # idle times can never exceed the threshold
-        for stamps in dc.idle_since.values():
-            for stamp in stamps.values():
-                assert now - stamp < 40
+        for stamp in dc.idle_since.values():
+            assert now - stamp < 40
 
 
 class TestLedgerCheck:
@@ -382,11 +393,11 @@ class TestLedgerCheck:
             dc.check_ledger()
 
     def test_idle_set_drift_rejected(self):
-        # an idle stamp, with its expiry entry, for a fid that is not installed
+        # an idle fid, with its stamp, that is not installed
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0) + 1
-        dc.idle_since["NAT"][fid] = 0
-        dc._expiry.append((0, "NAT", fid))
+        dc.idle["NAT"].add(fid)
+        dc.idle_since[("NAT", fid)] = 0
         with pytest.raises(LedgerError, match="uninstalled"):
             dc.check_ledger()
 
