@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,35 +62,49 @@ def encode_action(action: PolicyAction, n_dcs: int, vnf_names) -> int:
 
 @dataclass
 class PhaseFeatures:
-    """What StateEncoder counts once per policy phase. No policy action moves
-    deadlines (per SFC type) or links (per edge): apply_action reserves no
-    bandwidth and ends no record. The waiting-head counts, pending[sfc
-    type][vnf type] and local[(dc the chain sits at, vnf type)], move only by
-    allocation, which the policy applies through take_allocated."""
+    """What StateEncoder counts once per policy phase, and the phase's latest
+    encoding. No policy action moves deadlines (per SFC type) or links (per
+    edge): apply_action reserves no bandwidth and ends no record. The
+    waiting-head counts, pending[sfc type][vnf type] and local[(dc the chain
+    sits at, vnf type)], move only by allocation.
+
+    take_action updates the counts for an accepted action and marks the
+    entries of `flat` it changed, which the next encode rewrites into a new
+    array. `flat` is never written in place: the policy holds every encoding
+    it handed out until it is pushed to the replay ring.
+    """
 
     deadlines: list[tuple[float, float]]
     links: np.ndarray
     pending: dict[str, dict[str, int]]
     local: dict[tuple[int, str], int]
+    flat: np.ndarray | None = None  # None until the phase's first encode
+    stale_dcs: set[tuple[int, str]] = field(default_factory=set)  # (dc, vnf type)
+    stale_sfcs: set[tuple[str, str]] = field(default_factory=set)  # (sfc type, vnf type)
 
-    def take_allocated(self, engine) -> None:
-        """Uncount the head the last accepted action allocated, if any."""
+    def take_action(self, engine, action: PolicyAction) -> None:
+        """Account for an action the engine has just accepted."""
+        self.stale_dcs.add((action.dc, action.vtype))
         tag = engine.last_allocated_tag
         if tag is not None:
             rec = engine.live[tag]  # allocation leaves rec.sfc_dc as it was
-            vname = rec.head.vtype
+            vname = rec.chain[0].vtype
             self.pending[rec.type_name][vname] -= 1
             self.local[(rec.sfc_dc, vname)] -= 1
+            self.stale_dcs.add((rec.sfc_dc, vname))
+            self.stale_sfcs.add((rec.type_name, vname))
 
 
 class StateEncoder:
-    """Three fixed-width branches: per-DC resources, instance counts and
-    locally-pending head counts; per-SFC-type pending work and remaining
-    deadlines; per-edge residuals. Counts are capped then scaled into [0, 1].
+    """Three fixed-width branches, flattened into one float64 vector: per-DC
+    resources, instance counts and locally-pending head counts; per-SFC-type
+    pending work and remaining deadlines; per-edge residuals. Counts are
+    capped then scaled into [0, 1].
 
     The engine keeps none of these counts: `phase_features` walks its live
-    records once per policy phase, and `encode` reuses the result for every
-    re-encode after an action.
+    records once per policy phase. The phase's first `encode` writes every
+    feature; each later one copies the phase's last encoding and rewrites
+    the entries the accepted action changed, by the same expressions.
     """
 
     def __init__(self, catalog: Catalog, n_dcs: int, n_edges: int, count_cap: int = 50):
@@ -98,11 +113,22 @@ class StateEncoder:
         self.n_dcs = n_dcs
         self.cap = float(count_cap)
         nv = len(self.vnf_names)
+        self.dc_width = 2 + 3 * nv
+        self.sfc_width = nv + 2
         self.widths = (
-            n_dcs * (2 + 3 * nv),
-            len(self.sfc_names) * (nv + 2),
+            n_dcs * self.dc_width,
+            len(self.sfc_names) * self.sfc_width,
             n_edges,
         )
+        self.vnf_pos = {v: j for j, v in enumerate(self.vnf_names)}
+        self.sfc_pos = {s: i for i, s in enumerate(self.sfc_names)}
+
+    @cached_property
+    def actions(self) -> tuple[PolicyAction, ...]:
+        """The decoded action table: actions[i] is decode_action(i, ...).
+        Built on first use, so an encoder made only for its widths skips it."""
+        n_actions = action_space_size(self.n_dcs, len(self.vnf_names))
+        return tuple(decode_action(i, self.n_dcs, self.vnf_names) for i in range(n_actions))
 
     def phase_features(self, engine) -> PhaseFeatures:
         """The phase's features, valid until the engine steps again.
@@ -117,10 +143,11 @@ class StateEncoder:
         for rec in engine.live.values():
             steps = cohorts[rec.type_name]
             steps[rec.inject_step] = steps.get(rec.inject_step, 0) + 1
-            head = rec.head
-            if head is not None and not head.allocated:
-                pending[rec.type_name][head.vtype] += 1
-                local[(rec.sfc_dc, head.vtype)] += 1
+            chain = rec.chain
+            if chain and chain[0].vnf_dc is None:  # a waiting head
+                vname = chain[0].vtype
+                pending[rec.type_name][vname] += 1
+                local[(rec.sfc_dc, vname)] += 1
         deadlines = []
         for styp, steps in cohorts.items():
             deadline = engine.catalog.sfcs[styp].deadline_steps
@@ -134,34 +161,40 @@ class StateEncoder:
         ], dtype=np.float64)
         return PhaseFeatures(deadlines, links, pending, local)
 
-    def encode(self, engine, phase: PhaseFeatures | None = None) -> list[np.ndarray]:
-        """The three branches. `phase` is `self.phase_features(engine)` from
-        the same policy phase; it is computed here when not given."""
+    def encode(self, engine, phase: PhaseFeatures | None = None) -> np.ndarray:
+        """The flat encoding of the engine's state. `phase` is
+        `self.phase_features(engine)` from the same policy phase, given
+        every action accepted since through take_action; it is computed here
+        when not given. Returns a new array and leaves it in `phase.flat`."""
         phase = phase or self.phase_features(engine)
+        nv, dc_width, sfc_width = len(self.vnf_names), self.dc_width, self.sfc_width
+        if phase.flat is None:
+            flat = np.empty(sum(self.widths))
+            for i, deadline in enumerate(phase.deadlines):
+                at = self.widths[0] + i * sfc_width + nv
+                flat[at:at + 2] = deadline
+            flat[self.widths[0] + self.widths[1]:] = phase.links
+            dcs = [(dc.dc_id, v) for dc in engine.dcs for v in self.vnf_names]
+            sfcs = [(s, v) for s in self.sfc_names for v in self.vnf_names]
+        else:
+            flat = phase.flat.copy()
+            dcs, sfcs = phase.stale_dcs, phase.stale_sfcs
         cap = self.cap
-        dc_feats = []
-        for dc in engine.dcs:
-            dc_feats.append(dc.cur_storage / dc.max_storage)
-            dc_feats.append(dc.cur_compute / dc.max_compute)
-            for v in self.vnf_names:
-                dc_feats.append(min(dc.idle_count(v), cap) / cap)
-            for v in self.vnf_names:
-                dc_feats.append(min(dc.in_use_count(v), cap) / cap)
-            for v in self.vnf_names:
-                dc_feats.append(min(phase.local[(dc.dc_id, v)], cap) / cap)
-
-        sfc_feats = []
-        for s, (earliest, mean) in zip(self.sfc_names, phase.deadlines):
-            pending = phase.pending[s]
-            for v in self.vnf_names:
-                sfc_feats.append(min(pending[v], cap) / cap)
-            sfc_feats.append(earliest)
-            sfc_feats.append(mean)
-        return [
-            np.asarray(dc_feats, dtype=np.float64),
-            np.asarray(sfc_feats, dtype=np.float64),
-            phase.links,
-        ]
+        for d, v in dcs:
+            dc = engine.dcs[d]
+            at, j = d * dc_width, self.vnf_pos[v]
+            flat[at] = dc.cur_storage / dc.max_storage
+            flat[at + 1] = dc.cur_compute / dc.max_compute
+            flat[at + 2 + j] = min(dc.idle_count(v), cap) / cap
+            flat[at + 2 + nv + j] = min(dc.in_use_count(v), cap) / cap
+            flat[at + 2 + 2 * nv + j] = min(phase.local[(d, v)], cap) / cap
+        for s, v in sfcs:
+            at = self.widths[0] + self.sfc_pos[s] * sfc_width + self.vnf_pos[v]
+            flat[at] = min(phase.pending[s][v], cap) / cap
+        phase.stale_dcs.clear()
+        phase.stale_sfcs.clear()
+        phase.flat = flat
+        return flat
 
 
 # -- the network ---------------------------------------------------------------
@@ -358,14 +391,16 @@ class DqnAgent:
         if batch is None:
             batch = self.buffer.sample(hp["batch"], self.rng)
         states, actions, rewards = batch
-        xs = self.split(np.atleast_2d(states))
+        # one cast of the float32 ring rows, not one per matmul that reads them
+        xs = self.split(np.atleast_2d(states).astype(np.float64, copy=False))
         q, cache = self.online.forward_cached(xs)
         b = len(actions)
-        picked = q[np.arange(b), actions]
+        rows = np.arange(b)
+        picked = q[rows, actions]
         err = picked - rewards
         loss = float(np.mean(err ** 2))
         dq = np.zeros_like(q)
-        dq[np.arange(b), actions] = 2.0 * err / b
+        dq[rows, actions] = 2.0 * err / b
         grads = self.online.backward(cache, dq)
         total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
         clip = hp["grad_clip"]
@@ -444,19 +479,19 @@ class DqnPolicy:
                                      int(dqn_cfg["count_cap"]))
 
     def act(self, engine) -> None:
-        vnf_names = self.encoder.vnf_names
+        actions = self.encoder.actions
         phase = self.encoder.phase_features(engine)
         enc = q = None
         for _ in range(self.max_actions):
             if enc is None:
-                enc = self.encoder.encode(engine, phase)
+                enc = self.agent.split(self.encoder.encode(engine, phase))
                 q = None
             idx, q = self.agent.act_index(enc, self.epsilon, q)
-            action = decode_action(idx, self.encoder.n_dcs, vnf_names)
+            action = actions[idx]
             if action.kind == IDLE_WAIT:
                 break
             if engine.apply_action(action):
-                phase.take_allocated(engine)
+                phase.take_action(engine, action)
                 enc = None
             elif self.epsilon == 0.0:
                 break  # a failed greedy choice would just repeat
@@ -481,7 +516,11 @@ class DqnTrainingPolicy:
     the state unchanged, so a repeat of it before the next accepted action
     is refused without asking the engine: it draws and is labelled like the
     first refusal, but engine.invalid_actions counts only the draws that
-    reached the engine.
+    reached the engine. For the same reason the guide's options are swept
+    once per state.
+
+    Every encoding is a new array that no one writes to: it is held in
+    `open` or `open_by_tag` until `_push` copies it into the replay ring.
     """
 
     INVALID_KEEP = 0.25
@@ -535,16 +574,13 @@ class DqnTrainingPolicy:
             self._push(state, action, reward)
         self.open = []
 
-    def _guide_index(self, engine, phase: PhaseFeatures) -> int | None:
-        """A reflex on observable features: a uniformly chosen allocate action
-        whose DC has locally pending heads of that type and room to serve
-        them. Returns None when nothing qualifies."""
-        options = [action for action in allocation_candidates(engine)
-                   if phase.local[(action.dc, action.vtype)] > 0]
-        if not options:
-            return None
-        pick = options[int(self.agent.rng.integers(len(options)))]
-        return encode_action(pick, self.encoder.n_dcs, self.encoder.vnf_names)
+    def _guide_options(self, engine, phase: PhaseFeatures) -> list[int]:
+        """The guide, a reflex on observable features, draws uniformly from
+        these: the indices of the allocate actions whose DC has locally
+        pending heads of that type and room to serve them."""
+        return [encode_action(action, self.encoder.n_dcs, self.encoder.vnf_names)
+                for action in allocation_candidates(engine)
+                if phase.local[(action.dc, action.vtype)] > 0]
 
     def act(self, engine) -> None:
         # the only train_step calls of a phase run here, before any action:
@@ -552,21 +588,24 @@ class DqnTrainingPolicy:
         # stays valid until an action changes the state
         self._collect_events(engine)
         self._close_invocation()
-        vnf_names = self.encoder.vnf_names
+        actions = self.encoder.actions
         phase = self.encoder.phase_features(engine)
-        enc = q = None
+        flat = None
         for _ in range(self.max_actions):
-            if enc is None:
-                enc = self.encoder.encode(engine, phase)
-                flat = np.concatenate(enc)
-                q = None
+            if flat is None:
+                flat = self.encoder.encode(engine, phase)
+                enc = self.agent.split(flat)
+                q = guide = None
                 failed = set()  # indices refused since the state last changed
             idx = None
             if self.guide_prob > 0.0 and self.agent.rng.random() < self.guide_prob:
-                idx = self._guide_index(engine, phase)
+                if guide is None:
+                    guide = self._guide_options(engine, phase)
+                if guide:
+                    idx = guide[int(self.agent.rng.integers(len(guide)))]
             if idx is None:
                 idx, q = self.agent.act_index(enc, self.epsilon, q)
-            action = decode_action(idx, self.encoder.n_dcs, vnf_names)
+            action = actions[idx]
             if action.kind == IDLE_WAIT:
                 # not a stop during training: keeps exploration throughput
                 # independent of the current value estimates
@@ -580,12 +619,12 @@ class DqnTrainingPolicy:
                 if self.agent.rng.random() < self.INVALID_KEEP:
                     self.open.append((flat, idx, -self.rewards.invalid))
                 continue
-            phase.take_allocated(engine)
+            phase.take_action(engine, action)
             if engine.last_allocated_tag is not None:
                 self.open_by_tag.setdefault(engine.last_allocated_tag, []).append((flat, idx))
             else:
                 self.open.append((flat, idx, 0.0))
-            enc = None
+            flat = None
 
     def finish(self, engine) -> None:
         self._collect_events(engine)

@@ -1,6 +1,7 @@
 """Q-network numerics (gradient checks), replay, exploration, encoding, and a
 pinned train+eval run."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -55,6 +56,16 @@ class TestActionCodec:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             decode_action(61, 5, VNF_NAMES)
+
+    @pytest.mark.parametrize("scenario", ["tiny", "paper5dc"])
+    def test_encoder_action_table_is_decode_action(self, scenario):
+        cfg = load_config(scenario, seed=0)
+        graph = cfg.build_graph()
+        encoder = StateEncoder(cfg.build_catalog(), graph.n, len(graph.edge_keys()))
+        n_actions = action_space_size(graph.n, len(encoder.vnf_names))
+        assert isinstance(encoder.actions, tuple)
+        assert list(encoder.actions) == [decode_action(i, graph.n, encoder.vnf_names)
+                                         for i in range(n_actions)]
 
 
 def random_inputs(rng, widths, batch=1):
@@ -290,6 +301,11 @@ class TestAgent:
             load_agent(path)
 
 
+def _branches(encoder, flat):
+    """The encoding's three branches, as the network splits it."""
+    return np.split(flat, np.cumsum(encoder.widths)[:-1])
+
+
 class TestStateEncoder:
     def make_engine(self):
         catalog = default_catalog()
@@ -300,8 +316,8 @@ class TestStateEncoder:
 
     def test_fresh_state_features(self):
         engine, catalog = self.make_engine()
-        enc = StateEncoder(catalog, 2, 1).encode(engine)
-        dc_block, sfc_block, link_block = enc
+        encoder = StateEncoder(catalog, 2, 1)
+        dc_block, sfc_block, link_block = _branches(encoder, encoder.encode(engine))
         assert dc_block.shape == (2 * 20,)
         assert np.all(dc_block[:2] == 1.0)
         assert np.all(dc_block[2:20] == 0.0)
@@ -314,7 +330,8 @@ class TestStateEncoder:
     def test_storage_feature_after_install(self):
         engine, catalog = self.make_engine()
         engine.dcs[0].install_vnf(catalog.vnfs["NAT"], engine.step_no)
-        dc_block = StateEncoder(catalog, 2, 1).encode(engine)[0]
+        encoder = StateEncoder(catalog, 2, 1)
+        dc_block = _branches(encoder, encoder.encode(engine))[0]
         assert dc_block[0] == pytest.approx(1993 / 2000)
         assert dc_block[2] == pytest.approx(1 / 50)  # one idle NAT, capped at 50
 
@@ -327,7 +344,7 @@ class TestStateEncoder:
         ]))
         encoder = StateEncoder(catalog, 2, 1)
         enc = encoder.encode(engine)
-        sfc = enc[1].reshape(6, 8)
+        sfc = _branches(encoder, enc)[1].reshape(6, 8)
         cg_row = list(catalog.sfcs).index("CG")
         nat_col = 0
         assert sfc[cg_row, nat_col] == pytest.approx(2 / 50)
@@ -339,15 +356,14 @@ class TestStateEncoder:
             {"type": "CG", "src": 0, "dest": 1},
             {"type": "CG", "src": 0, "dest": 1},
         ]))
-        enc2 = encoder.encode(engine2)
-        for a, b in zip(enc, enc2):
-            assert np.array_equal(a, b)
+        assert np.array_equal(enc, encoder.encode(engine2))
 
     def test_widths_match_agent_contract(self):
         engine, catalog = self.make_engine()
         encoder = StateEncoder(catalog, 2, 1)
         enc = encoder.encode(engine)
-        assert tuple(len(x) for x in enc) == encoder.widths
+        assert enc.shape == (sum(encoder.widths),)
+        assert tuple(len(x) for x in _branches(encoder, enc)) == encoder.widths
 
 
 class TestTraining:
@@ -500,6 +516,20 @@ def _recount_waiting(encoder, engine):
     return pending, local
 
 
+def _every_kind_of_draw(cfg, seed):
+    """On one agent: training episodes of guided, epsilon and mostly greedy
+    draws, then evaluation at eps 0 and 0.3. Yields after each run."""
+    from sfcsim.dqn import build_agent
+
+    agent = build_agent(cfg, seed)
+    for eps, guide in ((1.0, 1.0), (1.0, 0.0), (0.3, 0.0)):
+        run_training_episode(cfg, agent, epsilon=eps, episode_seed=seed, guide_prob=guide)
+        yield
+    for eps in (0.0, 0.3):
+        run_one(cfg, seed, policy=DqnPolicy(agent, cfg, seed, epsilon=eps))
+        yield
+
+
 class TestPolicyPhase:
     """What one policy phase shares between its actions, checked against the
     same work done afresh."""
@@ -546,8 +576,7 @@ class TestPolicyPhase:
         def encode(self, engine, phase=None):
             enc = real_encode(self, engine, phase)
             if phase is not None:
-                for shared, fresh in zip(enc, real_encode(self, engine)):
-                    assert np.array_equal(shared, fresh)
+                assert enc.tobytes() == real_encode(self, engine).tobytes()
                 steps.append(engine.step_no)
             return enc
 
@@ -563,7 +592,7 @@ class TestPolicyPhase:
         # checked when a phase starts and after every accepted action, for
         # guided and epsilon training draws and for evaluation at eps 0 and 0.3
         real_phase = StateEncoder.phase_features
-        real_take = PhaseFeatures.take_allocated
+        real_take = PhaseFeatures.take_action
         real_apply = Engine.apply_action
         encoders = {}
         counts = {"accepted": 0, "checked": 0}
@@ -581,8 +610,8 @@ class TestPolicyPhase:
             multi.append(len(cohorts) > len({styp for styp, _ in cohorts}))
             return phase
 
-        def take_allocated(self, engine):
-            real_take(self, engine)
+        def take_action(self, engine, action):
+            real_take(self, engine, action)
             check(encoders[id(self)], engine, self)
             counts["checked"] += 1
 
@@ -592,18 +621,10 @@ class TestPolicyPhase:
             return ok
 
         monkeypatch.setattr(StateEncoder, "phase_features", phase_features)
-        monkeypatch.setattr(PhaseFeatures, "take_allocated", take_allocated)
+        monkeypatch.setattr(PhaseFeatures, "take_action", take_action)
         monkeypatch.setattr(Engine, "apply_action", apply_action)
-        cfg = _busy_tiny(3)
-        from sfcsim.dqn import build_agent
-
-        agent = build_agent(cfg, 3)
         accepted = []
-        for eps, guide in ((1.0, 1.0), (1.0, 0.0), (0.3, 0.0)):
-            run_training_episode(cfg, agent, epsilon=eps, episode_seed=3, guide_prob=guide)
-            accepted.append(counts["accepted"])
-        for eps in (0.0, 0.3):
-            run_one(cfg, 3, policy=DqnPolicy(agent, cfg, 3, epsilon=eps))
+        for _ in _every_kind_of_draw(_busy_tiny(3), 3):
             accepted.append(counts["accepted"])
         assert counts["checked"] == counts["accepted"]
         # each run accepts actions, except perhaps the greedy evaluation,
@@ -613,23 +634,125 @@ class TestPolicyPhase:
         # some phases see one SFC type injected on more than one step
         assert any(multi) and len(multi) > 20
 
-    def test_refused_action_reaches_the_engine_once_per_state(self, monkeypatch):
+    def test_every_accepted_action_reencodes_to_a_full_encode(self, monkeypatch):
+        # the partial rewrite that follows each accepted action, bit for bit
+        # against a full build, for every kind of draw
+        real_phase = StateEncoder.phase_features
+        real_take = PhaseFeatures.take_action
+        real_encode = StateEncoder.encode
+        encoders = {}
+        seen = {"checked": 0, "uninstall": 0, "remote": 0}
+
+        def phase_features(self, engine):
+            phase = real_phase(self, engine)
+            encoders[id(phase)] = self
+            return phase
+
+        def take_action(self, engine, action):
+            real_take(self, engine, action)
+            encoder = encoders[id(self)]
+            # a copy, so the policy's own re-encode still starts from here
+            probe = dataclasses.replace(self, stale_dcs=set(self.stale_dcs),
+                                        stale_sfcs=set(self.stale_sfcs))
+            assert probe.flat is not None
+            shared = real_encode(encoder, engine, probe)
+            assert shared.tobytes() == real_encode(encoder, engine).tobytes()
+            seen["checked"] += 1
+            seen["uninstall"] += action.kind == UNINSTALL
+            tag = engine.last_allocated_tag
+            seen["remote"] += tag is not None and engine.live[tag].sfc_dc != action.dc
+
+        monkeypatch.setattr(StateEncoder, "phase_features", phase_features)
+        monkeypatch.setattr(PhaseFeatures, "take_action", take_action)
+        checked = []
+        for _ in _every_kind_of_draw(_busy_tiny(3), 3):
+            checked.append(seen["checked"])
+        # every run but perhaps the greedy evaluation accepts actions, and the
+        # rewrite met both an uninstall and an allocation away from the chain
+        gains = [b - a for a, b in zip([0, *checked], checked)]
+        assert all(gains[i] > 0 for i in (0, 1, 2, 4)), gains
+        assert seen["uninstall"] > 0 and seen["remote"] > 0, seen
+
+    def test_encodings_are_pushed_as_they_were_handed_out(self, monkeypatch):
+        # an encoding waits by reference in open or open_by_tag until _push
+        # copies it into the replay ring, so no later re-encode may write it;
+        # each is snapshot as encode hands it out, before it can enter either
+        real_encode = StateEncoder.encode
+        real_push = DqnTrainingPolicy._push
+        handed_out = {}  # id -> (encoding, its bytes when handed out)
+        counts = {"reencoded": 0, "pushed": 0}
+
+        def encode(self, engine, phase=None):
+            counts["reencoded"] += phase is not None and phase.flat is not None
+            flat = real_encode(self, engine, phase)
+            # the first snapshot stands; holding flat keeps its id unique
+            handed_out.setdefault(id(flat), (flat, flat.tobytes()))
+            return flat
+
+        def push(self, state, action, reward):
+            flat, snapshot = handed_out[id(state)]
+            assert flat is state
+            assert state.tobytes() == snapshot
+            counts["pushed"] += 1
+            real_push(self, state, action, reward)
+
+        monkeypatch.setattr(StateEncoder, "encode", encode)
+        monkeypatch.setattr(DqnTrainingPolicy, "_push", push)
+        for _ in _every_kind_of_draw(_busy_tiny(3), 3):
+            pass
+        assert counts["pushed"] > 0 and counts["reencoded"] > 0, counts
+
+    def test_guide_sweeps_once_per_state(self, monkeypatch):
         import sfcsim.dqn
 
+        real_candidates = sfcsim.dqn.allocation_candidates
+        real_phase = StateEncoder.phase_features
+        real_apply = Engine.apply_action
+        counts = {"sweeps": 0, "states": 0}
+
+        def allocation_candidates(engine):
+            counts["sweeps"] += 1
+            return real_candidates(engine)
+
+        def phase_features(self, engine):
+            counts["states"] += 1
+            return real_phase(self, engine)
+
+        def apply_action(self, action):
+            ok = real_apply(self, action)
+            counts["states"] += ok  # an accepted action makes a new state
+            return ok
+
+        monkeypatch.setattr(sfcsim.dqn, "allocation_candidates", allocation_candidates)
+        monkeypatch.setattr(StateEncoder, "phase_features", phase_features)
+        monkeypatch.setattr(Engine, "apply_action", apply_action)
+        cfg = _busy_tiny(3).with_overrides({"dqn.max_actions": 40})
+        from sfcsim.dqn import build_agent
+
+        run_training_episode(cfg, build_agent(cfg, 3), epsilon=1.0, episode_seed=3,
+                             guide_prob=0.5)
+        assert 0 < counts["sweeps"] <= counts["states"], counts
+
+    def test_refused_action_reaches_the_engine_once_per_state(self, monkeypatch):
         real_act = DqnTrainingPolicy.act
         real_apply = Engine.apply_action
-        real_decode = sfcsim.dqn.decode_action
         refused = set()
         counts = {"drawn": 0, "applied": 0, "refused": 0}
 
+        class Drawn(tuple):
+            """The decoded-action table, counting the draws other than
+            IdleWait that read it."""
+
+            def __getitem__(self, idx):
+                action = tuple.__getitem__(self, idx)
+                counts["drawn"] += action.kind != IDLE_WAIT
+                return action
+
         def act(self, engine):
             refused.clear()
+            if type(self.encoder.actions) is not Drawn:
+                self.encoder.actions = Drawn(self.encoder.actions)
             return real_act(self, engine)
-
-        def decode(idx, n_dcs, vnf_names):
-            action = real_decode(idx, n_dcs, vnf_names)
-            counts["drawn"] += action.kind != IDLE_WAIT
-            return action
 
         def apply_action(self, action):
             # a refusal leaves the state as it was, so asking again is waste
@@ -645,7 +768,6 @@ class TestPolicyPhase:
 
         monkeypatch.setattr(DqnTrainingPolicy, "act", act)
         monkeypatch.setattr(Engine, "apply_action", apply_action)
-        monkeypatch.setattr(sfcsim.dqn, "decode_action", decode)
         cfg = _busy_tiny(3).with_overrides({"dqn.max_actions": 40})
         from sfcsim.dqn import build_agent
 
