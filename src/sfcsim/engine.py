@@ -19,8 +19,10 @@ in-flight final TX would finish them in.
 
 A TX that finds no path (an allocated remote head, or a finished chain)
 waits in a tag set and searches again on every executed step through the
-path cache, which answers a repeated search from memory until the bandwidth
-version moves; so a blocked TX starts on the step a release frees a path.
+path cache, so a blocked TX starts on the step a release frees a path. The
+cache answers a repeated search from memory until the graph's feasibility
+version for the request's bandwidth moves, which happens only when an
+edge's residual crosses that bandwidth.
 
 Time advances from one due step to the next. A step is due when one of
 the drop, wake-up or final-TX heaps has an entry for it, when a DC's
@@ -33,8 +35,10 @@ policy ticks and the step cap are due steps as well.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
 allocation argmax scores each group once instead of each tag, from a score
-table that lives for one policy phase. The engine keeps no count that only
-the DQN agent observes: dqn.StateEncoder counts those from `live`.
+table that lives for one policy phase. Each group keeps its tags in
+ascending order, so its smallest tag is its first. The engine keeps no
+count that only the DQN agent observes: dqn.StateEncoder counts those from
+`live`.
 """
 
 from __future__ import annotations
@@ -122,8 +126,8 @@ class Engine:
         self.done: list[CompletionRecord] = []
         self.dropped: list[DropRecord] = []
 
-        # waiting[vname][score_key] is an ordered set of tags whose head is
-        # unallocated; empty groups are deleted
+        # waiting[vname][score_key] is a set of tags whose head is unallocated,
+        # in ascending order; empty groups are deleted
         self.waiting: dict[str, dict[tuple, dict[int, None]]] = {v: {} for v in catalog.vnfs}
 
         self._drop_heap: list[tuple[int, int]] = []  # (due step, tag)
@@ -131,6 +135,7 @@ class Engine:
         self._final_heap: list[tuple[int, int, int, SfcRecord]] = []  # (end, start, tag, rec)
         self._await_tx: set[int] = set()  # allocated remote heads with no TX path yet
         self._await_final: set[int] = set()  # finished chains with no final path yet
+        # (src, dest, bw) -> (feasibility version of bw, path)
         self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
         self._bw_seen: int | None = None  # bw_version when the last step began
         self._score_stamp: tuple[int, int] | None = None  # (step_no, bw_version)
@@ -151,7 +156,15 @@ class Engine:
                              src=rec.src_dc, dest=rec.dest_dc, bw=rec.bw)
 
     def _waiting_add(self, rec: SfcRecord) -> None:
-        self.waiting[rec.head.vtype].setdefault(score_key(rec), {})[rec.tag] = None
+        groups = self.waiting[rec.head.vtype]
+        key = score_key(rec)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = {rec.tag: None}
+        elif rec.tag > next(reversed(group)):
+            group[rec.tag] = None
+        else:  # a head finished before an older one of its group
+            groups[key] = dict.fromkeys(sorted([*group, rec.tag]))
 
     def _waiting_remove(self, rec: SfcRecord) -> None:
         groups = self.waiting[rec.head.vtype]
@@ -164,13 +177,19 @@ class Engine:
     # -- alias helpers -------------------------------------------------------
 
     def cached_min_path(self, src: int, dest: int, bw: float):
-        """select_min_path memoised on the bandwidth version; read-only."""
+        """select_min_path memoised on graph.feasibility_version(bw); read-only.
+
+        The search reads residuals only as residual >= to_milli(bw), so its
+        answer holds until a residual crosses that threshold, however many
+        other bandwidth moves happen in between.
+        """
         key = (src, dest, bw)
+        version = self.graph.feasibility_version(bw)
         hit = self._path_cache.get(key)
-        if hit is not None and hit[0] == self.graph.bw_version:
+        if hit is not None and hit[0] == version:
             return hit[1]
         path = self.graph.select_min_path(src, dest, bw)
-        self._path_cache[key] = (self.graph.bw_version, path)
+        self._path_cache[key] = (version, path)
         return path
 
     def score_rows(self) -> dict[tuple, list]:
@@ -464,6 +483,8 @@ class Engine:
             for key, group in groups.items():
                 if not group:
                     raise InvariantError(f"empty waiting group {vname} {key}")
+                if list(group) != sorted(group):
+                    raise InvariantError(f"waiting group {vname} {key} out of tag order")
                 for tag in group:
                     rec = self.live.get(tag)
                     head = rec.head if rec is not None else None

@@ -6,13 +6,13 @@ SFC is always chosen here, by the four-criterion priority score.
 
 The engine keeps waiting tags grouped by score_key: every input of a waiting
 tag's score, so all tags of one group score the same and the argmax scores
-each group once, through its smallest tag. Within one policy phase the step
-and the bandwidth version are fixed as well, so a group's DC-independent
-components (score_row: p1, p4, the source DC and, once needed, the hops of
-its min path) are computed once per phase into the engine's score table, and
-per DC only p2 is read from the row. Every total is w1*p1 + w2*p2 + w3*p3 +
-w4*p4 summed in that order, as priority() sums it: a regrouped float sum can
-flip an argmax tie.
+each group once, through its smallest tag, which the engine keeps first.
+Within one policy phase the step and the bandwidth version are fixed as
+well, so a group's DC-independent components (score_row: p1, p4, the source
+DC and, once needed, the hops of its min path) are computed once per phase
+into the engine's score table, and per DC only p2 is read from the row.
+Every total is w1*p1 + w2*p2 + w3*p3 + w4*p4 summed in that order, as
+priority() sums it: a regrouped float sum can flip an argmax tie.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     """Argmax of priority total over the candidate set; smallest tag on ties.
 
     Tags of one waiting group score the same, so each group is scored once,
-    through its smallest tag, from its row in the engine's score table; the
-    total is priority's expression in priority's order, with p3 = 0 for an
-    unallocated head.
+    through its smallest tag, its first, from its row in the engine's score
+    table; the total is priority's expression in priority's order, with
+    p3 = 0 for an unallocated head.
     """
     groups = engine.waiting.get(vtype)
     if not groups:
@@ -151,7 +151,7 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     best_tag = None
     best_total = -1.0
     for key, group in groups.items():
-        tag = min(group)
+        tag = next(iter(group))
         row = rows.get(key)
         if row is None:
             row = rows[key] = score_row(engine, live[tag])

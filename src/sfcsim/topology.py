@@ -4,12 +4,20 @@ Residual bandwidth is tracked in integer units of 0.001 Mbps so that any
 balanced reserve/release sequence restores the exact initial state. Path
 discovery is one label-setting Dijkstra over (length, hops) labels on the
 bandwidth-feasible subgraph.
+
+A search for bandwidth bw reads residuals only as residual >= t with
+t = to_milli(bw), so its answer depends on (src, dest) and the feasible set
+F(t) = {edge : residual >= t} alone. The graph keeps a version for each
+threshold it has been asked about, and a residual move bumps exactly the
+thresholds it carries an edge across; a cached answer stays right while its
+threshold's version holds.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 C_FIBER_KM_S = 2.0e5  # light in fiber
@@ -42,8 +50,9 @@ class TopologyError(ValueError):
 class NetworkGraph:
     """Undirected graph of DCs with per-edge capacity and residual bandwidth.
 
-    bw_version increments on every residual change; callers can use it to
-    skip repeating a path search whose inputs cannot have changed.
+    bw_version increments on every residual change; feasibility_version(bw)
+    only when the edge set a search for bw may use changes, which is what a
+    path-search memo should be keyed on.
     """
 
     def __init__(self, nodes, edges, *, propagation=True):
@@ -63,6 +72,8 @@ class NetworkGraph:
         self._residual: dict[tuple[int, int], int] = {}
         self.propagation = propagation
         self.bw_version = 0
+        self._thresholds: list[int] = []  # sorted; every t ever asked about
+        self._feasible: dict[int, int] = {}  # t -> version of F(t)
         total_km = 0.0
         for edge in edges:
             m, n, cap = edge[0], edge[1], edge[2]
@@ -136,9 +147,7 @@ class NetworkGraph:
         for key in edges:
             if self._residual[key] < amount:
                 raise TopologyError(f"reserve of {bw_mbps} Mbps exceeds residual on edge {key}")
-        for key in edges:
-            self._residual[key] -= amount
-        self.bw_version += 1
+        self._move(edges, -amount)
 
     def release_bw(self, path: PathResult, bw_mbps: float) -> None:
         """Increment residual by bw on every edge of path (inverse of reserve)."""
@@ -149,9 +158,33 @@ class NetworkGraph:
         for key in edges:
             if self._residual[key] + amount > self._capacity[key]:
                 raise TopologyError(f"release of {bw_mbps} Mbps exceeds capacity on edge {key}")
+        self._move(edges, amount)
+
+    def _move(self, edges, delta: int) -> None:
+        """Add delta to each edge's residual, bumping the version of every
+        registered threshold t the edge crosses (lo < t <= hi)."""
+        residual = self._residual
+        thresholds = self._thresholds
+        feasible = self._feasible
         for key in edges:
-            self._residual[key] += amount
+            old = residual[key]
+            new = residual[key] = old + delta
+            lo, hi = (new, old) if delta < 0 else (old, new)
+            first = bisect_right(thresholds, lo)
+            for t in thresholds[first:bisect_right(thresholds, hi, first)]:
+                feasible[t] += 1
         self.bw_version += 1
+
+    def feasibility_version(self, req_bw: float) -> int:
+        """The version of F(to_milli(req_bw)), the edge set that
+        select_min_path(., ., req_bw) searches; it moves exactly when that
+        set changes. A threshold is registered on its first ask."""
+        t = to_milli(req_bw)
+        version = self._feasible.get(t)
+        if version is None:
+            insort(self._thresholds, t)
+            version = self._feasible[t] = 0
+        return version
 
     # -- path discovery ------------------------------------------------------
 

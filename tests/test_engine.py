@@ -11,7 +11,14 @@ from sfcsim.catalog import default_catalog, load_catalog
 from sfcsim.datacenter import DataCenter
 from sfcsim.config import load_config, make_runtime
 from sfcsim.engine import Engine, InvariantError, StepLimitExceeded, run_episode, tx_steps
-from sfcsim.policy import ALLOCATE, IDLE_WAIT, UNINSTALL, HeuristicPolicy, PolicyAction
+from sfcsim.policy import (
+    ALLOCATE,
+    IDLE_WAIT,
+    UNINSTALL,
+    HeuristicPolicy,
+    PolicyAction,
+    select_for_allocation,
+)
 from sfcsim.requestgen import RequestGenerator, schedule_waves
 from sfcsim.topology import NetworkGraph, PathResult
 from sfcsim.trace import TraceWriter
@@ -398,6 +405,79 @@ class TestWaitingGroupInvariants:
         engine.live[2].head.vnf_dc = 0
         with pytest.raises(InvariantError):
             engine.check_invariants()
+
+    def test_group_out_of_tag_order_detected(self):
+        engine = self.queued()
+        groups = engine.waiting["NAT"]
+        key = next(k for k, g in groups.items() if 0 in g)
+        groups[key] = {1: None, 0: None}
+        with pytest.raises(InvariantError):
+            engine.check_invariants()
+
+    def test_heads_finishing_in_reverse_tag_order_keep_the_group_sorted(self):
+        # tag 1's NAT starts a step before tag 0's, so tag 1 joins the FW
+        # group first; the group must still read 0, 1 and tag 0 must win
+        engine, gen, _ = build()
+        engine.inject(gen.manual_wave([{"type": "CG", "src": 0, "dest": 1}] * 2))
+        engine.step()
+        assert engine.allocate_head(1, 0)
+        engine.step()
+        assert engine.allocate_head(0, 0)
+        orders = []
+        while engine.live[0].head.vtype == "NAT":
+            engine.step()
+            engine.check_invariants()
+            orders += [list(g) for g in engine.waiting["FW"].values()]
+        assert orders[0] == [1] and orders[-1] == [0, 1]
+        assert len(engine.waiting["FW"]) == 1
+        assert select_for_allocation(engine, 0, "FW") == 0
+
+
+class TestPathCache:
+    def test_answers_from_memory_equal_fresh_searches_on_paper5dc(self):
+        # a full paper5dc heuristic episode, MIoT's drawn bandwidths included:
+        # every answer the cache gives from memory must be the search's own,
+        # hops and bit-equal length, also after bandwidth moves that cross
+        # no edge over the request's threshold
+        engine, gen, plan = make_runtime(load_config("paper5dc", seed=0))
+        graph = engine.graph
+        search = graph.select_min_path
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        graph.select_min_path = counted
+        cached = engine.cached_min_path
+        searched_at = {}  # (src, dest, bw) -> bw_version of its last search
+        hits = across = stale = 0
+
+        def checked(src, dest, bw):
+            nonlocal hits, across, stale
+            key = (src, dest, bw)
+            had = key in engine._path_cache
+            before = len(searches)
+            path = cached(src, dest, bw)
+            if len(searches) == before:
+                fresh = search(src, dest, bw)
+                assert (path is None) == (fresh is None), key
+                if path is not None:
+                    assert path.hops == fresh.hops, key
+                    assert path.length_km.hex() == fresh.length_km.hex(), key
+                hits += 1
+                across += searched_at[key] != graph.bw_version
+            else:
+                stale += had
+                searched_at[key] = graph.bw_version
+            return path
+
+        engine.cached_min_path = checked
+        result = run_episode(engine, gen, plan, HeuristicPolicy())
+        assert result.generated > 1000
+        assert len({bw for _, _, bw in searched_at}) > 20  # range bandwidths
+        assert across > 0 and stale > 0
+        assert hits > 10 * len(searches)
 
 
 class TestTxWaitingInvariants:

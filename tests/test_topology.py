@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sfcsim.topology import NetworkGraph, PathResult, TopologyError, circle_topology
+from sfcsim.topology import NetworkGraph, PathResult, TopologyError, circle_topology, to_milli
 
 
 def line_graph(caps=(500.0, 500.0)):
@@ -196,6 +196,75 @@ class TestBandwidthLedger:
         g._residual[(0, 1)] = -1
         with pytest.raises(TopologyError):
             g.check_residuals()
+
+
+class TestFeasibilityVersions:
+    @staticmethod
+    def feasible(g, bw):
+        t = to_milli(bw)
+        return frozenset(key for key, res in g.residual_snapshot().items() if res >= t)
+
+    @staticmethod
+    def pick_bw(g, rng):
+        """A quantized bandwidth: fractional, an edge's exact residual, or 0."""
+        r = rng.random()
+        if r < 0.1:
+            return 0.0
+        if r < 0.45:
+            keys = g.edge_keys()
+            return g.residual_mbps(*keys[int(rng.integers(len(keys)))])
+        return float(np.round(rng.uniform(0.001, 60.0), 3))
+
+    def test_version_moves_exactly_when_the_feasible_set_changes(self):
+        # interleaved reserves and releases on feasible paths; after every
+        # move each asked threshold's version must have moved iff its edge
+        # set did, and a memo stamped with it must hold the fresh answer
+        kept = stale = moved = held_still = 0
+        for seed in range(40):
+            g, rng = random_graph(seed + 20_000)
+            if not g.edge_keys():
+                continue
+            asked = [0.0]
+            memo = {}
+            held = []
+            before = {bw: (g.feasibility_version(bw), self.feasible(g, bw)) for bw in asked}
+            for _ in range(40):
+                if rng.random() < 0.3:
+                    asked.append(self.pick_bw(g, rng))  # first asked mid-sequence
+                if held and rng.random() < 0.4:
+                    path, bw = held.pop(int(rng.integers(len(held))))
+                    g.release_bw(path, bw)
+                else:
+                    bw = asked[int(rng.integers(len(asked)))] if rng.random() < 0.5 \
+                        else self.pick_bw(g, rng)
+                    src, dest = (int(x) for x in rng.integers(g.n, size=2))
+                    path = g.select_min_path(src, dest, bw)
+                    if path is None:
+                        continue
+                    g.reserve_bw(path, bw)
+                    held.append((path, bw))
+                for bw, (version, edges) in before.items():
+                    changed = self.feasible(g, bw) != edges
+                    assert (g.feasibility_version(bw) != version) == changed, (seed, bw)
+                    moved += changed
+                    held_still += not changed
+                before = {bw: (g.feasibility_version(bw), self.feasible(g, bw)) for bw in asked}
+                for bw in asked:
+                    src = int(rng.integers(g.n))
+                    oracle = enumerate_min_paths(g, src, bw)
+                    for dest in range(g.n):
+                        fresh = g.select_min_path(src, dest, bw)
+                        assert_matches_oracle(fresh, oracle.get(dest))
+                        version = g.feasibility_version(bw)
+                        hit = memo.get((src, dest, bw))
+                        if hit is not None and hit[0] == version:
+                            assert hit[1] == fresh, (seed, src, dest, bw)
+                            kept += 1
+                        else:
+                            stale += hit is not None
+                            memo[(src, dest, bw)] = (version, fresh)
+            assert 0.0 in before and before[0.0][0] == 0  # F(0) is every edge, always
+        assert min(kept, stale, moved, held_still) > 100
 
 
 class TestPropagation:
