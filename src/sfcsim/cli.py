@@ -1,7 +1,8 @@
 """Command line interface: run one episode, train the DQN, or sweep seeds.
 
 Exit codes: 0 success, 1 config error, 2 runtime invariant violation,
-3 training divergence. The output root defaults to ./out or $SFCSIM_OUTDIR.
+3 training divergence, 4 step cap reached. The output root defaults to
+./out or $SFCSIM_OUTDIR.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import yaml
 from .config import BUILTIN_SCENARIOS, ConfigError, ScenarioConfig, load_config, make_runtime
 from .datacenter import DataCenterError
 from .dqn import TrainingDiverged, train
-from .engine import EngineError, run_episode
+from .engine import EngineError, StepLimitExceeded, run_episode
 from .topology import TopologyError
 from .trace import TraceWriter
 
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_DIVERGED = 3
+EXIT_STEP_CAP = 4
 
 
 def _out_root(args) -> str:
@@ -236,6 +238,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} (last good checkpoint kept)", file=sys.stderr)
         return EXIT_DIVERGED
+    except StepLimitExceeded as exc:  # a limit the config set, not a bug
+        print(f"step cap reached: {exc}", file=sys.stderr)
+        return EXIT_STEP_CAP
     except (EngineError, DataCenterError, TopologyError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,7 +1,8 @@
 """Placement policy interface, priority-point scoring, and the greedy benchmark.
 
-A policy plans PolicyActions; the engine applies them through a constrained
-executor that can only perform valid operations. For AllocateVnf the concrete
+A policy picks PolicyActions; the engine applies them through a constrained
+executor that can only perform valid operations, and the greedy benchmark
+picks only ones that live state says succeed. For AllocateVnf the concrete
 SFC is always chosen here, by the four-criterion priority score.
 
 The engine keeps waiting tags grouped by score_key: every input of a waiting
@@ -163,44 +164,43 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     return best_tag
 
 
-def allocation_candidates(engine) -> list[PolicyAction]:
-    """Every allocation that can succeed now: for each DC in ascending id and
-    each VNF type in catalog order, one whenever heads of that type wait and
-    the DC has an idle matching instance or room to install one."""
-    waiting = [(vname, vtype) for vname, vtype in engine.catalog.vnfs.items()
-               if engine.waiting[vname]]
-    if not waiting:  # most steps: nothing to sweep over the DCs for
-        return []
-    return [PolicyAction(ALLOCATE, vname, dc.dc_id)
-            for dc in engine.dcs for vname, vtype in waiting
-            if dc.idle_count(vname) or dc.can_install(vtype)]
+def allocation_candidates(engine):
+    """Yield each allocation that can succeed when the sweep reaches it: per
+    DC in ascending id and VNF type in catalog order, one whenever heads of
+    that type still wait and the DC has an idle instance of it or room for
+    one. An allocation only uses things up, so a caller may apply each
+    action before reading the next, and a skipped pair could not succeed."""
+    waiting = engine.waiting
+    if not any(waiting.values()):  # most steps: nothing to sweep over the DCs for
+        return
+    for dc in engine.dcs:
+        for vname, vtype in engine.catalog.vnfs.items():
+            if waiting[vname] and (dc.idle_count(vname) or dc.can_install(vtype)):
+                yield PolicyAction(ALLOCATE, vname, dc.dc_id)
 
 
 class HeuristicPolicy:
     """The benchmark: a greedy sweep over DCs and VNF types.
 
-    Applies allocation_candidates in order; the argmax picks the SFC under
-    each. Never uninstalls; the idle reaper handles cleanup. Stateless and
+    Applies each action of allocation_candidates as the sweep yields it, so
+    each DC takes at most one head per VNF type per phase; the argmax picks
+    the SFC. Never uninstalls; the idle reaper handles cleanup. Stateless and
     deterministic.
 
-    Quiet after a no-op: when there is no candidate, act applies nothing
+    Quiet after a no-op: when the sweep yields nothing, act applies nothing
     and returns False, and another act changes nothing until the engine
     next changes, because a head starts waiting and capacity frees only at
-    engine events. A non-empty candidate list always allocates: its first
-    entry has a waiting head and an idle instance or room for one.
+    engine events.
     """
 
     quiet_after_noop = True  # run_episode may skip ticks after a False act
 
-    def plan(self, engine) -> list[PolicyAction]:
-        return allocation_candidates(engine) or [PolicyAction(IDLE_WAIT)]
-
     def act(self, engine) -> bool:
-        """Apply the plan; True when it applied more than an IdleWait."""
-        actions = self.plan(engine)
-        for action in actions:
-            engine.apply_action(action)
-        return actions[0].kind != IDLE_WAIT
+        """Apply the live sweep; True when it applied any action."""
+        applied = False
+        for action in allocation_candidates(engine):
+            applied |= engine.apply_action(action)
+        return applied
 
 
 class RandomPolicy:

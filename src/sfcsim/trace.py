@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 TRACE_SCHEMA = "sfcsim-trace-1"
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
 
 
 class TraceWriter:
@@ -12,12 +13,12 @@ class TraceWriter:
 
     def __init__(self, fh):
         self._fh = fh
-        self._fh.write(json.dumps({"schema": TRACE_SCHEMA}, sort_keys=True) + "\n")
+        self._fh.write(_encode({"schema": TRACE_SCHEMA}) + "\n")
 
     def event(self, step: int, kind: str, **fields) -> None:
         rec = {"step": step, "event": kind}
         rec.update(fields)
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._fh.write(_encode(rec) + "\n")
 
 
 class NullTrace:

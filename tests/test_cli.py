@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import sfcsim.cli
-from sfcsim.cli import EXIT_CONFIG, EXIT_RUNTIME, main, run_one
+from sfcsim.cli import EXIT_CONFIG, EXIT_RUNTIME, EXIT_STEP_CAP, main, run_one
 from sfcsim.config import ConfigError, ScenarioConfig, load_config, make_runtime
 from sfcsim.datacenter import LedgerError
 from sfcsim.engine import InvariantError
@@ -89,6 +89,15 @@ class TestRun:
         code, _ = run_cli(["run", "--scenario", "tiny"], tmp_path, monkeypatch)
         assert code == EXIT_RUNTIME
         assert "runtime invariant violation: books differ" in capsys.readouterr().err
+
+    def test_step_cap_has_its_own_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a limit the config set, not a broken invariant
+        code, _ = run_cli(["run", "--scenario", "tiny", "--set", "run.step_cap=10"],
+                          tmp_path, monkeypatch)
+        assert code == EXIT_STEP_CAP != EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "step cap reached: episode exceeded 10 steps" in err
+        assert "invariant" not in err
 
     def test_bandwidth_no_path_carries_is_config_error(self, tmp_path, monkeypatch, capsys):
         # unchecked, the finished chain's final TX waits for a 70 Mbps path on

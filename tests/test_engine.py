@@ -17,6 +17,7 @@ from sfcsim.policy import (
     UNINSTALL,
     HeuristicPolicy,
     PolicyAction,
+    allocation_candidates,
     select_for_allocation,
 )
 from sfcsim.requestgen import RequestGenerator, schedule_waves
@@ -754,6 +755,36 @@ class TestTimeAdvance:
         engine.step = step
         result = run_episode(engine, gen, plan, Flagless(), **kwargs)
         assert steps == list(range(result.steps))
+
+
+class PlannedHeuristic(HeuristicPolicy):
+    """The heuristic with a plan built before its first allocation: it lists
+    every allocation open at the start of the phase, then asks the engine
+    for each, so a later entry may find its type emptied and be refused."""
+
+    def act(self, engine):
+        actions = list(allocation_candidates(engine))
+        for action in actions:
+            engine.apply_action(action)
+        return bool(actions)
+
+
+class TestLiveSweep:
+    def test_matches_the_pre_built_plan(self):
+        """Applying the sweep as it goes skips exactly the allocations a plan
+        built up front would have had refused: within a phase an allocation
+        only uses things up. The outcome is the same, with no refusal."""
+        cases = [(micro_case(seed), {}) for seed in range(30)]
+        cases += [(micro_case(seed, "medium"), {}) for seed in range(4)]
+        cases += [config_case("paper3dc", seed) for seed in (0, 1)]
+        refused = 0
+        for make, kwargs in cases:
+            planned, plan_engine = outcome(make, PlannedHeuristic(), run_episode, **kwargs)
+            live, engine = outcome(make, HeuristicPolicy(), run_episode, **kwargs)
+            assert live == planned
+            assert engine.invalid_actions == 0
+            refused += plan_engine.invalid_actions
+        assert refused > 0
 
 
 class TestGoldenDigest:

@@ -12,6 +12,7 @@ from sfcsim.policy import (
     HeuristicPolicy,
     PolicyAction,
     PriorityWeights,
+    allocation_candidates,
     priority,
     select_for_allocation,
 )
@@ -271,7 +272,6 @@ class TestGroupedSelectionOracle:
     def drive(scenario, seed, overrides, seen, steps=400):
         cfg = load_config(scenario, seed=seed).with_overrides({**QUEUEING, **overrides})
         engine, gen, plan = make_runtime(cfg, seed)
-        policy = HeuristicPolicy()
         waves = dict(zip(plan.times, range(len(plan.times))))
         for _ in range(steps):
             if engine.step_no in waves:
@@ -293,8 +293,9 @@ class TestGroupedSelectionOracle:
             # the phase's score table must answer like the per-tag oracle at
             # its start and after every action, which removes tags from it
             TestGroupedSelectionOracle.check_all(engine, scenario)
-            for action in policy.plan(engine):
-                seen["in_phase"] += engine.apply_action(action)
+            for action in allocation_candidates(engine):  # HeuristicPolicy.act's sweep
+                assert engine.apply_action(action), action
+                seen["in_phase"] += 1
                 TestGroupedSelectionOracle.check_all(engine, scenario)
         engine.check_invariants()
 
@@ -321,7 +322,9 @@ class TestGroupedSelectionOracle:
 class TestHeuristicPolicy:
     def test_idle_wait_when_nothing_pending(self):
         engine, _ = three_dc_engine()
-        assert HeuristicPolicy().plan(engine) == [PolicyAction(IDLE_WAIT)]
+        assert list(allocation_candidates(engine)) == []
+        assert HeuristicPolicy().act(engine) is False
+        assert engine.invalid_actions == 0
 
     def test_allocates_idle_instance_at_source(self):
         engine, gen = three_dc_engine()
@@ -339,8 +342,15 @@ class TestHeuristicPolicy:
             {"type": "CG", "src": 0, "dest": 1},
             {"type": "CG", "src": 1, "dest": 0},
         ])
-        plan = HeuristicPolicy().plan(engine)
-        assert plan == [PolicyAction(ALLOCATE, "NAT", dc) for dc in (0, 1, 2)]
+        engine.step()
+        assert list(allocation_candidates(engine)) \
+            == [PolicyAction(ALLOCATE, "NAT", dc) for dc in (0, 1, 2)]
+        assert HeuristicPolicy().act(engine)
+        # each source DC takes its own head; none is left for DC 2, which the
+        # live sweep skips instead of asking the engine
+        assert [engine.live[tag].head.vnf_dc for tag in (0, 1)] == [0, 1]
+        assert not engine.waiting["NAT"]
+        assert engine.invalid_actions == 0
 
     def test_idle_wait_when_resources_exhausted(self):
         engine, gen = three_dc_engine()
@@ -348,13 +358,25 @@ class TestHeuristicPolicy:
             dc.cur_storage = 0
         inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1}])
         engine.step()
-        assert HeuristicPolicy().plan(engine) == [PolicyAction(IDLE_WAIT)]
+        assert list(allocation_candidates(engine)) == []
+        assert HeuristicPolicy().act(engine) is False
+        assert engine.live[0].head.vnf_dc is None
+        assert engine.waiting["NAT"] and engine.invalid_actions == 0
 
     def test_deterministic_and_stateless(self):
-        engine, gen = three_dc_engine()
-        inject_manual(engine, gen, [{"type": "VoIP", "src": 2, "dest": 0}])
         policy = HeuristicPolicy()
-        assert policy.plan(engine) == policy.plan(engine)
+        placed = []
+        for _ in range(2):
+            engine, gen = three_dc_engine()
+            inject_manual(engine, gen, [{"type": "VoIP", "src": 2, "dest": 0}])
+            engine.step()
+            # reading the sweep to the end changes nothing
+            assert list(allocation_candidates(engine)) == list(allocation_candidates(engine))
+            assert policy.act(engine)
+            placed.append([(tag, rec.head.vnf_dc, rec.head.func_id)
+                           for tag, rec in engine.live.items()])
+        assert placed[0] == placed[1]
+        assert placed[0][0][:2] == (0, 0)  # the sweep reaches DC 0 first
 
 
 class TestPolicyActionType:
