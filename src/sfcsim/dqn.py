@@ -10,6 +10,16 @@ checked against central finite differences.
 Training is regression of Q(s, a) on outcome labels: each replayed
 (state, action, reward) is fitted to its own reward, with no bootstrapped
 next-state term, so there is no target network and no next state to store.
+
+A training step does, bit for bit, the arithmetic of per-array code (one
+array per parameter, each operation with a fresh result; the tests keep it
+as their reference) in as few numpy calls as that allows: the parameters
+and their gradients live in two flat float64 vectors laid out in
+backward's order, so the clipped SGD update is two whole-vector in-place
+operations. From the network's first
+forward on, `QNetwork.params[name]` is a view of the parameter vector: it
+is written in place, never rebound. The gradients stay valid until the
+next backward.
 """
 
 from __future__ import annotations
@@ -101,10 +111,12 @@ class StateEncoder:
     pending work and remaining deadlines; per-edge residuals. Counts are
     capped then scaled into [0, 1].
 
-    The engine keeps none of these counts: `phase_features` walks its live
-    records once per policy phase. The phase's first `encode` writes every
-    feature; each later one copies the phase's last encoding and rewrites
-    the entries the accepted action changed, by the same expressions.
+    The engine keeps none of these counts: once per policy phase,
+    `phase_features` walks its live records for the deadline cohorts and its
+    waiting groups for the waiting heads. The phase's first `encode` writes
+    every feature; each later one copies the phase's last encoding and
+    rewrites the entries the accepted action changed, by the same
+    expressions.
     """
 
     def __init__(self, catalog: Catalog, n_dcs: int, n_edges: int, count_cap: int = 50):
@@ -138,16 +150,19 @@ class StateEncoder:
         # live is in tag order, which is inject order, so each type's cohorts
         # are met, and their mean summed, by ascending inject step
         cohorts = {s: {} for s in self.sfc_names}  # type -> inject step -> count
-        pending = {s: dict.fromkeys(self.vnf_names, 0) for s in self.sfc_names}
-        local = {(dc.dc_id, v): 0 for dc in engine.dcs for v in self.vnf_names}
         for rec in engine.live.values():
             steps = cohorts[rec.type_name]
             steps[rec.inject_step] = steps.get(rec.inject_step, 0) + 1
-            chain = rec.chain
-            if chain and chain[0].vnf_dc is None:  # a waiting head
-                vname = chain[0].vtype
-                pending[rec.type_name][vname] += 1
-                local[(rec.sfc_dc, vname)] += 1
+        # the waiting heads are the tags of the engine's waiting groups
+        pending = {s: dict.fromkeys(self.vnf_names, 0) for s in self.sfc_names}
+        local = {(dc.dc_id, v): 0 for dc in engine.dcs for v in self.vnf_names}
+        live = engine.live
+        for vname, groups in engine.waiting.items():
+            for group in groups.values():
+                for tag in group:
+                    rec = live[tag]
+                    pending[rec.type_name][vname] += 1
+                    local[(rec.sfc_dc, vname)] += 1
         deadlines = []
         for styp, steps in cohorts.items():
             deadline = engine.catalog.sfcs[styp].deadline_steps
@@ -206,7 +221,21 @@ def _glorot(rng, fan_in, fan_out):
 
 class QNetwork:
     """Per-branch affine layers, a learned softmax gate over the branches,
-    two ReLU hidden layers, and a linear output head."""
+    two ReLU hidden layers, and a linear output head.
+
+    Every parameter lives in one float64 vector, laid out in the order
+    `backward` writes the gradients: W3, b3, W2, b2, W1, b1, the branch
+    weights Wb{i}, the branch biases bb{i} side by side, then theta. The
+    network is built with one array per parameter, so set-up pays nothing
+    for the vector; the first `flat_params` call (the first forward or
+    backward) packs the arrays into it, and from then on `params[name]` is
+    a view of it. The dict keeps its name order, which
+    checkpoints follow. Write a parameter in place
+    (`params[name][...] = value`), never rebind it: every forward, backward
+    and update reads the vector, so `flat_params` refuses a rebound name.
+    `backward` writes the gradients into views of a second vector,
+    `grad_flat` (`grads[name]`); they stay valid until the next `backward`.
+    """
 
     def __init__(self, branch_widths, n_actions, *, branch_dim=32, hidden=(128, 64),
                  rng=None):
@@ -229,11 +258,56 @@ class QNetwork:
         self.params["b2"] = np.zeros(h2)
         self.params["W3"] = _glorot(rng, h2, self.n_actions)
         self.params["b3"] = np.zeros(self.n_actions)
+        # set by the first flat_params call
+        self._flat: np.ndarray | None = None
+        self._views: dict[str, np.ndarray] = {}  # what params[name] must be
+        self.grad_flat: np.ndarray | None = None
+        self.grads: dict[str, np.ndarray] = {}
+        self._spans: list[slice] = []  # each array's slice, in the clip norm's order
+        self._branch_biases = self._branch_bias_grads = None  # every bb{i}, in order
+        self._gates: np.ndarray | None = None
+        self._gates_of: bytes | None = None  # the theta bytes _gates was computed from
+
+    def flat_params(self) -> np.ndarray:
+        """The parameter vector, packed from the arrays on the first call.
+        Raises RuntimeError when a parameter has been rebound since."""
+        if self._flat is None:
+            nb = len(self.branch_widths)
+            layout = ["W3", "b3", "W2", "b2", "W1", "b1"]
+            layout += [f"Wb{i}" for i in range(nb)] + [f"bb{i}" for i in range(nb)] + ["theta"]
+            size = sum(self.params[name].size for name in layout)
+            self._flat, self.grad_flat = np.empty(size), np.empty(size)
+            spans, at = {}, 0
+            for name in layout:
+                array = self.params[name]
+                spans[name] = span = slice(at, at + array.size)
+                view = self._flat[span].reshape(array.shape)
+                view[...] = array
+                self.params[name] = self._views[name] = view
+                self.grads[name] = self.grad_flat[span].reshape(array.shape)
+                at = span.stop
+            # the branch biases side by side, as the embeddings' columns are
+            block = slice(spans["bb0"].start, spans[f"bb{nb - 1}"].stop)
+            self._branch_biases = self._flat[block]
+            self._branch_bias_grads = self.grad_flat[block]
+            # the per-array code's gradient order: each Wb{i} then its bb{i}
+            order = layout[:6] + [f"{kind}{i}" for i in range(nb) for kind in ("Wb", "bb")]
+            self._spans = [spans[name] for name in order + ["theta"]]
+        params = self.params
+        for name, view in self._views.items():
+            if params[name] is not view:
+                raise RuntimeError(f"parameter {name} was rebound; write it in place "
+                                   f"(params[{name!r}][...] = value)")
+        return self._flat
 
     def gates(self) -> np.ndarray:
+        """The softmax of theta; recomputed only when theta has changed."""
         theta = self.params["theta"]
-        exp = np.exp(theta - theta.max())
-        return exp / exp.sum()
+        key = theta.tobytes()
+        if key != self._gates_of:
+            exp = np.exp(theta - np.maximum.reduce(theta))
+            self._gates, self._gates_of = exp / np.add.reduce(exp), key
+        return self._gates
 
     def forward(self, xs: list[np.ndarray]):
         q, _ = self.forward_cached(xs)
@@ -244,46 +318,73 @@ class QNetwork:
         for x, w in zip(xs, self.branch_widths):
             if x.shape[1] != w:
                 raise ValueError(f"branch width mismatch: {x.shape[1]} != {w}")
+        self.flat_params()
         p = self.params
-        embeds = [x @ p[f"Wb{i}"] + p[f"bb{i}"] for i, x in enumerate(xs)]
+        nb, db = len(xs), self.branch_dim
+        # embeds[:, i*db:(i+1)*db] is branch i's embedding; z gates each by g[i]
+        embeds = np.empty((xs[0].shape[0], nb * db))
+        for i, x in enumerate(xs):
+            np.matmul(x, p[f"Wb{i}"], out=embeds[:, i * db:(i + 1) * db])
+        embeds += self._branch_biases
         g = self.gates()
-        z = np.hstack([g[i] * e for i, e in enumerate(embeds)])
-        pre1 = z @ p["W1"] + p["b1"]
-        h1 = np.maximum(pre1, 0.0)
-        pre2 = h1 @ p["W2"] + p["b2"]
-        h2 = np.maximum(pre2, 0.0)
-        q = h2 @ p["W3"] + p["b3"]
-        cache = (xs, embeds, g, z, pre1, h1, pre2, h2)
-        return q, cache
+        gate = np.repeat(g, db)
+        z = embeds * gate
+        h1 = z @ p["W1"]
+        h1 += p["b1"]
+        np.maximum(h1, 0.0, out=h1)
+        h2 = h1 @ p["W2"]
+        h2 += p["b2"]
+        np.maximum(h2, 0.0, out=h2)
+        q = h2 @ p["W3"]
+        q += p["b3"]
+        return q, (xs, embeds, g, gate, z, h1, h2)
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-        xs, embeds, g, z, pre1, h1, pre2, h2 = cache
-        p = self.params
-        grads: dict[str, np.ndarray] = {}
-        grads["W3"] = h2.T @ dq
-        grads["b3"] = dq.sum(axis=0)
+        """The gradients, as `grads`: views of `grad_flat`, overwritten by
+        the next call."""
+        xs, embeds, g, gate, z, h1, h2 = cache
+        self.flat_params()
+        p, grads = self.params, self.grads
+        np.matmul(h2.T, dq, out=grads["W3"])
+        np.add.reduce(dq, axis=0, out=grads["b3"])
         dh2 = dq @ p["W3"].T
-        dpre2 = dh2 * (pre2 > 0)
-        grads["W2"] = h1.T @ dpre2
-        grads["b2"] = dpre2.sum(axis=0)
-        dh1 = dpre2 @ p["W2"].T
-        dpre1 = dh1 * (pre1 > 0)
-        grads["W1"] = z.T @ dpre1
-        grads["b1"] = dpre1.sum(axis=0)
-        dz = dpre1 @ p["W1"].T
-        db = self.branch_dim
-        dgate = np.empty(len(embeds))
-        for i, (x, e) in enumerate(zip(xs, embeds)):
-            dge = dz[:, i * db:(i + 1) * db]
-            de = dge * g[i]
-            grads[f"Wb{i}"] = x.T @ de
-            grads[f"bb{i}"] = de.sum(axis=0)
-            dgate[i] = float((dge * e).sum())
-        grads["theta"] = g * (dgate - float(g @ dgate))
+        dh2 *= h2 > 0  # a ReLU's output is > 0 exactly where its input is
+        np.matmul(h1.T, dh2, out=grads["W2"])
+        np.add.reduce(dh2, axis=0, out=grads["b2"])
+        dh1 = dh2 @ p["W2"].T
+        dh1 *= h1 > 0
+        np.matmul(z.T, dh1, out=grads["W1"])
+        np.add.reduce(dh1, axis=0, out=grads["b1"])
+        dz = dh1 @ p["W1"].T
+        nb, b, db = len(xs), len(dz), self.branch_dim
+        de = dz * gate
+        for i, x in enumerate(xs):
+            np.matmul(x.T, de[:, i * db:(i + 1) * db], out=grads[f"Wb{i}"])
+        np.add.reduce(de, axis=0, out=self._branch_bias_grads)
+        # dgate[i] sums branch i's products of dz and embeds in one pairwise
+        # pass over a contiguous (row, column) block, as .sum() of the
+        # branch's own product array adds them
+        products = np.empty((nb, b, db))
+        np.multiply(dz.reshape(b, nb, db).transpose(1, 0, 2),
+                    embeds.reshape(b, nb, db).transpose(1, 0, 2), out=products)
+        dgate = np.add.reduce(products.reshape(nb, b * db), axis=1)
+        np.multiply(g, dgate - float(g @ dgate), out=grads["theta"])
         return grads
 
+    def clipped_step(self, lr: float, clip: float) -> None:
+        """Subtract lr times the last backward's gradients, scaled down to a
+        norm of at most clip. The norm sums each gradient array on its own,
+        then those sums in backward's order. Leaves the step in grad_flat."""
+        grad = self.grad_flat
+        squares = grad * grad
+        total = np.sqrt(sum([float(np.add.reduce(squares[span])) for span in self._spans]))
+        scale = clip / total if total > clip else 1.0
+        grad *= lr * scale
+        flat = self.flat_params()
+        flat -= grad
+
     def check_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.params.values())
+        return bool(np.isfinite(self.flat_params()).all())
 
 
 # -- replay buffer --------------------------------------------------------------
@@ -361,17 +462,18 @@ class DqnAgent:
         return out
 
     def act_index(self, enc: list[np.ndarray], epsilon: float,
-                  q: np.ndarray | None = None) -> tuple[int, np.ndarray | None]:
-        """One epsilon-greedy draw on encoding enc; returns (index, q).
+                  greedy: int | None = None) -> tuple[int, int | None]:
+        """One epsilon-greedy draw on encoding enc; returns (index, greedy).
 
-        q is enc's Q-vector or None; the forward pass runs only when a greedy
-        draw needs it and it is None. Passing the returned q back runs it at
-        most once per encoding, until enc or the parameters change."""
+        greedy is the argmax of enc's Q-vector, or None until a greedy draw
+        needs it: only then does the forward pass run. Passing the returned
+        greedy back runs it at most once per encoding, until enc or the
+        parameters change."""
         if self.rng.random() < epsilon:
-            return int(self.rng.integers(self.n_actions)), q
-        if q is None:
-            q = self.online.forward(enc)[0]
-        return int(np.argmax(q)), q
+            return int(self.rng.integers(self.n_actions)), greedy
+        if greedy is None:
+            greedy = int(np.argmax(self.online.forward(enc)[0]))
+        return greedy, greedy
 
     def epsilon(self, episode: int) -> float:
         hp = self.hp
@@ -391,23 +493,21 @@ class DqnAgent:
         if batch is None:
             batch = self.buffer.sample(hp["batch"], self.rng)
         states, actions, rewards = batch
+        net = self.online
         # one cast of the float32 ring rows, not one per matmul that reads them
         xs = self.split(np.atleast_2d(states).astype(np.float64, copy=False))
-        q, cache = self.online.forward_cached(xs)
+        q, cache = net.forward_cached(xs)
         b = len(actions)
         rows = np.arange(b)
-        picked = q[rows, actions]
-        err = picked - rewards
-        loss = float(np.mean(err ** 2))
-        dq = np.zeros_like(q)
-        dq[rows, actions] = 2.0 * err / b
-        grads = self.online.backward(cache, dq)
-        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-        clip = hp["grad_clip"]
-        scale = clip / total if total > clip else 1.0
-        lr = hp["lr"]
-        for name, g in grads.items():
-            self.online.params[name] -= lr * scale * g
+        err = q[rows, actions]
+        err -= rewards
+        loss = float(np.add.reduce(err * err)) / b
+        dq = np.zeros(q.shape)
+        err *= 2.0
+        err /= b
+        dq[rows, actions] = err
+        net.backward(cache, dq)
+        net.clipped_step(hp["lr"], hp["grad_clip"])
         self.train_steps += 1
         return loss
 
@@ -445,7 +545,7 @@ def load_agent(path: str) -> DqnAgent:
             if array.shape != built.shape:
                 raise ConfigError(f"online_{k} has shape {array.shape}, "
                                   f"its meta builds {built.shape}")
-            params[k] = array
+            built[...] = array  # in place: the network packs and updates this array
         agent.train_steps = meta["train_steps"]
         agent.episode = meta["episode"]
         agent.decay_episodes = meta["decay_episodes"]
@@ -481,12 +581,12 @@ class DqnPolicy:
     def act(self, engine) -> None:
         actions = self.encoder.actions
         phase = self.encoder.phase_features(engine)
-        enc = q = None
+        enc = greedy = None
         for _ in range(self.max_actions):
             if enc is None:
                 enc = self.agent.split(self.encoder.encode(engine, phase))
-                q = None
-            idx, q = self.agent.act_index(enc, self.epsilon, q)
+                greedy = None
+            idx, greedy = self.agent.act_index(enc, self.epsilon, greedy)
             action = actions[idx]
             if action.kind == IDLE_WAIT:
                 break
@@ -578,14 +678,16 @@ class DqnTrainingPolicy:
         """The guide, a reflex on observable features, draws uniformly from
         these: the indices of the allocate actions whose DC has locally
         pending heads of that type and room to serve them."""
-        return [encode_action(action, self.encoder.n_dcs, self.encoder.vnf_names)
+        # an allocation's index, as encode_action numbers it
+        n_vnfs, vnf_pos = len(self.encoder.vnf_names), self.encoder.vnf_pos
+        return [action.dc * n_vnfs + vnf_pos[action.vtype]
                 for action in allocation_candidates(engine)
                 if phase.local[(action.dc, action.vtype)] > 0]
 
     def act(self, engine) -> None:
         # the only train_step calls of a phase run here, before any action:
-        # the parameters are fixed from here on, so q (the Q-vector of enc)
-        # stays valid until an action changes the state
+        # the parameters are fixed from here on, so greedy (the argmax of
+        # enc's Q-vector) stays valid until an action changes the state
         self._collect_events(engine)
         self._close_invocation()
         actions = self.encoder.actions
@@ -595,7 +697,7 @@ class DqnTrainingPolicy:
             if flat is None:
                 flat = self.encoder.encode(engine, phase)
                 enc = self.agent.split(flat)
-                q = guide = None
+                greedy = guide = None
                 failed = set()  # indices refused since the state last changed
             idx = None
             if self.guide_prob > 0.0 and self.agent.rng.random() < self.guide_prob:
@@ -604,7 +706,7 @@ class DqnTrainingPolicy:
                 if guide:
                     idx = guide[int(self.agent.rng.integers(len(guide)))]
             if idx is None:
-                idx, q = self.agent.act_index(enc, self.epsilon, q)
+                idx, greedy = self.agent.act_index(enc, self.epsilon, greedy)
             action = actions[idx]
             if action.kind == IDLE_WAIT:
                 # not a stop during training: keeps exploration throughput

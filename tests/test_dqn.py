@@ -81,9 +81,8 @@ def flatten_params(net):
 def set_params(net, names, vec):
     at = 0
     for n in names:
-        shape = net.params[n].shape
         size = net.params[n].size
-        net.params[n] = vec[at:at + size].reshape(shape).copy()
+        net.params[n][...] = vec[at:at + size].reshape(net.params[n].shape)
         at += size
 
 
@@ -106,7 +105,7 @@ class TestGradients:
             widths = [int(rng.integers(2, 6)) for _ in range(3)]
             net = QNetwork(widths, int(rng.integers(3, 8)), branch_dim=4,
                            hidden=(6, 5), rng=rng)
-            net.params["theta"] = rng.standard_normal(3) * 0.5
+            net.params["theta"][...] = rng.standard_normal(3) * 0.5
             batch = int(rng.integers(1, 5))
             xs = random_inputs(rng, widths, batch)
             actions = rng.integers(0, net.n_actions, size=batch)
@@ -138,7 +137,7 @@ class TestGradients:
                        rng=np.random.default_rng(0))
         for key in ("bb0", "bb1", "bb2", "b1", "b2"):
             net.params[key][:] = 0.0
-        net.params["b3"] = np.arange(5.0)
+        net.params["b3"][...] = np.arange(5.0)
         xs = [np.zeros((1, 4)), np.zeros((1, 3)), np.zeros((1, 2))]
         assert np.allclose(net.forward(xs)[0], np.arange(5.0))
 
@@ -151,7 +150,7 @@ class TestGradients:
     def test_gates_are_softmax(self):
         net = QNetwork([4, 3, 2], 5, rng=np.random.default_rng(0))
         assert np.allclose(net.gates(), [1 / 3] * 3)
-        net.params["theta"] = np.array([10.0, 0.0, -10.0])
+        net.params["theta"][...] = [10.0, 0.0, -10.0]
         g = net.gates()
         assert g[0] > 0.99 and abs(g.sum() - 1.0) < 1e-12
 
@@ -198,18 +197,20 @@ class TestAgent:
     def test_epsilon_zero_takes_argmax(self):
         agent = DqnAgent([4, 3, 2], 5, agent_hp(), seed=3)
         agent.online.params["W3"][:] = 0.0
-        agent.online.params["b3"] = np.array([0.0, 3.0, 1.0, -2.0, 2.0])
+        agent.online.params["b3"][...] = [0.0, 3.0, 1.0, -2.0, 2.0]
         xs = [np.zeros(4), np.zeros(3), np.zeros(2)]
         assert agent.act_index(xs, 0.0)[0] == 1
 
-    def test_memoised_q_skips_the_forward_pass(self):
+    def test_memoised_greedy_index_skips_the_forward_pass(self, monkeypatch):
         agent = DqnAgent([4, 3, 2], 5, agent_hp(), seed=3)
         xs = [np.zeros(4), np.zeros(3), np.zeros(2)]
-        idx, q = agent.act_index(xs, 0.0)
-        assert q is not None and idx == int(np.argmax(q))
-        # a q handed back is trusted as the Q-vector of the encoding
-        fake = np.array([0.0, 0.0, 0.0, 9.0, 0.0])
-        assert agent.act_index(xs, 0.0, fake) == (3, fake)
+        idx, greedy = agent.act_index(xs, 0.0)
+        assert greedy == idx == int(np.argmax(agent.online.forward(xs)[0]))
+        # a greedy index handed back is trusted as the argmax of the encoding
+        monkeypatch.setattr(QNetwork, "forward_cached", None)  # any forward fails
+        assert agent.act_index(xs, 0.0, 3) == (3, 3)
+        # an epsilon draw hands the memo back untouched
+        assert agent.act_index(xs, 1.0, 3)[1] == 3
 
     def test_epsilon_schedule_monotone_bounded(self):
         agent = DqnAgent([4, 3, 2], 5, agent_hp(eps_start=1.0, eps_min=0.05), seed=0)
@@ -503,16 +504,16 @@ def _recount_deadlines(sfc_names, engine):
 
 
 def _recount_waiting(encoder, engine):
-    """StateEncoder's waiting counts rebuilt from the engine's waiting groups,
-    tag by tag: per (SFC type, VNF type) and per (DC of the chain, VNF type)."""
+    """StateEncoder's waiting counts rebuilt from the live records, not from
+    the waiting groups it reads: per (SFC type, VNF type) and per (DC of the
+    chain, VNF type), over every record whose head is unallocated."""
     pending = {s: {v: 0 for v in encoder.vnf_names} for s in encoder.sfc_names}
     local = {(dc.dc_id, v): 0 for dc in engine.dcs for v in encoder.vnf_names}
-    for vname, groups in engine.waiting.items():
-        for group in groups.values():
-            for tag in group:
-                rec = engine.live[tag]
-                pending[rec.type_name][vname] += 1
-                local[(rec.sfc_dc, vname)] += 1
+    for rec in engine.live.values():
+        if rec.chain and rec.chain[0].vnf_dc is None:
+            vname = rec.chain[0].vtype
+            pending[rec.type_name][vname] += 1
+            local[(rec.sfc_dc, vname)] += 1
     return pending, local
 
 
@@ -778,3 +779,144 @@ class TestPolicyPhase:
         assert counts["refused"] > 0
         assert counts["drawn"] > counts["applied"]
 
+
+class PerArrayReference:
+    """The network's arithmetic as it was written before the parameters moved
+    into one flat vector: every forward, backward, norm and update operation
+    on its own array, each with a fresh result. A test-only oracle for
+    QNetwork and DqnAgent.train_step; it keeps its own copy of the
+    parameters."""
+
+    def __init__(self, agent):
+        net = agent.online
+        self.params = {name: array.copy() for name, array in net.params.items()}
+        self.branch_widths = net.branch_widths
+        self.branch_dim = net.branch_dim
+        self.lr, self.clip = agent.hp["lr"], agent.hp["grad_clip"]
+
+    def split(self, flat):
+        return np.split(flat, np.cumsum(self.branch_widths)[:-1], axis=-1)
+
+    def gates(self):
+        theta = self.params["theta"]
+        exp = np.exp(theta - theta.max())
+        return exp / exp.sum()
+
+    def forward(self, xs):
+        return self.forward_cached(xs)[0]
+
+    def forward_cached(self, xs):
+        xs = [np.atleast_2d(x) for x in xs]
+        p = self.params
+        embeds = [x @ p[f"Wb{i}"] + p[f"bb{i}"] for i, x in enumerate(xs)]
+        g = self.gates()
+        z = np.hstack([g[i] * e for i, e in enumerate(embeds)])
+        pre1 = z @ p["W1"] + p["b1"]
+        h1 = np.maximum(pre1, 0.0)
+        pre2 = h1 @ p["W2"] + p["b2"]
+        h2 = np.maximum(pre2, 0.0)
+        q = h2 @ p["W3"] + p["b3"]
+        return q, (xs, embeds, g, z, pre1, h1, pre2, h2)
+
+    def backward(self, cache, dq):
+        xs, embeds, g, z, pre1, h1, pre2, h2 = cache
+        p = self.params
+        grads = {}
+        grads["W3"] = h2.T @ dq
+        grads["b3"] = dq.sum(axis=0)
+        dh2 = dq @ p["W3"].T
+        dpre2 = dh2 * (pre2 > 0)
+        grads["W2"] = h1.T @ dpre2
+        grads["b2"] = dpre2.sum(axis=0)
+        dh1 = dpre2 @ p["W2"].T
+        dpre1 = dh1 * (pre1 > 0)
+        grads["W1"] = z.T @ dpre1
+        grads["b1"] = dpre1.sum(axis=0)
+        dz = dpre1 @ p["W1"].T
+        db = self.branch_dim
+        dgate = np.empty(len(embeds))
+        for i, (x, e) in enumerate(zip(xs, embeds)):
+            dge = dz[:, i * db:(i + 1) * db]
+            de = dge * g[i]
+            grads[f"Wb{i}"] = x.T @ de
+            grads[f"bb{i}"] = de.sum(axis=0)
+            dgate[i] = float((dge * e).sum())
+        grads["theta"] = g * (dgate - float(g @ dgate))
+        return grads
+
+    def train_step(self, batch):
+        """(loss, whether the gradient norm was clipped)"""
+        states, actions, rewards = batch
+        xs = self.split(np.atleast_2d(states).astype(np.float64, copy=False))
+        q, cache = self.forward_cached(xs)
+        b = len(actions)
+        rows = np.arange(b)
+        err = q[rows, actions] - rewards
+        loss = float(np.mean(err ** 2))
+        dq = np.zeros_like(q)
+        dq[rows, actions] = 2.0 * err / b
+        grads = self.backward(cache, dq)
+        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+        clipped = total > self.clip
+        scale = self.clip / total if clipped else 1.0
+        for name, g in grads.items():
+            self.params[name] -= self.lr * scale * g
+        return loss, clipped
+
+
+class TestFlatParameters:
+    """The parameters live in one flat vector that train_step updates in
+    place: checked against PerArrayReference bit for bit, and against
+    anything that would detach a parameter from the vector."""
+
+    @pytest.mark.parametrize("scenario", ["paper5dc", "tiny"])
+    def test_train_steps_match_the_per_array_arithmetic(self, scenario):
+        # Both sides call the same BLAS, so equality holds on any host. The
+        # labels are outcome-sized, then small: the norm is mostly clipped
+        # (135 of the first 150 steps on paper5dc), then never.
+        from sfcsim.dqn import build_agent
+
+        agent = build_agent(load_config(scenario, seed=0), 0)
+        ref = PerArrayReference(agent)
+        rng = np.random.default_rng([7, 0xF1A7])
+        width, batch = sum(agent.branch_widths), agent.hp["batch"]
+        if scenario == "paper5dc":
+            assert (batch, agent.online.flat_params().size) == (64, 29_792)
+        clipped = []
+        for step in range(300):
+            labels = [10.0, -10.0] if step < 150 else [0.1, -0.1, 0.0]
+            sample = (rng.random((batch, width)).astype(np.float32),
+                      rng.integers(0, agent.n_actions, size=batch),
+                      rng.choice(labels, size=batch))
+            loss = agent.train_step(sample)
+            ref_loss, ref_clipped = ref.train_step(sample)
+            assert loss == ref_loss, step
+            clipped.append(ref_clipped)
+            for name, array in ref.params.items():
+                assert agent.online.params[name].tobytes() == array.tobytes(), (step, name)
+            # the acting forward: one encoding, split as the policies split it
+            state = sample[0][0].astype(np.float64)
+            q = agent.online.forward(agent.split(state))
+            assert q.tobytes() == ref.forward(ref.split(state)).tobytes(), step
+        assert 0 < sum(clipped) < len(clipped), sum(clipped)
+
+    def test_a_rebound_parameter_is_refused(self):
+        agent = DqnAgent([2, 2, 2], 3, agent_hp(), seed=1)
+        batch = (np.zeros((2, 6)), np.array([0, 2]), np.array([4.0, 4.0]))
+        agent.train_step(batch)
+        # a new array in place of a view: the update would no longer reach it
+        agent.online.params["b3"] = agent.online.params["b3"].copy()
+        with pytest.raises(RuntimeError, match="b3 was rebound"):
+            agent.train_step(batch)
+
+    def test_resumed_training_moves_what_forward_reads(self, tmp_path):
+        cfg = load_config("tiny", seed=5, overrides={"dqn.min_buffer": 8, "dqn.batch": 8})
+        ckpt = train(cfg, out_dir=str(tmp_path), episodes=2).checkpoint_path
+        loaded = load_agent(ckpt)
+        state = np.linspace(0.0, 1.0, sum(loaded.branch_widths))
+        before = loaded.online.forward(loaded.split(state))
+        agent = train(cfg, episodes=2, resume=ckpt).agent
+        assert agent.train_steps > loaded.train_steps
+        for name, view in agent.online.params.items():
+            assert np.shares_memory(view, agent.online.flat_params()), name
+        assert not np.array_equal(agent.online.forward(agent.split(state)), before)
