@@ -59,15 +59,6 @@ def decode_action(index: int, n_dcs: int, vnf_names) -> PolicyAction:
     return PolicyAction(kind, vnf_names[rem % n_vnfs], rem // n_vnfs)
 
 
-def encode_action(action: PolicyAction, n_dcs: int, vnf_names) -> int:
-    n_vnfs = len(vnf_names)
-    block = n_vnfs * n_dcs
-    if action.kind == IDLE_WAIT:
-        return 2 * block
-    base = 0 if action.kind == ALLOCATE else block
-    return base + action.dc * n_vnfs + vnf_names.index(action.vtype)
-
-
 # -- state encoding -----------------------------------------------------------
 
 @dataclass
@@ -678,7 +669,7 @@ class DqnTrainingPolicy:
         """The guide, a reflex on observable features, draws uniformly from
         these: the indices of the allocate actions whose DC has locally
         pending heads of that type and room to serve them."""
-        # an allocation's index, as encode_action numbers it
+        # an allocation's index, as decode_action reads it
         n_vnfs, vnf_pos = len(self.encoder.vnf_names), self.encoder.vnf_pos
         return [action.dc * n_vnfs + vnf_pos[action.vtype]
                 for action in allocation_candidates(engine)

@@ -4,8 +4,9 @@ Each step executes, in order: the drop pass (deadline expiry with force
 revoke), the head pass (only the first VNF of each chain: in-chain TX
 ticking, processing, completion), the completion pass (chain empty, start
 the final packet TX), the final-TX pass, and the idle reaper, which reads
-only the due front of each DC's idle-stamp table. Placement policies act
-between steps through a constrained action executor.
+the front stamp of each DC's idle-stamp table and calls tick_idle only on
+a DC whose front is due. Placement policies act between steps through a
+constrained action executor.
 
 Waiting records cost nothing per step: elapsed time is derived from the
 injection step, and head completions, TX endings, and deadline expiries are
@@ -34,9 +35,13 @@ idle instances with the step they are given. Waves, resource samples,
 policy ticks and the step cap are due steps as well.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
-allocation argmax scores each group once instead of each tag, from a score
-table that lives for one policy phase. Each group keeps its tags in
-ascending order, so its smallest tag is its first. The engine keeps no
+allocation argmax scores each group once instead of each tag. Each group
+keeps its tags in ascending order, so its smallest tag is its first. The
+score table and the per-type rankings the argmax reads (policy.rank_groups)
+live for one policy phase: both are dropped when step_no or the bandwidth
+version moves. Inside a phase, allocations only shrink groups, which a
+ranking mends as it reads; a head that starts waiting drops its type's
+ranking, so the next query of that type ranks afresh. The engine keeps no
 count that only the DQN agent observes: dqn.StateEncoder counts those from
 `live`.
 """
@@ -140,6 +145,7 @@ class Engine:
         self._bw_seen: int | None = None  # bw_version when the last step began
         self._score_stamp: tuple[int, int] | None = None  # (step_no, bw_version)
         self._score_rows: dict[tuple, list] = {}
+        self._rankings: dict[str, tuple] = {}
         self.invalid_actions = 0
         self.last_allocated_tag: int | None = None
 
@@ -156,7 +162,9 @@ class Engine:
                              src=rec.src_dc, dest=rec.dest_dc, bw=rec.bw)
 
     def _waiting_add(self, rec: SfcRecord) -> None:
-        groups = self.waiting[rec.head.vtype]
+        vname = rec.head.vtype
+        self._rankings.pop(vname, None)  # a ranking only tracks groups shrinking
+        groups = self.waiting[vname]
         key = score_key(rec)
         group = groups.get(key)
         if group is None:
@@ -192,17 +200,20 @@ class Engine:
         self._path_cache[key] = (version, path)
         return path
 
-    def score_rows(self) -> dict[tuple, list]:
-        """The policy phase's score table: policy.score_row by score_key.
+    def phase_tables(self) -> tuple[dict[tuple, list], dict[str, tuple]]:
+        """The policy phase's score table (policy.score_row by score_key) and
+        its rankings (policy.rank_groups by VNF type).
 
-        Emptied whenever step_no or the bandwidth version moves, the two
-        inputs of a row that are not in its key.
+        Both are emptied whenever step_no or the bandwidth version moves, the
+        two inputs of a row that are not in its key; _waiting_add drops the
+        ranking of the type a head starts waiting for.
         """
         stamp = (self.step_no, self.graph.bw_version)
         if stamp != self._score_stamp:
             self._score_stamp = stamp
             self._score_rows = {}
-        return self._score_rows
+            self._rankings = {}
+        return self._score_rows, self._rankings
 
     def no_instances(self) -> bool:
         return all(dc.installed_count() == 0 for dc in self.dcs)
@@ -360,9 +371,13 @@ class Engine:
                              e2e_steps=e2e, accepted=accepted)
 
     def _reap_pass(self, now: int) -> None:
+        cutoff = now + 1 - self.t_thresh  # tick_idle's: a stamp <= cutoff is due
         for dc in self.dcs:
-            for vname, fid in dc.tick_idle(now, self.t_thresh):
-                self.trace.event(now, "reap", dc=dc.dc_id, vtype=vname, fid=fid)
+            for since in dc.idle_since.values():  # the longest-idle stamp only
+                if since <= cutoff:
+                    for vname, fid in dc.tick_idle(now, self.t_thresh):
+                        self.trace.event(now, "reap", dc=dc.dc_id, vtype=vname, fid=fid)
+                break
 
     # -- constrained action executor ------------------------------------------
 

@@ -10,16 +10,26 @@ tag's score, so all tags of one group score the same and the argmax scores
 each group once, through its smallest tag, which the engine keeps first.
 Within one policy phase the step and the bandwidth version are fixed as
 well, so a group's DC-independent components (score_row: p1, p4, the source
-DC and, once needed, the hops of its min path) are computed once per phase
-into the engine's score table, and per DC only p2 is read from the row.
-Every total is w1*p1 + w2*p2 + w3*p3 + w4*p4 summed in that order, as
-priority() sums it: a regrouped float sum can flip an argmax tie.
+DC and the hops of its min path) are computed once per phase into the
+engine's score table. Every total is w1*p1 + w2*p2 + w3*p3 + w4*p4 summed
+in that order, as priority() sums it: a regrouped float sum can flip an
+argmax tie.
+
+The argmax reads a ranking that rank_groups builds once per phase and VNF
+type, on the type's first query: a heap of every group by its total at
+p2 = 0, and per DC a heap of the groups whose p2 is positive there. The
+weights are non-negative and float rounding is monotone, so a group's
+total never falls as p2 rises; the better top of the two heaps a DC reads
+is the argmax. Inside a phase a group only loses tags, so a stale top is
+mended when read: an emptied group is popped and a group whose first tag
+moved is re-keyed. A head that starts waiting drops its type's ranking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 
 ALLOCATE = "AllocateVnf"
 UNINSTALL = "UninstallVnf"
@@ -91,8 +101,8 @@ def score_row(engine, record) -> list:
     p1 rises as the deadline nears (1 - remaining fraction, clamped to [0,1]);
     p4 is 1 once remaining time falls below the urgency threshold. hops, the
     DCs on the current feasible min path from the chain's position to the
-    destination, stays None until dc_relation first needs it, so a record
-    only ever scored at its source DC never searches a path.
+    destination, stays None until path_hops resolves it: when a ranking is
+    built, or when priority() scores the record at a DC other than its source.
     """
     remaining = record.deadline_steps - record.t_ccurr(engine.step_no)
     frac = remaining / record.deadline_steps if record.deadline_steps > 0 else 0.0
@@ -101,15 +111,20 @@ def score_row(engine, record) -> list:
     return [p1, p4, record.src_dc, None]
 
 
-def dc_relation(engine, row: list, record, dc: int) -> float:
-    """p2 from a score row: 2 at the request's source DC, 1 on the min path, else 0."""
-    if dc == row[2]:
-        return 2.0
+def path_hops(engine, row: list, record) -> tuple:
+    """A score row's hops, searched through the path cache on first need."""
     hops = row[3]
     if hops is None:
         path = engine.cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
         hops = row[3] = () if path is None else path.hops
-    return 1.0 if dc in hops else 0.0
+    return hops
+
+
+def dc_relation(engine, row: list, record, dc: int) -> float:
+    """p2 from a score row: 2 at the request's source DC, 1 on the min path, else 0."""
+    if dc == row[2]:
+        return 2.0
+    return 1.0 if dc in path_hops(engine, row, record) else 0.0
 
 
 def priority(engine, tag: int, dc: int) -> PriorityScore:
@@ -133,35 +148,77 @@ def priority(engine, tag: int, dc: int) -> PriorityScore:
     return PriorityScore(p1, p2, p3, p4, total)
 
 
-def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
-    """Argmax of priority total over the candidate set; smallest tag on ties.
+def rank_groups(engine, rows: dict, groups: dict) -> tuple[list, list[list]]:
+    """One VNF type's ranking for the policy phase: (base, by_dc).
 
-    Tags of one waiting group score the same, so each group is scored once,
-    through its smallest tag, its first, from its row in the engine's score
-    table; the total is priority's expression in priority's order, with
-    p3 = 0 for an unallocated head.
+    Entries are (-total, first tag, group), so a heap's top is the highest
+    total, then the smallest tag. base holds every group at its p2 = 0
+    total; by_dc[dc] the groups whose p2 at dc is positive, at that total:
+    2 at the source DC, 1 at the other DCs of the min path. Totals are
+    priority's expression in priority's order, with p3 = 0 for an
+    unallocated head. Rows missing from the phase's score table are added.
     """
-    groups = engine.waiting.get(vtype)
-    if not groups:
-        return None
-    rows = engine.score_rows()
     live = engine.live
     w = engine.weights
     w1, w2, w3, w4 = w.w1, w.w2, w.w3, w.w4
     p3 = 0.0
-    best_tag = None
-    best_total = -1.0
+    base = []
+    by_dc = [[] for _ in engine.dcs]
     for key, group in groups.items():
         tag = next(iter(group))
         row = rows.get(key)
         if row is None:
             row = rows[key] = score_row(engine, live[tag])
-        p2 = 2.0 if dc == row[2] else dc_relation(engine, row, live[tag], dc)
-        total = w1 * row[0] + w2 * p2 + w3 * p3 + w4 * row[1]
-        if total > best_total or (total == best_total and (best_tag is None or tag < best_tag)):
-            best_total = total
-            best_tag = tag
-    return best_tag
+        p1, p4, src = row[0], row[1], row[2]
+        base.append((-(w1 * p1 + w2 * 0.0 + w3 * p3 + w4 * p4), tag, group))
+        on_path = (-(w1 * p1 + w2 * 1.0 + w3 * p3 + w4 * p4), tag, group)
+        for hop in path_hops(engine, row, live[tag]):
+            if hop != src:
+                by_dc[hop].append(on_path)
+        by_dc[src].append((-(w1 * p1 + w2 * 2.0 + w3 * p3 + w4 * p4), tag, group))
+    heapify(base)
+    for heap in by_dc:
+        heapify(heap)
+    return base, by_dc
+
+
+def _top(heap: list):
+    """The heap's top entry once it is current, or None when no group is left."""
+    while heap:
+        neg, tag, group = heap[0]
+        if not group:  # its last tag was allocated in this phase
+            heappop(heap)
+            continue
+        first = next(iter(group))
+        if first == tag:
+            return heap[0]
+        heapreplace(heap, (neg, first, group))  # same total, a larger tag
+    return None
+
+
+def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
+    """Argmax of priority total over the candidate set; smallest tag on ties.
+
+    Reads the phase's ranking of the type, built on its first query: the
+    better of the base top and the top of the DC's heap. A group with
+    positive p2 at dc totals at least its base key, and is in the DC's
+    heap, so the base top's key is its total whenever the base top wins.
+    """
+    rows, rankings = engine.phase_tables()
+    ranking = rankings.get(vtype)
+    if ranking is None:
+        groups = engine.waiting.get(vtype)
+        if not groups:
+            return None
+        ranking = rankings[vtype] = rank_groups(engine, rows, groups)
+    base, by_dc = ranking
+    best = _top(base)
+    if best is None:
+        return None
+    near = _top(by_dc[dc])
+    if near is not None and near[:2] < best[:2]:
+        return near[1]
+    return best[1]
 
 
 def allocation_candidates(engine):

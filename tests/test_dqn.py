@@ -23,7 +23,6 @@ from sfcsim.dqn import (
     StateEncoder,
     action_space_size,
     decode_action,
-    encode_action,
     load_agent,
     run_training_episode,
     train,
@@ -34,6 +33,17 @@ from sfcsim.requestgen import RequestGenerator
 from sfcsim.topology import NetworkGraph
 
 VNF_NAMES = list(default_catalog().vnfs)
+
+
+def encode_action(action, n_dcs, vnf_names) -> int:
+    """The inverse of decode_action: allocations, then uninstalls, each
+    numbered DC-major, and IdleWait last."""
+    n_vnfs = len(vnf_names)
+    block = n_vnfs * n_dcs
+    if action.kind == IDLE_WAIT:
+        return 2 * block
+    base = 0 if action.kind == ALLOCATE else block
+    return base + action.dc * n_vnfs + vnf_names.index(action.vtype)
 
 
 class TestActionCodec:

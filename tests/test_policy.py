@@ -2,7 +2,9 @@
 
 import pytest
 
+from sfcsim import policy as policy_module
 from sfcsim.catalog import default_catalog, load_catalog
+from sfcsim.cli import run_one
 from sfcsim.config import load_config, make_runtime
 from sfcsim.datacenter import DataCenter
 from sfcsim.engine import Engine
@@ -243,6 +245,46 @@ class TestSelectForAllocation:
         engine.step_no = 100
         assert select_for_allocation(engine, 0, "NAT") == 1 == naive_select(engine, 0, "NAT")
 
+    def test_head_injected_mid_phase_is_ranked(self):
+        # the first query ranks NAT for this step; a head that starts
+        # waiting at the same step must reach the next query
+        engine, gen = three_dc_engine()
+        inject_manual(engine, gen, [{"type": "CG", "src": 1, "dest": 2}])
+        engine.step_no = 10
+        assert select_for_allocation(engine, 0, "NAT") == 0
+        inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1}])
+        assert select_for_allocation(engine, 0, "NAT") == 1 == naive_select(engine, 0, "NAT")
+
+    @pytest.mark.parametrize("order", [("MIoT", "CG"), ("CG", "MIoT")])
+    def test_tie_between_on_path_and_off_path_breaks_to_smaller_tag(self, order):
+        # at DC 0 the urgent MIoT head (p2 = 0, p4 = 1) ties the fresh CG
+        # head on its path (p2 = 1, p4 = 0); whichever came first must win
+        engine, gen = three_dc_engine(t_urgency_steps=600)
+        specs = {"MIoT": {"type": "MIoT", "src": 1, "dest": 2},
+                 "CG": {"type": "CG", "src": 1, "dest": 0}}
+        first, second = inject_manual(engine, gen, [specs[name] for name in order])
+        s1, s2 = priority(engine, first.tag, 0), priority(engine, second.tag, 0)
+        assert s1.total == s2.total and s1.p2_dc_relation != s2.p2_dc_relation
+        assert select_for_allocation(engine, 0, "NAT") == first.tag \
+            == naive_select(engine, 0, "NAT")
+
+    def test_group_whose_first_tag_left_ranks_by_its_next_tag(self):
+        # tags 0 and 2 share a group, tag 1 ties them from another group;
+        # once tag 0 is allocated in the phase, tag 1 is the smaller tag
+        engine, gen = three_dc_engine()
+        same = {"type": "CG", "src": 0, "dest": 1, "bw": 10.0}
+        inject_manual(engine, gen, [same, {**same, "bw": 20.0}, same])
+        assert len(engine.waiting["NAT"]) == 2
+        assert select_for_allocation(engine, 0, "NAT") == 0
+        stamp = (engine.step_no, engine.graph.bw_version)
+        assert engine.apply_action(PolicyAction(ALLOCATE, "NAT", 0))
+        assert (engine.step_no, engine.graph.bw_version) == stamp  # still one phase
+        assert select_for_allocation(engine, 0, "NAT") == 1 == naive_select(engine, 0, "NAT")
+        assert engine.apply_action(PolicyAction(ALLOCATE, "NAT", 0))
+        assert select_for_allocation(engine, 1, "NAT") == 2 == naive_select(engine, 1, "NAT")
+        assert engine.apply_action(PolicyAction(ALLOCATE, "NAT", 0))
+        assert select_for_allocation(engine, 0, "NAT") is None
+
     def test_scaling_all_weights_preserves_argmax(self):
         for scale in (0.25, 1.0, 7.0):
             weights = PriorityWeights(scale, scale, scale, scale)
@@ -269,40 +311,61 @@ QUEUEING = {
 
 class TestGroupedSelectionOracle:
     @staticmethod
-    def drive(scenario, seed, overrides, seen, steps=400):
+    def drive(scenario, seed, overrides, seen, steps=400, sweep=True):
+        """Step a queueing run, checking the argmax against the per-tag
+        oracle at each phase's start and after each action. With sweep,
+        the phase applies HeuristicPolicy.act's sweep and queries DCs in
+        ascending order; without, it tries every (DC, type) pair with heads
+        waiting, DCs descending, as a DQN agent may, and asks the same pair
+        again after each action, refused ones included."""
         cfg = load_config(scenario, seed=seed).with_overrides({**QUEUEING, **overrides})
         engine, gen, plan = make_runtime(cfg, seed)
         waves = dict(zip(plan.times, range(len(plan.times))))
+        dcs = list(range(len(engine.dcs)))
+        if not sweep:
+            dcs.reverse()
         for _ in range(steps):
             if engine.step_no in waves:
                 engine.inject(gen.generate_wave(waves[engine.step_no]))
             engine.step()
             for vname, groups in engine.waiting.items():
                 seen["shared"] += any(len(tags) > 1 for tags in groups.values())
-                for dc in range(len(engine.dcs)):
+                seen["widest"] = max(seen.get("widest", 0), len(groups))
+                for dc in dcs:
                     scores = [priority(engine, min(tags), dc) for tags in groups.values()]
                     totals = [sc.total for sc in scores]
                     seen["ties"] += totals.count(max(totals, default=-1.0)) > 1
                     seen["urgent"] += any(sc.p4_urgency for sc in scores)
             if engine.step_no % 20 == 0:
                 for tag in engine.live:
-                    for dc in range(len(engine.dcs)):
+                    for dc in dcs:
                         p3 = priority(engine, tag, dc).p3_affinity
                         assert p3 == chain_scan_p3(engine, tag, dc), (tag, dc)
                         seen["p3"] += p3 == 1.0
-            # the phase's score table must answer like the per-tag oracle at
+            # the phase's ranking must answer like the per-tag oracle at
             # its start and after every action, which removes tags from it
-            TestGroupedSelectionOracle.check_all(engine, scenario)
-            for action in allocation_candidates(engine):  # HeuristicPolicy.act's sweep
-                assert engine.apply_action(action), action
-                seen["in_phase"] += 1
-                TestGroupedSelectionOracle.check_all(engine, scenario)
+            TestGroupedSelectionOracle.check_all(engine, scenario, dcs)
+            if sweep:
+                for action in allocation_candidates(engine):  # HeuristicPolicy.act's sweep
+                    assert engine.apply_action(action), action
+                    seen["in_phase"] += 1
+                    TestGroupedSelectionOracle.check_all(engine, scenario, dcs)
+                continue
+            for dc in dcs:
+                for vname in engine.catalog.vnfs:
+                    if not engine.waiting[vname]:
+                        continue
+                    ok = engine.apply_action(PolicyAction(ALLOCATE, vname, dc))
+                    seen["in_phase" if ok else "refused"] += 1
+                    assert select_for_allocation(engine, dc, vname) \
+                        == naive_select(engine, dc, vname), (scenario, engine.step_no, dc)
+                    TestGroupedSelectionOracle.check_all(engine, scenario, dcs)
         engine.check_invariants()
 
     @staticmethod
-    def check_all(engine, scenario):
+    def check_all(engine, scenario, dcs):
         for vname in engine.waiting:
-            for dc in range(len(engine.dcs)):
+            for dc in dcs:
                 assert select_for_allocation(engine, dc, vname) \
                     == naive_select(engine, dc, vname), (scenario, engine.step_no, dc, vname)
 
@@ -317,6 +380,45 @@ class TestGroupedSelectionOracle:
         # the runs reach multi-tag groups, cross-group ties, urgent heads,
         # allocated heads and allocations inside a phase
         assert all(seen.values()), seen
+
+    def test_twelve_dc_full_sweeps_match_naive(self):
+        # a 66-edge mesh: a wave's sweep queries each type at all 12 DCs in
+        # one phase, through many groups per type
+        seen = {"shared": 0, "ties": 0, "urgent": 0, "p3": 0, "in_phase": 0}
+        self.drive("paper5dc", 4, {"topology.generator.n": 12, "policy.t_urgency_steps": 5000},
+                   seen, steps=160)
+        assert all(seen.values()) and seen["widest"] >= 20, seen
+
+    def test_descending_and_repeated_queries_match_naive(self):
+        seen = {"shared": 0, "ties": 0, "urgent": 0, "p3": 0, "in_phase": 0, "refused": 0}
+        self.drive("paper5dc", 5, {"policy.t_urgency_steps": 5000}, seen, steps=200,
+                   sweep=False)
+        self.drive("paper3dc", 6, {}, seen, steps=200, sweep=False)
+        assert all(seen.values()), seen
+
+    def test_each_phase_ranks_a_type_at_most_once(self, monkeypatch):
+        # one short heuristic episode: builds are counted per (step, bandwidth
+        # version, VNF type) that a query reached
+        built, queried = {}, set()
+        rank, select = policy_module.rank_groups, policy_module.select_for_allocation
+
+        def counting_rank(engine, rows, groups):
+            tag = next(iter(next(iter(groups.values()))))
+            key = (engine.step_no, engine.graph.bw_version, engine.live[tag].head.vtype)
+            built[key] = built.get(key, 0) + 1
+            return rank(engine, rows, groups)
+
+        def recording_select(engine, dc, vtype):
+            queried.add((engine.step_no, engine.graph.bw_version, vtype))
+            return select(engine, dc, vtype)
+
+        monkeypatch.setattr(policy_module, "rank_groups", counting_rank)
+        monkeypatch.setattr("sfcsim.engine.select_for_allocation", recording_select)
+        cfg = load_config("paper5dc", seed=0).with_overrides(
+            {"requests.wave_times": [0, 2500], "policy.kind": "heuristic"})
+        run_one(cfg, 0)
+        assert built and set(built) == queried
+        assert max(built.values()) == 1
 
 
 class TestHeuristicPolicy:
