@@ -193,15 +193,18 @@ def _check_topology(topo: dict) -> None:
 
 
 def _deep_merge(base: dict, override: dict, path="") -> dict:
-    out = copy.deepcopy(base)
+    """base with override merged in, in base's key order, sharing nothing
+    mutable with either: each value is deep-copied once, from one side."""
+    merged = {}
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
         if isinstance(base[key], dict) and isinstance(value, dict) and base[key]:
-            out[key] = _deep_merge(base[key], value, path + key + ".")
+            merged[key] = _deep_merge(base[key], value, path + key + ".")
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            merged[key] = copy.deepcopy(value)
+    return {key: merged[key] if key in merged else copy.deepcopy(value)
+            for key, value in base.items()}
 
 
 class ScenarioConfig:

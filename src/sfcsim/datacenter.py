@@ -182,13 +182,6 @@ class DataCenter:
         self.idle_since.pop((vname, fid), None)  # a restarted stamp moves to the end
         self.idle_since[(vname, fid)] = now
 
-    def expiry_step(self, t_thresh: int) -> int | None:
-        """The step whose reap pass reaps the longest-idle instance, or None
-        when nothing is idle."""
-        for since in self.idle_since.values():
-            return since + t_thresh - 1
-        return None
-
     def tick_idle(self, now: int, t_thresh: int) -> list[tuple[str, int]]:
         """Reap pass of step now: uninstall the instances idle for t_thresh
         steps. One stamped `since` has been idle now + 1 - since steps.

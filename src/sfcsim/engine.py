@@ -37,13 +37,13 @@ policy ticks and the step cap are due steps as well.
 Waiting heads are grouped per VNF type by policy.score_key, so the
 allocation argmax scores each group once instead of each tag. Each group
 keeps its tags in ascending order, so its smallest tag is its first. The
-score table and the per-type rankings the argmax reads (policy.rank_groups)
-live for one policy phase: both are dropped when step_no or the bandwidth
-version moves. Inside a phase, allocations only shrink groups, which a
-ranking mends as it reads; a head that starts waiting drops its type's
-ranking, so the next query of that type ranks afresh. The engine keeps no
-count that only the DQN agent observes: dqn.StateEncoder counts those from
-`live`.
+per-type rankings the argmax reads (policy.rank_groups, which reads each
+group once) live for one policy phase: they are dropped when step_no or the
+bandwidth version moves. Inside a phase, allocations only shrink groups,
+which a ranking mends as it reads; a head that starts waiting drops its
+type's ranking, so the next query of that type ranks afresh. The engine
+keeps no count that only the DQN agent observes: dqn.StateEncoder counts
+those from `live`.
 """
 
 from __future__ import annotations
@@ -143,8 +143,7 @@ class Engine:
         # (src, dest, bw) -> (feasibility version of bw, path)
         self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
         self._bw_seen: int | None = None  # bw_version when the last step began
-        self._score_stamp: tuple[int, int] | None = None  # (step_no, bw_version)
-        self._score_rows: dict[tuple, list] = {}
+        self._rankings_stamp: tuple[int, int] | None = None  # (step_no, bw_version)
         self._rankings: dict[str, tuple] = {}
         self.invalid_actions = 0
         self.last_allocated_tag: int | None = None
@@ -189,7 +188,8 @@ class Engine:
 
         The search reads residuals only as residual >= to_milli(bw), so its
         answer holds until a residual crosses that threshold, however many
-        other bandwidth moves happen in between.
+        other bandwidth moves happen in between. A hit costs one cache read
+        and one version compare; the graph memoises the bw's threshold.
         """
         key = (src, dest, bw)
         version = self.graph.feasibility_version(bw)
@@ -200,20 +200,18 @@ class Engine:
         self._path_cache[key] = (version, path)
         return path
 
-    def phase_tables(self) -> tuple[dict[tuple, list], dict[str, tuple]]:
-        """The policy phase's score table (policy.score_row by score_key) and
-        its rankings (policy.rank_groups by VNF type).
+    def phase_rankings(self) -> dict[str, tuple]:
+        """The policy phase's rankings (policy.rank_groups by VNF type).
 
-        Both are emptied whenever step_no or the bandwidth version moves, the
-        two inputs of a row that are not in its key; _waiting_add drops the
-        ranking of the type a head starts waiting for.
+        Emptied whenever step_no or the bandwidth version moves, the two
+        inputs of a group's score that are not in its key; _waiting_add drops
+        the ranking of the type a head starts waiting for.
         """
         stamp = (self.step_no, self.graph.bw_version)
-        if stamp != self._score_stamp:
-            self._score_stamp = stamp
-            self._score_rows = {}
+        if stamp != self._rankings_stamp:
+            self._rankings_stamp = stamp
             self._rankings = {}
-        return self._score_rows, self._rankings
+        return self._rankings
 
     def no_instances(self) -> bool:
         return all(dc.installed_count() == 0 for dc in self.dcs)
@@ -250,10 +248,12 @@ class Engine:
         for heap in (self._drop_heap, self._event_heap, self._final_heap):
             if heap and heap[0][0] < due:
                 due = heap[0][0]
+        lead = self.t_thresh - 1  # a stamp `since` is reaped on step since + lead
         for dc in self.dcs:
-            expiry = dc.expiry_step(self.t_thresh)
-            if expiry is not None and expiry < due:
-                due = expiry
+            for since in dc.idle_since.values():  # the longest-idle stamp only
+                if since + lead < due:
+                    due = since + lead
+                break
         return max(now, due)
 
     def _drop_pass(self, now: int) -> None:

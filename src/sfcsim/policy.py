@@ -9,11 +9,12 @@ The engine keeps waiting tags grouped by score_key: every input of a waiting
 tag's score, so all tags of one group score the same and the argmax scores
 each group once, through its smallest tag, which the engine keeps first.
 Within one policy phase the step and the bandwidth version are fixed as
-well, so a group's DC-independent components (score_row: p1, p4, the source
-DC and the hops of its min path) are computed once per phase into the
-engine's score table. Every total is w1*p1 + w2*p2 + w3*p3 + w4*p4 summed
-in that order, as priority() sums it: a regrouped float sum can flip an
-argmax tie.
+well. A group's DC-independent components (score_row: p1 and p4) are
+computed when its type is ranked, and the hops of its min path are read
+from the engine's path cache, which answers from memory until the
+feasibility version of the request's bandwidth moves. Every total is
+w1*p1 + w2*p2 + w3*p3 + w4*p4 summed in that order, as priority() sums it:
+a regrouped float sum can flip an argmax tie.
 
 The argmax reads a ranking that rank_groups builds once per phase and VNF
 type, on the type's first query: a heap of every group by its total at
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 
 ALLOCATE = "AllocateVnf"
@@ -94,37 +96,28 @@ def urgency_threshold(engine, record) -> float:
     return engine.urgency_fraction * record.deadline_steps
 
 
-def score_row(engine, record) -> list:
+def score_row(engine, record) -> tuple[float, float]:
     """The DC-independent parts of a waiting record's score at the current
-    step: [p1, p4, src_dc, hops].
+    step: (p1, p4). The one place both are computed.
 
     p1 rises as the deadline nears (1 - remaining fraction, clamped to [0,1]);
-    p4 is 1 once remaining time falls below the urgency threshold. hops, the
-    DCs on the current feasible min path from the chain's position to the
-    destination, stays None until path_hops resolves it: when a ranking is
-    built, or when priority() scores the record at a DC other than its source.
+    p4 is 1 once remaining time falls below the urgency threshold. Both move
+    with the step, so a row holds for one policy phase only.
     """
     remaining = record.deadline_steps - record.t_ccurr(engine.step_no)
     frac = remaining / record.deadline_steps if record.deadline_steps > 0 else 0.0
     p1 = min(1.0, max(0.0, 1.0 - frac))
     p4 = 1.0 if remaining < urgency_threshold(engine, record) else 0.0
-    return [p1, p4, record.src_dc, None]
+    return p1, p4
 
 
-def path_hops(engine, row: list, record) -> tuple:
-    """A score row's hops, searched through the path cache on first need."""
-    hops = row[3]
-    if hops is None:
-        path = engine.cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
-        hops = row[3] = () if path is None else path.hops
-    return hops
-
-
-def dc_relation(engine, row: list, record, dc: int) -> float:
-    """p2 from a score row: 2 at the request's source DC, 1 on the min path, else 0."""
-    if dc == row[2]:
+def dc_relation(engine, record, dc: int) -> float:
+    """p2: 2 at the request's source DC, 1 on the current feasible min path
+    from the chain's position to the destination, else 0."""
+    if dc == record.src_dc:
         return 2.0
-    return 1.0 if dc in path_hops(engine, row, record) else 0.0
+    path = engine.cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
+    return 1.0 if path is not None and dc in path.hops else 0.0
 
 
 def priority(engine, tag: int, dc: int) -> PriorityScore:
@@ -139,16 +132,15 @@ def priority(engine, tag: int, dc: int) -> PriorityScore:
     if record is None:
         raise KeyError(f"unknown or finished tag {tag}")
     w = engine.weights
-    row = score_row(engine, record)
-    p1, p4 = row[0], row[1]
-    p2 = dc_relation(engine, row, record, dc)
+    p1, p4 = score_row(engine, record)
+    p2 = dc_relation(engine, record, dc)
     head = record.head
     p3 = 1.0 if head is not None and head.allocated and head.vnf_dc == dc else 0.0
     total = w.w1 * p1 + w.w2 * p2 + w.w3 * p3 + w.w4 * p4
     return PriorityScore(p1, p2, p3, p4, total)
 
 
-def rank_groups(engine, rows: dict, groups: dict) -> tuple[list, list[list]]:
+def rank_groups(engine, groups: dict) -> tuple[list, list[list]]:
     """One VNF type's ranking for the policy phase: (base, by_dc).
 
     Entries are (-total, first tag, group), so a heap's top is the highest
@@ -156,25 +148,27 @@ def rank_groups(engine, rows: dict, groups: dict) -> tuple[list, list[list]]:
     total; by_dc[dc] the groups whose p2 at dc is positive, at that total:
     2 at the source DC, 1 at the other DCs of the min path. Totals are
     priority's expression in priority's order, with p3 = 0 for an
-    unallocated head. Rows missing from the phase's score table are added.
+    unallocated head. Each group is read once, through its first tag.
     """
     live = engine.live
+    cached_min_path = engine.cached_min_path
     w = engine.weights
     w1, w2, w3, w4 = w.w1, w.w2, w.w3, w.w4
     p3 = 0.0
     base = []
     by_dc = [[] for _ in engine.dcs]
-    for key, group in groups.items():
+    for group in groups.values():
         tag = next(iter(group))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = score_row(engine, live[tag])
-        p1, p4, src = row[0], row[1], row[2]
+        record = live[tag]
+        p1, p4 = score_row(engine, record)
+        src = record.src_dc
         base.append((-(w1 * p1 + w2 * 0.0 + w3 * p3 + w4 * p4), tag, group))
-        on_path = (-(w1 * p1 + w2 * 1.0 + w3 * p3 + w4 * p4), tag, group)
-        for hop in path_hops(engine, row, live[tag]):
-            if hop != src:
-                by_dc[hop].append(on_path)
+        path = cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
+        if path is not None:
+            on_path = (-(w1 * p1 + w2 * 1.0 + w3 * p3 + w4 * p4), tag, group)
+            for hop in path.hops:
+                if hop != src:
+                    by_dc[hop].append(on_path)
         by_dc[src].append((-(w1 * p1 + w2 * 2.0 + w3 * p3 + w4 * p4), tag, group))
     heapify(base)
     for heap in by_dc:
@@ -204,13 +198,13 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     positive p2 at dc totals at least its base key, and is in the DC's
     heap, so the base top's key is its total whenever the base top wins.
     """
-    rows, rankings = engine.phase_tables()
+    rankings = engine.phase_rankings()
     ranking = rankings.get(vtype)
     if ranking is None:
         groups = engine.waiting.get(vtype)
         if not groups:
             return None
-        ranking = rankings[vtype] = rank_groups(engine, rows, groups)
+        ranking = rankings[vtype] = rank_groups(engine, groups)
     base, by_dc = ranking
     best = _top(base)
     if best is None:
@@ -219,6 +213,12 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     if near is not None and near[:2] < best[:2]:
         return near[1]
     return best[1]
+
+
+@cache
+def _allocate_action(vname: str, dc: int) -> PolicyAction:
+    """The AllocateVnf action of a (VNF type, DC) pair, built once per pair."""
+    return PolicyAction(ALLOCATE, vname, dc)
 
 
 def allocation_candidates(engine):
@@ -233,7 +233,7 @@ def allocation_candidates(engine):
     for dc in engine.dcs:
         for vname, vtype in engine.catalog.vnfs.items():
             if waiting[vname] and (dc.idle_count(vname) or dc.can_install(vtype)):
-                yield PolicyAction(ALLOCATE, vname, dc.dc_id)
+                yield _allocate_action(vname, dc.dc_id)
 
 
 class HeuristicPolicy:

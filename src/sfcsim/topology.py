@@ -74,6 +74,7 @@ class NetworkGraph:
         self.bw_version = 0
         self._thresholds: list[int] = []  # sorted; every t ever asked about
         self._feasible: dict[int, int] = {}  # t -> version of F(t)
+        self._milli: dict[float, int] = {}  # every bw ever asked about -> its t
         total_km = 0.0
         for edge in edges:
             m, n, cap = edge[0], edge[1], edge[2]
@@ -178,13 +179,15 @@ class NetworkGraph:
     def feasibility_version(self, req_bw: float) -> int:
         """The version of F(to_milli(req_bw)), the edge set that
         select_min_path(., ., req_bw) searches; it moves exactly when that
-        set changes. A threshold is registered on its first ask."""
-        t = to_milli(req_bw)
-        version = self._feasible.get(t)
-        if version is None:
-            insort(self._thresholds, t)
-            version = self._feasible[t] = 0
-        return version
+        set changes. A threshold is registered on the first ask of a bw that
+        converts to it; bws with the same t read the same version."""
+        t = self._milli.get(req_bw)
+        if t is None:
+            t = self._milli[req_bw] = to_milli(req_bw)
+            if t not in self._feasible:
+                insort(self._thresholds, t)
+                self._feasible[t] = 0
+        return self._feasible[t]
 
     # -- path discovery ------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Command line behaviour: runs, overrides, determinism, exit codes."""
 
+import copy
 import json
 import os
 
@@ -9,7 +10,14 @@ import yaml
 
 import sfcsim.cli
 from sfcsim.cli import EXIT_CONFIG, EXIT_RUNTIME, EXIT_STEP_CAP, main, run_one
-from sfcsim.config import ConfigError, ScenarioConfig, load_config, make_runtime
+from sfcsim.config import (
+    BUILTIN_SCENARIOS,
+    DEFAULTS,
+    ConfigError,
+    ScenarioConfig,
+    load_config,
+    make_runtime,
+)
 from sfcsim.datacenter import LedgerError
 from sfcsim.engine import InvariantError
 from sfcsim.topology import TopologyError
@@ -548,6 +556,48 @@ class TestScenarioConfig:
         cfg2 = cfg.with_overrides({"policy.kind": "random"})
         assert cfg.resolved() == before
         assert cfg2.data["policy"]["kind"] == "random"
+
+    # config_hash of each builtin at seed 0, pinned from the merge that
+    # deep-copied all of the defaults before overriding them
+    BUILTIN_HASHES = {"paper5dc": "b69a8f8c3789fe6a", "paper3dc": "83854d5e83596c85",
+                      "tiny": "df5631dab0dfab0a"}
+
+    def test_builtin_resolution_is_pinned(self):
+        assert {name: load_config(name, seed=0).config_hash()
+                for name in BUILTIN_SCENARIOS} == self.BUILTIN_HASHES
+        cfg = load_config("paper5dc", seed=3, overrides={"topology.generator.n": 12,
+                                                         "policy.weights": [1, 2, 3, 4]})
+        assert cfg.config_hash() == "0d1a2d3f72539a6a"
+        for name in BUILTIN_SCENARIOS:
+            resolved = load_config(name, seed=0).resolved()
+            assert list(resolved) == [*DEFAULTS, "seed"]
+            for section, defaults in DEFAULTS.items():  # the defaults' key order
+                if section != "catalog" and isinstance(defaults, dict):
+                    assert list(resolved[section]) == list(defaults), (name, section)
+
+    def test_config_data_shares_nothing_mutable(self):
+        defaults = copy.deepcopy(DEFAULTS)
+        builtins = copy.deepcopy(BUILTIN_SCENARIOS)
+        for name in BUILTIN_SCENARIOS:
+            a, b = load_config(name, seed=0), load_config(name, seed=0)
+            before = b.resolved()
+            for section in a.data.values():
+                for key, value in section.items():
+                    if isinstance(value, dict):
+                        value["mutated"] = True
+                    elif isinstance(value, list):
+                        value.append("mutated")
+                    else:
+                        section[key] = "mutated"
+            assert b.resolved() == before, name
+            assert DEFAULTS == defaults and BUILTIN_SCENARIOS == builtins, name
+
+    def test_unknown_nested_key_named_first(self):
+        # override order decides which bad key is reported
+        with pytest.raises(ConfigError, match=r"'policy\.nope'"):
+            ScenarioConfig({"policy": {"nope": 1, "weights": [1, 1, 1, 1]}})
+        with pytest.raises(ConfigError, match=r"'topology\.generator\.bad'"):
+            ScenarioConfig({"topology": {"generator": {"bad": 1}, "nope": 2}})
 
     def test_builtins_load(self):
         for name in ("paper5dc", "paper3dc", "tiny"):

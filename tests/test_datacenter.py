@@ -24,8 +24,22 @@ CAT = default_catalog()
 NAT = CAT.vnfs["NAT"]
 
 
+def expiry_step(dc, t_thresh: int) -> int | None:
+    """The step whose reap pass reaps the longest-idle instance, or None
+    when nothing is idle. Engine.next_due reads the same front stamp inline."""
+    for since in dc.idle_since.values():
+        return since + t_thresh - 1
+    return None
+
+
+class ExpiryDataCenter(DataCenter):
+    """A DataCenter whose tests ask it for expiry_step."""
+
+    expiry_step = expiry_step
+
+
 def fresh_dc():
-    return DataCenter(0, 2000, 64, 256)
+    return ExpiryDataCenter(0, 2000, 64, 256)
 
 
 class TestInstall:
@@ -278,7 +292,7 @@ class TestExpiryQueue:
         # the naive model ages every idle instance on every step; the
         # threshold changes from call to call
         rng = np.random.default_rng(91)
-        dc = DataCenter(0, 200, 8, 16)
+        dc = ExpiryDataCenter(0, 200, 8, 16)
         vnfs = list(CAT.vnfs.values())
         clocks = {}  # (vname, fid) -> idle steps, idle instances only
         in_use = []

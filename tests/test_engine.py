@@ -21,10 +21,11 @@ from sfcsim.policy import (
     select_for_allocation,
 )
 from sfcsim.requestgen import RequestGenerator, schedule_waves
-from sfcsim.topology import NetworkGraph, PathResult
+from sfcsim.topology import NetworkGraph, PathResult, to_milli
 from sfcsim.trace import TraceWriter
 
 from helpers import ListTrace, micro_scenario, run_equivalence, stepped_episode
+from test_datacenter import expiry_step
 
 
 def two_dc_graph(capacity=500.0):
@@ -480,6 +481,42 @@ class TestPathCache:
         assert across > 0 and stale > 0
         assert hits > 10 * len(searches)
 
+    def test_reserve_for_another_bandwidth_that_crosses_the_threshold_re_searches(self):
+        # 100 Mbps asks on a 500 Mbps link: a 10 Mbps reserve leaves 490 and
+        # keeps the answer, a 400 Mbps one leaves 90 and takes the link away
+        engine, _, _ = build()
+        graph = engine.graph
+        search = graph.select_min_path
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        graph.select_min_path = counted
+        path = engine.cached_min_path(0, 1, 100.0)
+        assert path.hops == (0, 1) and len(searches) == 1
+        graph.reserve_bw(path, 10.0)
+        assert engine.cached_min_path(0, 1, 100.0) is path and len(searches) == 1
+        graph.reserve_bw(path, 400.0)
+        assert engine.cached_min_path(0, 1, 100.0) is None and len(searches) == 2
+        assert engine.cached_min_path(0, 1, 100.0) is None and len(searches) == 2
+        graph.release_bw(path, 400.0)
+        assert engine.cached_min_path(0, 1, 100.0).hops == (0, 1) and len(searches) == 3
+
+    def test_bandwidths_with_equal_ledger_units_share_a_version(self):
+        graph = two_dc_graph()
+        a, b = 70.0001, 70.0004
+        assert to_milli(a) == to_milli(b) == 70_000
+        assert graph.feasibility_version(a) == graph.feasibility_version(b) == 0
+        assert graph._thresholds == [70_000]
+        path = graph.select_min_path(0, 1, a)
+        graph.reserve_bw(path, 450.0)  # 500 -> 50: F(70,000) loses the link
+        assert graph.feasibility_version(b) == graph.feasibility_version(a) == 1
+        graph.release_bw(path, 450.0)
+        assert graph.feasibility_version(a) == graph.feasibility_version(b) == 2
+        assert graph._thresholds == [70_000]
+
 
 class TestTxWaitingInvariants:
     @staticmethod
@@ -741,6 +778,44 @@ class TestTimeAdvance:
         (_, _, _, end, capped), _ = assert_jump_matches_steps(
             make, **{**kwargs, "step_cap": start + gap // 2})
         assert capped and end == start + gap // 2
+
+    def test_next_due_reads_heap_heads_and_front_stamps(self):
+        # after every executed step of a one-wave paper5dc episode, next_due
+        # is the earliest heap head or DC expiry, floored at step_no, unless
+        # a waiting TX must retry on the next step
+        engine, gen, plan = make_runtime(
+            load_config("paper5dc", seed=0).with_overrides({"requests.wave_times": [0]}), 0)
+        real_next_due = engine.next_due
+        seen = {"checks": 0, "by_expiry": 0, "retry": 0, "install_on_empty": 0}
+
+        def next_due(horizon):
+            now = engine.step_no
+            got = real_next_due(horizon)
+            if (engine._await_tx or engine._await_final) \
+                    and engine._bw_seen != engine.graph.bw_version:
+                seen["retry"] += 1
+                assert got == now
+                return got
+            heads = [heap[0][0] for heap in
+                     (engine._drop_heap, engine._event_heap, engine._final_heap) if heap]
+            expiries = [step for step in (expiry_step(dc, engine.t_thresh) for dc in engine.dcs)
+                        if step is not None]
+            assert got == max(now, min([horizon, *heads, *expiries])), now
+            seen["checks"] += 1
+            seen["by_expiry"] += bool(expiries) and min(expiries) < min([horizon, *heads])
+            return got
+
+        class Watching(HeuristicPolicy):
+            def act(self, eng):
+                empty = {dc.dc_id: dc.installed_count() for dc in eng.dcs if not dc.idle_since}
+                applied = super().act(eng)
+                seen["install_on_empty"] += any(eng.dcs[dc_id].installed_count() > count
+                                                for dc_id, count in empty.items())
+                return applied
+
+        engine.next_due = next_due
+        result = run_episode(engine, gen, plan, Watching())
+        assert result.generated > 100 and all(seen.values()), seen
 
     def test_policy_without_the_flag_runs_every_step(self):
         make, kwargs = config_case("tiny", 0)

@@ -245,6 +245,22 @@ class TestSelectForAllocation:
         engine.step_no = 100
         assert select_for_allocation(engine, 0, "NAT") == 1 == naive_select(engine, 0, "NAT")
 
+    def test_deadline_order_swaps_between_consecutive_phases(self):
+        # VS (10,000-step deadline, tag 0) and CG (8,000, tag 1, injected 100
+        # steps later) wait at their source DC: equal p1 at step 500, so the
+        # smaller tag wins, and CG's p1 is the larger one step later
+        engine, gen = three_dc_engine()
+        vs = inject_manual(engine, gen, [{"type": "VS", "src": 0, "dest": 1}])[0]
+        engine.step_no = 100
+        cg = inject_manual(engine, gen, [{"type": "CG", "src": 0, "dest": 1}])[0]
+        engine.step_no = 500
+        assert priority(engine, vs.tag, 0).total == priority(engine, cg.tag, 0).total
+        assert select_for_allocation(engine, 0, "NAT") == vs.tag
+        engine.step()
+        assert engine.step_no == 501
+        assert priority(engine, cg.tag, 0).total > priority(engine, vs.tag, 0).total
+        assert select_for_allocation(engine, 0, "NAT") == cg.tag == naive_select(engine, 0, "NAT")
+
     def test_head_injected_mid_phase_is_ranked(self):
         # the first query ranks NAT for this step; a head that starts
         # waiting at the same step must reach the next query
@@ -402,11 +418,11 @@ class TestGroupedSelectionOracle:
         built, queried = {}, set()
         rank, select = policy_module.rank_groups, policy_module.select_for_allocation
 
-        def counting_rank(engine, rows, groups):
+        def counting_rank(engine, groups):
             tag = next(iter(next(iter(groups.values()))))
             key = (engine.step_no, engine.graph.bw_version, engine.live[tag].head.vtype)
             built[key] = built.get(key, 0) + 1
-            return rank(engine, rows, groups)
+            return rank(engine, groups)
 
         def recording_select(engine, dc, vtype):
             queried.add((engine.step_no, engine.graph.bw_version, vtype))
