@@ -326,9 +326,13 @@ class ScenarioConfig:
             fh.write("\n")
 
     def with_overrides(self, pairs: dict[str, object]) -> "ScenarioConfig":
-        """Apply dotted-key overrides like {"policy.kind": "dqn"}."""
-        data = self.resolved()
-        seed = data.pop("seed")
+        """Apply dotted-key overrides like {"policy.kind": "dqn"}.
+
+        Only the dicts on an override's path are copied, so this config's
+        data is left as it was; the new config's __init__ copies every value.
+        """
+        data = dict(self.data)
+        seed = self.seed
         for dotted, value in pairs.items():
             parts = dotted.split(".")
             if parts == ["seed"]:
@@ -338,6 +342,7 @@ class ScenarioConfig:
             for part in parts[:-1]:
                 if part not in node or not isinstance(node[part], dict):
                     raise ConfigError(f"unknown override path {dotted!r}")
+                node[part] = dict(node[part])
                 node = node[part]
             if parts[-1] not in node and parts[0] != "catalog":
                 raise ConfigError(f"unknown override path {dotted!r}")

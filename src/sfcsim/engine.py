@@ -44,6 +44,10 @@ which a ranking mends as it reads; a head that starts waiting drops its
 type's ranking, so the next query of that type ranks afresh. The engine
 keeps no count that only the DQN agent observes: dqn.StateEncoder counts
 those from `live`.
+
+`trace` is None unless a trace sink is attached, at construction or later
+(as cli.run_one attaches its TraceWriter); every event site checks it first,
+so an untraced run builds no trace events or their arguments.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from .policy import (
 )
 from .requestgen import RequestGenerator, SfcRecord, TxState, WavePlan
 from .topology import NetworkGraph, PathResult, to_milli
-from .trace import NullTrace
 
 
 class EngineError(Exception):
@@ -124,7 +127,7 @@ class Engine:
         self.urgency_fraction = urgency_fraction
         self.t_urgency_steps = t_urgency_steps
         self.metrics = metrics or MetricsBundle()
-        self.trace = trace or NullTrace()
+        self.trace = trace  # None: no trace events are built
 
         self.step_no = 0
         self.live: dict[int, SfcRecord] = {}
@@ -157,8 +160,9 @@ class Engine:
             self._waiting_add(rec)
             heapq.heappush(self._drop_heap, (rec.inject_step + rec.deadline_steps + 1, rec.tag))
             self.metrics.record_generated(rec.type_name)
-            self.trace.event(self.step_no, "inject", tag=rec.tag, type=rec.type_name,
-                             src=rec.src_dc, dest=rec.dest_dc, bw=rec.bw)
+            if self.trace is not None:
+                self.trace.event(self.step_no, "inject", tag=rec.tag, type=rec.type_name,
+                                 src=rec.src_dc, dest=rec.dest_dc, bw=rec.bw)
 
     def _waiting_add(self, rec: SfcRecord) -> None:
         vname = rec.head.vtype
@@ -268,8 +272,9 @@ class Engine:
             head = rec.head
             if head.allocated:
                 self.dcs[head.vnf_dc].force_revoke_vnf(head.vtype, head.func_id, now)
-                self.trace.event(now, "force_revoke", tag=tag, vtype=head.vtype,
-                                 dc=head.vnf_dc, fid=head.func_id)
+                if self.trace is not None:
+                    self.trace.event(now, "force_revoke", tag=tag, vtype=head.vtype,
+                                     dc=head.vnf_dc, fid=head.func_id)
             if rec.tx is not None:
                 self.graph.release_bw(rec.tx.path, rec.bw)
                 rec.tx = None
@@ -280,7 +285,9 @@ class Engine:
             drop = DropRecord(tag, rec.type_name, now, len(rec.chain))
             self.dropped.append(drop)
             self.metrics.record_drop(drop)
-            self.trace.event(now, "drop", tag=tag, type=rec.type_name, pending=len(rec.chain))
+            if self.trace is not None:
+                self.trace.event(now, "drop", tag=tag, type=rec.type_name,
+                                 pending=len(rec.chain))
 
     def _head_pass(self, now: int) -> None:
         woken = set(self._await_tx)
@@ -291,16 +298,16 @@ class Engine:
             rec = self.live.get(tag)
             if rec is None:
                 continue
+            head = rec.head
             if rec.tx is not None:
                 if rec.tx.end_step == now:
                     self.graph.release_bw(rec.tx.path, rec.bw)
                     rec.tx = None
-                    head = rec.head
                     head.proc_start = now
                     heapq.heappush(self._event_heap, (now + head.t_req, tag))
-                    self.trace.event(now, "tx_end", tag=tag)
+                    if self.trace is not None:
+                        self.trace.event(now, "tx_end", tag=tag)
                 continue
-            head = rec.head
             if head is None or not head.allocated:
                 continue
             if head.proc_start is not None:
@@ -311,8 +318,9 @@ class Engine:
             steps = self._start_tx(rec, head.vnf_dc, now)
             if steps is None:
                 continue
-            self.trace.event(now, "tx_start", tag=tag, src=rec.sfc_dc, dc=head.vnf_dc,
-                             steps=steps, hops=list(rec.tx.path.hops))
+            if self.trace is not None:
+                self.trace.event(now, "tx_start", tag=tag, src=rec.sfc_dc, dc=head.vnf_dc,
+                                 steps=steps, hops=list(rec.tx.path.hops))
             rec.sfc_dc = head.vnf_dc
             self._await_tx.discard(tag)
             heapq.heappush(self._event_heap, (rec.tx.end_step, tag))
@@ -331,8 +339,9 @@ class Engine:
     def _finish_head(self, now: int, rec: SfcRecord) -> None:
         head = rec.chain.pop(0)
         self.dcs[head.vnf_dc].revoke_vnf(head.vtype, head.func_id, now)
-        self.trace.event(now, "proc_done", tag=rec.tag, vtype=head.vtype,
-                         dc=head.vnf_dc, fid=head.func_id)
+        if self.trace is not None:
+            self.trace.event(now, "proc_done", tag=rec.tag, vtype=head.vtype,
+                             dc=head.vnf_dc, fid=head.func_id)
         if rec.chain:
             self._waiting_add(rec)
         else:
@@ -348,8 +357,9 @@ class Engine:
             heapq.heappush(self._final_heap, (rec.tx.end_step, now, tag, rec))
             self._await_final.discard(tag)
             del self.live[tag]
-            self.trace.event(now, "final_start", tag=tag, src=rec.sfc_dc,
-                             dest=rec.dest_dc, steps=steps, hops=list(rec.tx.path.hops))
+            if self.trace is not None:
+                self.trace.event(now, "final_start", tag=tag, src=rec.sfc_dc,
+                                 dest=rec.dest_dc, steps=steps, hops=list(rec.tx.path.hops))
 
     def _final_tx_pass(self, now: int) -> None:
         heap = self._final_heap
@@ -367,16 +377,19 @@ class Engine:
                 drop = DropRecord(tag, rec.type_name, now, 0)
                 self.dropped.append(drop)
                 self.metrics.record_drop(drop)
-            self.trace.event(now, "complete", tag=tag, type=rec.type_name,
-                             e2e_steps=e2e, accepted=accepted)
+            if self.trace is not None:
+                self.trace.event(now, "complete", tag=tag, type=rec.type_name,
+                                 e2e_steps=e2e, accepted=accepted)
 
     def _reap_pass(self, now: int) -> None:
         cutoff = now + 1 - self.t_thresh  # tick_idle's: a stamp <= cutoff is due
         for dc in self.dcs:
             for since in dc.idle_since.values():  # the longest-idle stamp only
                 if since <= cutoff:
-                    for vname, fid in dc.tick_idle(now, self.t_thresh):
-                        self.trace.event(now, "reap", dc=dc.dc_id, vtype=vname, fid=fid)
+                    reaped = dc.tick_idle(now, self.t_thresh)
+                    if self.trace is not None:
+                        for vname, fid in reaped:
+                            self.trace.event(now, "reap", dc=dc.dc_id, vtype=vname, fid=fid)
                 break
 
     # -- constrained action executor ------------------------------------------
@@ -416,24 +429,26 @@ class Engine:
         the lowest idle function id or installing a new instance. Must be
         called between steps (the policy phase)."""
         rec = self.live.get(tag)
-        if rec is None or rec.head is None or rec.head.allocated:
+        head = rec.head if rec is not None else None
+        if head is None or head.allocated:
             return False
         dc = self.dcs[dc_id]
-        vname = rec.head.vtype
+        vname = head.vtype
         fid = dc.first_idle(vname)
         if fid is None:
             try:
                 fid = dc.install_vnf(self.catalog.vnfs[vname], self.step_no)
             except InsufficientResources:
                 return False
-            self.trace.event(self.step_no, "install", dc=dc_id, vtype=vname, fid=fid)
+            if self.trace is not None:
+                self.trace.event(self.step_no, "install", dc=dc_id, vtype=vname, fid=fid)
         dc.allocate_vnf(vname, fid)
         self._waiting_remove(rec)
-        head = rec.head
         head.vnf_dc = dc_id
         head.func_id = fid
         self.last_allocated_tag = tag
-        self.trace.event(self.step_no, "allocate", tag=tag, vtype=vname, dc=dc_id, fid=fid)
+        if self.trace is not None:
+            self.trace.event(self.step_no, "allocate", tag=tag, vtype=vname, dc=dc_id, fid=fid)
         if dc_id == rec.sfc_dc:
             # counting starts on the step this allocation belongs to
             head.proc_start = self.step_no - 1
@@ -448,7 +463,8 @@ class Engine:
         if fid is None:
             return False
         dc.uninstall_vnf(vname, fid)
-        self.trace.event(self.step_no, "uninstall", dc=dc.dc_id, vtype=vname, fid=fid)
+        if self.trace is not None:
+            self.trace.event(self.step_no, "uninstall", dc=dc.dc_id, vtype=vname, fid=fid)
         return True
 
     # -- invariants ------------------------------------------------------------

@@ -9,12 +9,13 @@ The engine keeps waiting tags grouped by score_key: every input of a waiting
 tag's score, so all tags of one group score the same and the argmax scores
 each group once, through its smallest tag, which the engine keeps first.
 Within one policy phase the step and the bandwidth version are fixed as
-well. A group's DC-independent components (score_row: p1 and p4) are
-computed when its type is ranked, and the hops of its min path are read
-from the engine's path cache, which answers from memory until the
-feasibility version of the request's bandwidth moves. Every total is
-w1*p1 + w2*p2 + w3*p3 + w4*p4 summed in that order, as priority() sums it:
-a regrouped float sum can flip an argmax tie.
+well. A group's DC-independent components (score_row: p1 and p4) read only
+its (deadline, inject step) cohort, of which there are far fewer than
+groups, so a ranking build computes them once per cohort; the hops of each
+group's min path are read from the engine's path cache, which answers from
+memory until the feasibility version of the request's bandwidth moves.
+Every total is w1*p1 + w2*p2 + w3*p3 + w4*p4 summed in that order, as
+priority() sums it: a regrouped float sum can flip an argmax tie.
 
 The argmax reads a ranking that rank_groups builds once per phase and VNF
 type, on the type's first query: a heap of every group by its total at
@@ -148,28 +149,40 @@ def rank_groups(engine, groups: dict) -> tuple[list, list[list]]:
     total; by_dc[dc] the groups whose p2 at dc is positive, at that total:
     2 at the source DC, 1 at the other DCs of the min path. Totals are
     priority's expression in priority's order, with p3 = 0 for an
-    unallocated head. Each group is read once, through its first tag.
+    unallocated head.
+
+    Each group is read once, through its score_key and first tag. p1 and p4
+    read only a group's (deadline, inject step) cohort, so score_row runs
+    once per cohort, on its first group, and the cohort's three totals are
+    kept for this build only: they move with the step. The min path's hops
+    are read per group.
     """
     live = engine.live
     cached_min_path = engine.cached_min_path
     w = engine.weights
     w1, w2, w3, w4 = w.w1, w.w2, w.w3, w.w4
     p3 = 0.0
+    cohorts = {}  # (deadline_steps, inject_step) -> -total at p2 = 0, 1, 2
     base = []
     by_dc = [[] for _ in engine.dcs]
-    for group in groups.values():
+    for (deadline, inject, src, sfc_dc, dest, bw), group in groups.items():
         tag = next(iter(group))
-        record = live[tag]
-        p1, p4 = score_row(engine, record)
-        src = record.src_dc
-        base.append((-(w1 * p1 + w2 * 0.0 + w3 * p3 + w4 * p4), tag, group))
-        path = cached_min_path(record.sfc_dc, record.dest_dc, record.bw)
+        totals = cohorts.get((deadline, inject))
+        if totals is None:
+            p1, p4 = score_row(engine, live[tag])
+            totals = cohorts[deadline, inject] = (
+                -(w1 * p1 + w2 * 0.0 + w3 * p3 + w4 * p4),
+                -(w1 * p1 + w2 * 1.0 + w3 * p3 + w4 * p4),
+                -(w1 * p1 + w2 * 2.0 + w3 * p3 + w4 * p4))
+        off_path, on_path, at_src = totals
+        base.append((off_path, tag, group))
+        path = cached_min_path(sfc_dc, dest, bw)
         if path is not None:
-            on_path = (-(w1 * p1 + w2 * 1.0 + w3 * p3 + w4 * p4), tag, group)
+            entry = (on_path, tag, group)
             for hop in path.hops:
                 if hop != src:
-                    by_dc[hop].append(on_path)
-        by_dc[src].append((-(w1 * p1 + w2 * 2.0 + w3 * p3 + w4 * p4), tag, group))
+                    by_dc[hop].append(entry)
+        by_dc[src].append((at_src, tag, group))
     heapify(base)
     for heap in by_dc:
         heapify(heap)

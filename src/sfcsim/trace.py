@@ -21,11 +21,6 @@ class TraceWriter:
         self._fh.write(_encode(rec) + "\n")
 
 
-class NullTrace:
-    def event(self, step, kind, **fields):
-        pass
-
-
 def read_trace(path):
     """Yield trace records from a file written by TraceWriter."""
     with open(path) as fh:

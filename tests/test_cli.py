@@ -557,6 +557,26 @@ class TestScenarioConfig:
         assert cfg.resolved() == before
         assert cfg2.data["policy"]["kind"] == "random"
 
+    def test_overrides_leave_source_data_as_it_was(self):
+        cfg = load_config("paper5dc", seed=0)
+        before = copy.deepcopy(cfg.data)
+        weights = [1, 2, 3, 4]
+        out = cfg.with_overrides({"topology.generator.n": 12, "policy.weights": weights,
+                                  "dqn.reward.drop": 3.0, "seed": 5})
+        assert cfg.data == before and cfg.seed == 0
+        assert out.data["topology"]["generator"]["n"] == 12 and out.seed == 5
+        assert out.data["dqn"]["reward"]["drop"] == 3.0
+        # the new config copies what it was given and shares nothing with the source
+        weights.append(5)
+        out.data["topology"]["generator"]["seed"] = 99
+        out.data["requests"]["wave_times"].append(10**6)
+        out.data["dqn"]["reward"]["complete"] = 42.0
+        assert out.data["policy"]["weights"] == [1, 2, 3, 4]
+        assert cfg.data == before
+        with pytest.raises(ConfigError, match="unknown override path"):
+            cfg.with_overrides({"policy.t_model": 3, "policy.nope.deeper": 1})
+        assert cfg.data == before
+
     # config_hash of each builtin at seed 0, pinned from the merge that
     # deep-copied all of the defaults before overriding them
     BUILTIN_HASHES = {"paper5dc": "b69a8f8c3789fe6a", "paper3dc": "83854d5e83596c85",

@@ -324,6 +324,36 @@ class TestRunEpisode:
         assert events[0] == events[1]
 
 
+class TestTraceGuard:
+    """An engine with no trace builds no events; one with a trace, however
+    it was attached, records the same run."""
+
+    @staticmethod
+    def one_wave(trace=None, attach=None):
+        cfg = load_config("paper5dc", seed=0).with_overrides({"requests.wave_times": [0]})
+        engine, gen, plan = make_runtime(cfg, trace=trace)
+        if attach is not None:
+            engine.trace = attach  # as sfcsim.cli.run_one attaches its TraceWriter
+        result = run_episode(engine, gen, plan, HeuristicPolicy())
+        return engine, result
+
+    def test_untraced_engine_has_no_trace_and_the_same_outcome(self):
+        assert Engine(two_dc_graph(), [], default_catalog()).trace is None
+        plain, plain_result = self.one_wave()
+        assert plain.trace is None
+        traced, traced_result = self.one_wave(trace=ListTrace())
+        kinds = {ev["event"] for ev in traced.trace.events}
+        assert {"inject", "allocate", "install", "tx_start", "tx_end", "proc_done",
+                "final_start", "complete", "reap", "drop"} <= kinds
+        assert plain.metrics.summary_dict() == traced.metrics.summary_dict()
+        assert plain_result == traced_result
+
+    def test_trace_attached_late_records_the_same_events(self):
+        early, _ = self.one_wave(trace=ListTrace())
+        late, _ = self.one_wave(attach=ListTrace())
+        assert late.trace.events == early.trace.events
+
+
 class TestInvariantsUnderLoad:
     def test_random_policy_episode_invariants(self):
         from sfcsim.policy import RandomPolicy

@@ -315,6 +315,103 @@ class TestSelectForAllocation:
             assert select_for_allocation(engine, 1, "NAT") == 0
 
 
+def cohorts(engine, vtype="NAT"):
+    """The (deadline_steps, inject_step) cohorts of a type's waiting groups."""
+    return {key[:2] for key in engine.waiting[vtype]}
+
+
+def select_per_dc(engine, vtype="NAT"):
+    """The argmax at every DC, each checked against the naive oracle."""
+    picks = []
+    for dc in range(len(engine.dcs)):
+        pick = select_for_allocation(engine, dc, vtype)
+        assert pick == naive_select(engine, dc, vtype), (engine.step_no, dc)
+        picks.append(pick)
+    return picks
+
+
+class TestCohortMemo:
+    """rank_groups scores each (deadline, inject step) cohort once per build;
+    everything else a group's place in the ranking reads is its own."""
+
+    # two NAT heads of one cohort (same type, injected together) whose keys
+    # differ in one per-group field; each wins where its p2 is the larger,
+    # and ties break to the first. On a 50 Mbps link 0-1 a 100 Mbps
+    # request's path from 0 to 1 detours through DC 2.
+    @pytest.mark.parametrize("field", ["src", "path", "bw"])
+    def test_one_cohort_ranks_each_group_per_dc(self, field):
+        engine, gen = three_dc_engine(capacity_01=50.0)
+        a = {"type": "CG", "src": 0, "dest": 1, "bw": 10.0}
+        b = {**a, **{"src": {"src": 2}, "path": {"dest": 2}, "bw": {"bw": 100.0}}[field]}
+        first, second = gen.manual_wave([a, b])
+        second.sfc_dc = 0  # for "src": the second chain has moved to DC 0
+        engine.inject([first, second])
+        engine.step_no = 1000
+        engine.check_invariants()
+        assert len(engine.waiting["NAT"]) == 2 and len(cohorts(engine)) == 1
+        assert select_per_dc(engine) == [first.tag, first.tag, second.tag]
+
+    @pytest.mark.parametrize("shared", ["deadline", "inject"])
+    def test_cohort_needs_both_deadline_and_inject_step(self, shared):
+        # the older (shared deadline) or the shorter-deadline (shared inject
+        # step) head must win everywhere, though the other has the smaller
+        # tag: a memo that merged the two cohorts would tie them and pick it
+        engine, gen = three_dc_engine()
+        spec = {"src": 0, "dest": 1, "bw": 10.0}
+        if shared == "deadline":
+            younger, older = gen.manual_wave([{"type": "CG", **spec}] * 2)
+            engine.inject([older])
+            engine.step_no = 1000
+            engine.inject([younger])
+            loser, winner = younger, older
+        else:
+            loser, winner = gen.manual_wave([{"type": "VS", **spec}, {"type": "CG", **spec}])
+            engine.inject([loser, winner])
+        engine.step_no = 2000
+        keys = list(engine.waiting["NAT"])
+        assert len(keys) == 2 and len(cohorts(engine)) == 2
+        assert (keys[0][0] == keys[1][0]) == (shared == "deadline")
+        assert (keys[0][1] == keys[1][1]) == (shared == "inject")
+        assert loser.tag < winner.tag
+        assert select_per_dc(engine) == [winner.tag] * 3
+
+    # with p1 weighted 0 only urgency (p4) tells the two heads apart; the
+    # comments give the steps left and, after "<" or ">=", the threshold
+    @pytest.mark.parametrize("mode, shared, step", [
+        ({"t_urgency_steps": 450}, "deadline", 7600),   # 400 < 450, 500 >= 450
+        ({"t_urgency_steps": 450}, "inject", 7600),     # CG 400 < 450, VS 2400 >= 450
+        ({"urgency_fraction": 0.2}, "deadline", 6500),  # 1500 < 1600, 1600 >= 1600
+        ({"urgency_fraction": 0.2}, "inject", 7000),    # CG 1000 < 1600, VS 3000 >= 2000
+    ])
+    def test_cohort_urgency_in_both_modes(self, mode, shared, step):
+        engine, gen = three_dc_engine(weights=PriorityWeights(0.0, 1.0, 1.0, 1.0), **mode)
+        spec = {"src": 0, "dest": 1, "bw": 10.0}
+        if shared == "deadline":
+            loser, winner = gen.manual_wave([{"type": "CG", **spec}] * 2)
+            engine.inject([winner])
+            engine.step_no = 100
+            engine.inject([loser])
+        else:
+            loser, winner = gen.manual_wave([{"type": "VS", **spec}, {"type": "CG", **spec}])
+            engine.inject([loser, winner])
+        engine.step_no = step
+        assert priority(engine, winner.tag, 0).p4_urgency == 1.0
+        assert priority(engine, loser.tag, 0).p4_urgency == 0.0
+        assert select_per_dc(engine) == [winner.tag] * 3
+
+    def test_cohort_totals_are_not_kept_across_builds(self):
+        # VS and CG tie until CG turns urgent; each phase's build rescores them
+        engine, gen = three_dc_engine(weights=PriorityWeights(0.0, 1.0, 1.0, 1.0),
+                                      t_urgency_steps=450)
+        spec = {"src": 0, "dest": 1, "bw": 10.0}
+        vs, cg = gen.manual_wave([{"type": "VS", **spec}, {"type": "CG", **spec}])
+        engine.inject([vs, cg])
+        engine.step_no = 7000
+        assert select_per_dc(engine) == [vs.tag] * 3
+        engine.step_no = 7600
+        assert select_per_dc(engine) == [cg.tag] * 3
+
+
 # Short heuristic runs where heads queue: small DCs refuse installs, so heads
 # wait for instances, age into urgency, and tie across groups.
 QUEUEING = {
