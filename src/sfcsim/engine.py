@@ -21,9 +21,11 @@ in-flight final TX would finish them in.
 A TX that finds no path (an allocated remote head, or a finished chain)
 waits in a tag set and searches again on every executed step through the
 path cache, so a blocked TX starts on the step a release frees a path. The
-cache answers a repeated search from memory until the graph's feasibility
-version for the request's bandwidth moves, which happens only when an
-edge's residual crosses that bandwidth.
+cache answers a repeated search from memory until the graph's version of the
+request bandwidth's threshold moves, which happens only when an edge's
+residual crosses that bandwidth; each entry keeps its threshold, so a hit
+reads the version directly. A cached path carries its edges' ledger keys,
+which the path's reserve and release walk.
 
 Time advances from one due step to the next. A step is due when one of
 the drop, wake-up or final-TX heaps has an entry for it, when a DC's
@@ -84,14 +86,14 @@ class InvariantError(EngineError):
     """The engine's bookkeeping is inconsistent: a bug, never a policy outcome."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRecord:
     tag: int
     type_name: str
     e2e_steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropRecord:
     tag: int
     type_name: str
@@ -143,8 +145,9 @@ class Engine:
         self._final_heap: list[tuple[int, int, int, SfcRecord]] = []  # (end, start, tag, rec)
         self._await_tx: set[int] = set()  # allocated remote heads with no TX path yet
         self._await_final: set[int] = set()  # finished chains with no final path yet
-        # (src, dest, bw) -> (feasibility version of bw, path)
-        self._path_cache: dict[tuple[int, int, float], tuple[int, PathResult | None]] = {}
+        # (src, dest, bw) -> (threshold t of bw, version of F(t) at the search, path)
+        self._path_cache: dict[tuple[int, int, float],
+                               tuple[int, int, PathResult | None]] = {}
         self._bw_seen: int | None = None  # bw_version when the last step began
         self._rankings_stamp: tuple[int, int] | None = None  # (step_no, bw_version)
         self._rankings: dict[str, tuple] = {}
@@ -188,20 +191,22 @@ class Engine:
     # -- alias helpers -------------------------------------------------------
 
     def cached_min_path(self, src: int, dest: int, bw: float):
-        """select_min_path memoised on graph.feasibility_version(bw); read-only.
+        """select_min_path memoised on the version of bw's threshold; read-only.
 
-        The search reads residuals only as residual >= to_milli(bw), so its
-        answer holds until a residual crosses that threshold, however many
-        other bandwidth moves happen in between. A hit costs one cache read
-        and one version compare; the graph memoises the bw's threshold.
+        The search reads residuals only as residual >= t = to_milli(bw), so
+        its answer holds until a residual crosses t, however many other
+        bandwidth moves happen in between. An entry keeps t and the version
+        of F(t) it was searched at, so a hit costs one cache read and one
+        version compare; a miss registers t with the graph (graph.threshold).
         """
         key = (src, dest, bw)
-        version = self.graph.feasibility_version(bw)
+        graph = self.graph
         hit = self._path_cache.get(key)
-        if hit is not None and hit[0] == version:
-            return hit[1]
-        path = self.graph.select_min_path(src, dest, bw)
-        self._path_cache[key] = (version, path)
+        if hit is not None and graph.threshold_versions[hit[0]] == hit[1]:
+            return hit[2]
+        t = graph.threshold(bw)
+        path = graph.select_min_path(src, dest, bw)
+        self._path_cache[key] = (t, graph.threshold_versions[t], path)
         return path
 
     def phase_rankings(self) -> dict[str, tuple]:

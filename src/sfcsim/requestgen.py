@@ -1,4 +1,9 @@
-"""Seeded generation of SFC request bundles and their live tracking records."""
+"""Seeded generation of SFC request bundles and their live tracking records.
+
+Wave w of a generator seeded with s is a pure function of (s, w): its draws
+are bit-identical to those of np.random.default_rng([s, 0x5FC, w]), served
+by WaveDraws from raw PCG64 output instead of one Generator call per draw.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ class RequestError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VnfState:
     """State of one VNF in a chain. vnf_dc and func_id are None exactly while
     the VNF is unallocated, so vnf_dc is the allocation flag."""
@@ -30,13 +35,13 @@ class VnfState:
         return self.vnf_dc is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class TxState:
     path: PathResult
     end_step: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SfcRecord:
     """One live SFC request.
 
@@ -67,6 +72,73 @@ class SfcRecord:
     @property
     def head(self) -> VnfState | None:
         return self.chain[0] if self.chain else None
+
+
+class WaveDraws:
+    """Draws from one PCG64 stream, each bit-identical to the same call on
+    np.random.default_rng(seed): integers(lo, hi), integers(n), uniform(lo,
+    hi) and random(), in any order.
+
+    Raw 64-bit outputs are read `block` at a time, so the bit generator runs
+    ahead of the draws served. That is only safe because the stream is used
+    for nothing else: each wave builds its own from its own seed.
+
+    A 32-bit draw is the low half of a fresh output, whose high half is kept
+    for the next 32-bit draw (64-bit draws leave it in place), as PCG64 does.
+    integers follows Generator's Lemire rejection on 32-bit draws (arXiv
+    1805.10941) and draws nothing for a single-value range; ranges wider than
+    2**32 are not served.
+    """
+
+    __slots__ = ("_raw", "_block", "_buf", "_pos", "_half")
+
+    def __init__(self, seed, block: int = 256):
+        self._raw = np.random.PCG64(seed).random_raw
+        self._block = block
+        self._buf: list[int] = []
+        self._pos = 0
+        self._half: int | None = None  # the buffered upper 32 bits
+
+    def _next64(self) -> int:
+        pos = self._pos
+        if pos == len(self._buf):
+            self._buf = self._raw(self._block).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._buf[pos]
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        raw = self._next64()
+        self._half = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def integers(self, lo: int, hi: int | None = None) -> int:
+        """An int in [lo, hi), or in [0, lo) when hi is None."""
+        if hi is None:
+            lo, hi = 0, lo
+        n = hi - lo
+        if n <= 1:
+            if n < 1:
+                raise ValueError(f"integers: empty range [{lo}, {hi})")
+            return lo
+        if n > 0x100000000:
+            raise ValueError(f"integers: range {n} is wider than 2**32")
+        m = self._next32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (0x100000000 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * n
+        return lo + (m >> 32)
 
 
 def _quantize_bw(bw: float) -> float:
@@ -113,21 +185,22 @@ class RequestGenerator:
         self.next_tag = 0
 
     def generate_wave(self, wave_index: int) -> list[SfcRecord]:
-        rng = np.random.default_rng([self.seed, 0x5FC, wave_index])
+        draws = WaveDraws([self.seed, 0x5FC, wave_index])
+        integers = draws.integers
         records = []
         for name, styp in self.catalog.sfcs.items():
             lo, hi = self.bundles[name]
-            count = int(rng.integers(lo, hi + 1))
+            count = integers(lo, hi + 1)
             blo, bhi = styp.bandwidth_range
             for _ in range(count):
-                src = int(rng.integers(self.n_dcs))
+                src = integers(self.n_dcs)
                 if self.allow_loopback:
-                    dest = int(rng.integers(self.n_dcs))
+                    dest = integers(self.n_dcs)
                 else:
-                    dest = int(rng.integers(self.n_dcs - 1))
+                    dest = integers(self.n_dcs - 1)
                     if dest >= src:
                         dest += 1
-                bw = blo if blo == bhi else float(rng.uniform(blo, bhi))
+                bw = blo if blo == bhi else draws.uniform(blo, bhi)
                 records.append(
                     _make_record(self.next_tag, styp, self.catalog, src, dest, bw)
                 )

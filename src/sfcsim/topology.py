@@ -8,9 +8,11 @@ bandwidth-feasible subgraph.
 A search for bandwidth bw reads residuals only as residual >= t with
 t = to_milli(bw), so its answer depends on (src, dest) and the feasible set
 F(t) = {edge : residual >= t} alone. The graph keeps a version for each
-threshold it has been asked about, and a residual move bumps exactly the
-thresholds it carries an edge across; a cached answer stays right while its
-threshold's version holds.
+threshold it has been asked about (threshold_versions), and a residual move
+bumps exactly the thresholds it carries an edge across; a cached answer
+stays right while its threshold's version holds. Every bw asked about is
+memoised with its threshold, which is also its ledger amount, so a reserve
+or release of that bw converts nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 C_FIBER_KM_S = 2.0e5  # light in fiber
 STEP_SECONDS = 1.0e-5  # one step = 0.01 ms
@@ -31,16 +33,19 @@ def to_milli(value: float) -> int:
     return int(round(value * QUANTUM))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathResult:
-    """A simple path: ordered hop ids plus total length in km."""
+    """A simple path: ordered hop ids plus total length in km. keys are the
+    ledger keys (min, max) of its edges in hop order, computed once here."""
 
     hops: tuple[int, ...]
     length_km: float
+    keys: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [(self.hops[i], self.hops[i + 1]) for i in range(len(self.hops) - 1)]
+    def __post_init__(self):
+        hops = self.hops
+        object.__setattr__(self, "keys", tuple(
+            (m, n) if m < n else (n, m) for m, n in zip(hops, hops[1:])))
 
 
 class TopologyError(ValueError):
@@ -52,7 +57,8 @@ class NetworkGraph:
 
     bw_version increments on every residual change; feasibility_version(bw)
     only when the edge set a search for bw may use changes, which is what a
-    path-search memo should be keyed on.
+    path-search memo should be keyed on. A memo that keeps the threshold
+    (threshold(bw)) can read the version from threshold_versions directly.
     """
 
     def __init__(self, nodes, edges, *, propagation=True):
@@ -73,7 +79,7 @@ class NetworkGraph:
         self.propagation = propagation
         self.bw_version = 0
         self._thresholds: list[int] = []  # sorted; every t ever asked about
-        self._feasible: dict[int, int] = {}  # t -> version of F(t)
+        self.threshold_versions: dict[int, int] = {}  # t -> version of F(t)
         self._milli: dict[float, int] = {}  # every bw ever asked about -> its t
         total_km = 0.0
         for edge in edges:
@@ -141,53 +147,63 @@ class NetworkGraph:
         The caller must have just verified feasibility; failure here means a
         policy or engine bug, not an expected runtime condition.
         """
-        amount = to_milli(bw_mbps)
-        if amount == 0 or len(path.hops) < 2:
+        amount = self._amount(bw_mbps)
+        if amount == 0 or not path.keys:
             return
-        edges = [(min(m, n), max(m, n)) for m, n in path.edges]
-        for key in edges:
-            if self._residual[key] < amount:
+        residual = self._residual
+        for key in path.keys:
+            if residual[key] < amount:
                 raise TopologyError(f"reserve of {bw_mbps} Mbps exceeds residual on edge {key}")
-        self._move(edges, -amount)
+        self._move(path.keys, -amount)
 
     def release_bw(self, path: PathResult, bw_mbps: float) -> None:
         """Increment residual by bw on every edge of path (inverse of reserve)."""
-        amount = to_milli(bw_mbps)
-        if amount == 0 or len(path.hops) < 2:
+        amount = self._amount(bw_mbps)
+        if amount == 0 or not path.keys:
             return
-        edges = [(min(m, n), max(m, n)) for m, n in path.edges]
-        for key in edges:
-            if self._residual[key] + amount > self._capacity[key]:
+        residual, capacity = self._residual, self._capacity
+        for key in path.keys:
+            if residual[key] + amount > capacity[key]:
                 raise TopologyError(f"release of {bw_mbps} Mbps exceeds capacity on edge {key}")
-        self._move(edges, amount)
+        self._move(path.keys, amount)
 
-    def _move(self, edges, delta: int) -> None:
+    def _amount(self, bw_mbps: float) -> int:
+        """to_milli(bw_mbps), read from the threshold memo when bw was asked about."""
+        amount = self._milli.get(bw_mbps)
+        return to_milli(bw_mbps) if amount is None else amount
+
+    def _move(self, keys, delta: int) -> None:
         """Add delta to each edge's residual, bumping the version of every
         registered threshold t the edge crosses (lo < t <= hi)."""
         residual = self._residual
         thresholds = self._thresholds
-        feasible = self._feasible
-        for key in edges:
+        versions = self.threshold_versions
+        for key in keys:
             old = residual[key]
             new = residual[key] = old + delta
             lo, hi = (new, old) if delta < 0 else (old, new)
             first = bisect_right(thresholds, lo)
             for t in thresholds[first:bisect_right(thresholds, hi, first)]:
-                feasible[t] += 1
+                versions[t] += 1
         self.bw_version += 1
+
+    def threshold(self, req_bw: float) -> int:
+        """t = to_milli(req_bw), registered so that threshold_versions[t]
+        tracks F(t) from now on; memoised per bw, and bws with the same t
+        share one version."""
+        t = self._milli.get(req_bw)
+        if t is None:
+            t = self._milli[req_bw] = to_milli(req_bw)
+            if t not in self.threshold_versions:
+                insort(self._thresholds, t)
+                self.threshold_versions[t] = 0
+        return t
 
     def feasibility_version(self, req_bw: float) -> int:
         """The version of F(to_milli(req_bw)), the edge set that
         select_min_path(., ., req_bw) searches; it moves exactly when that
-        set changes. A threshold is registered on the first ask of a bw that
-        converts to it; bws with the same t read the same version."""
-        t = self._milli.get(req_bw)
-        if t is None:
-            t = self._milli[req_bw] = to_milli(req_bw)
-            if t not in self._feasible:
-                insort(self._thresholds, t)
-                self._feasible[t] = 0
-        return self._feasible[t]
+        set changes."""
+        return self.threshold_versions[self.threshold(req_bw)]
 
     # -- path discovery ------------------------------------------------------
 

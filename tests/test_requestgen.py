@@ -1,9 +1,13 @@
 """Request wave generation: bundles, seeding, manual mode, wave plans."""
 
+import dataclasses
+
 import pytest
 
 from sfcsim.catalog import default_catalog
-from sfcsim.requestgen import RequestError, RequestGenerator, schedule_waves
+from sfcsim.engine import CompletionRecord, DropRecord
+from sfcsim.requestgen import RequestError, RequestGenerator, TxState, schedule_waves
+from sfcsim.topology import PathResult
 
 CAT = default_catalog()
 
@@ -80,6 +84,29 @@ class TestGenerateWave:
         with pytest.raises(RequestError):
             RequestGenerator(CAT, 1, 0)
         RequestGenerator(CAT, 1, 0, allow_loopback=True)  # explicit opt-in
+
+
+class TestSlottedRecords:
+    def test_a_misspelled_field_write_raises(self):
+        # without slots these writes would add a field that nothing reads
+        rec = wave(3)[0]
+        rec.tx = TxState(PathResult((0, 1), 1.0), 5)
+        for obj, name in [(rec, "sfcdc"), (rec.chain[0], "vnfdc"), (rec.tx, "endstep")]:
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+            assert not hasattr(obj, name)
+
+    def test_frozen_records_are_slotted_and_refuse_writes(self):
+        for obj, name in [(CompletionRecord(0, "CG", 5), "e2e"),
+                          (DropRecord(0, "CG", 5, 1), "pendng")]:
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj.tag = 1
+            # CPython 3.11 raises TypeError here from a frozen slotted dataclass
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(obj, name, 1)
+            assert not hasattr(obj, name)
 
 
 class TestManualMode:

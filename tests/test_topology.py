@@ -178,6 +178,34 @@ class TestBandwidthLedger:
             g.release_bw(path, bw)
         assert g.residual_snapshot() == before
 
+    def test_keys_are_each_found_paths_canonical_edges(self):
+        # drawn residuals on sparse circles force detours, so many found paths
+        # are multi-hop; a reserve over a path's keys moves exactly its edges,
+        # and the matching release restores the ledger
+        multi_hop = 0
+        for seed in range(60):
+            rng = np.random.default_rng([seed, 0x4E7])
+            n = int(rng.integers(4, 10))
+            g = circle_topology(n, 6000.0, float(rng.uniform(0.2, 0.5)), seed)
+            for key in g.edge_keys():
+                g._residual[key] = int(rng.integers(0, 500_001))
+            req = float(np.round(rng.uniform(0.001, 250), 3))
+            for src in range(n):
+                for dest in range(n):
+                    path = g.select_min_path(src, dest, req)
+                    if path is None:
+                        continue
+                    hops = path.hops
+                    assert path.keys == tuple(tuple(sorted(pair)) for pair in zip(hops, hops[1:]))
+                    multi_hop += len(hops) > 2
+                    before = g.residual_snapshot()
+                    g.reserve_bw(path, req)
+                    after = g.residual_snapshot()
+                    assert {key for key in before if after[key] != before[key]} == set(path.keys)
+                    g.release_bw(path, req)
+                    assert g.residual_snapshot() == before
+        assert multi_hop > 500
+
     def test_overdraft_rejected(self):
         g = line_graph(caps=(10.0, 10.0))
         path = g.select_min_path(0, 2, 8.0)
