@@ -4,7 +4,7 @@ An instance is Installed (consuming storage and compute), and is either
 InUse (allocated to exactly one SFC's VNF) or Idle. An idle instance holds
 one idle stamp, the engine step passed in when it went idle; the DC keeps no
 clock of its own. The stamps live in one insertion-ordered table: going idle
-moves an instance's entry to the end, and the engine's steps never decrease,
+adds an instance's entry at the end, and the engine's steps never decrease,
 so the table is in stamp order and its first entry is the next to expire.
 Each reap reads only the due entries at the front, so the reaper costs
 nothing per idle instance per step.
@@ -170,16 +170,8 @@ class DataCenter:
             raise NotInUse(f"DC {self.dc_id}: {vname}/{fid} is not in use")
         self._go_idle(vname, fid, now)
 
-    def force_revoke_vnf(self, vname: str, fid: int, now: int) -> None:
-        """Revoke regardless of status; used on deadline drops mid-processing.
-
-        An idle instance restarts its idle time."""
-        self._is_idle(vname, fid)
-        self._go_idle(vname, fid, now)
-
     def _go_idle(self, vname: str, fid: int, now: int) -> None:
         self.idle.setdefault(vname, set()).add(fid)
-        self.idle_since.pop((vname, fid), None)  # a restarted stamp moves to the end
         self.idle_since[(vname, fid)] = now
 
     def tick_idle(self, now: int, t_thresh: int) -> list[tuple[str, int]]:

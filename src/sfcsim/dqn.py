@@ -28,7 +28,6 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -125,13 +124,6 @@ class StateEncoder:
         )
         self.vnf_pos = {v: j for j, v in enumerate(self.vnf_names)}
         self.sfc_pos = {s: i for i, s in enumerate(self.sfc_names)}
-
-    @cached_property
-    def actions(self) -> tuple[PolicyAction, ...]:
-        """The decoded action table: actions[i] is decode_action(i, ...).
-        Built on first use, so an encoder made only for its widths skips it."""
-        n_actions = action_space_size(self.n_dcs, len(self.vnf_names))
-        return tuple(decode_action(i, self.n_dcs, self.vnf_names) for i in range(n_actions))
 
     def phase_features(self, engine) -> PhaseFeatures:
         """The phase's features, valid until the engine steps again.
@@ -256,8 +248,6 @@ class QNetwork:
         self.grads: dict[str, np.ndarray] = {}
         self._spans: list[slice] = []  # each array's slice, in the clip norm's order
         self._branch_biases = self._branch_bias_grads = None  # every bb{i}, in order
-        self._gates: np.ndarray | None = None
-        self._gates_of: bytes | None = None  # the theta bytes _gates was computed from
 
     def flat_params(self) -> np.ndarray:
         """The parameter vector, packed from the arrays on the first call.
@@ -292,13 +282,10 @@ class QNetwork:
         return self._flat
 
     def gates(self) -> np.ndarray:
-        """The softmax of theta; recomputed only when theta has changed."""
+        """The softmax of theta."""
         theta = self.params["theta"]
-        key = theta.tobytes()
-        if key != self._gates_of:
-            exp = np.exp(theta - np.maximum.reduce(theta))
-            self._gates, self._gates_of = exp / np.add.reduce(exp), key
-        return self._gates
+        exp = np.exp(theta - np.maximum.reduce(theta))
+        return exp / np.add.reduce(exp)
 
     def forward(self, xs: list[np.ndarray]):
         q, _ = self.forward_cached(xs)
@@ -570,7 +557,6 @@ class DqnPolicy:
                                      int(dqn_cfg["count_cap"]))
 
     def act(self, engine) -> None:
-        actions = self.encoder.actions
         phase = self.encoder.phase_features(engine)
         enc = greedy = None
         for _ in range(self.max_actions):
@@ -578,7 +564,7 @@ class DqnPolicy:
                 enc = self.agent.split(self.encoder.encode(engine, phase))
                 greedy = None
             idx, greedy = self.agent.act_index(enc, self.epsilon, greedy)
-            action = actions[idx]
+            action = decode_action(idx, self.encoder.n_dcs, self.encoder.vnf_names)
             if action.kind == IDLE_WAIT:
                 break
             if engine.apply_action(action):
@@ -681,7 +667,6 @@ class DqnTrainingPolicy:
         # enc's Q-vector) stays valid until an action changes the state
         self._collect_events(engine)
         self._close_invocation()
-        actions = self.encoder.actions
         phase = self.encoder.phase_features(engine)
         flat = None
         for _ in range(self.max_actions):
@@ -698,7 +683,7 @@ class DqnTrainingPolicy:
                     idx = guide[int(self.agent.rng.integers(len(guide)))]
             if idx is None:
                 idx, greedy = self.agent.act_index(enc, self.epsilon, greedy)
-            action = actions[idx]
+            action = decode_action(idx, self.encoder.n_dcs, self.encoder.vnf_names)
             if action.kind == IDLE_WAIT:
                 # not a stop during training: keeps exploration throughput
                 # independent of the current value estimates

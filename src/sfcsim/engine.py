@@ -1,8 +1,8 @@
 """Per-step simulation core.
 
-Each step executes, in order: the drop pass (deadline expiry with force
-revoke), the head pass (only the first VNF of each chain: in-chain TX
-ticking, processing, completion), the completion pass (chain empty, start
+Each step executes, in order: the drop pass (deadline expiry, revoking an
+allocated head), the head pass (only the first VNF of each chain: in-chain
+TX ticking, processing, completion), the completion pass (chain empty, start
 the final packet TX), the final-TX pass, and the idle reaper, which reads
 the front stamp of each DC's idle-stamp table and calls tick_idle only on
 a DC whose front is due. Placement policies act between steps through a
@@ -276,7 +276,7 @@ class Engine:
                 continue
             head = rec.head
             if head.allocated:
-                self.dcs[head.vnf_dc].force_revoke_vnf(head.vtype, head.func_id, now)
+                self.dcs[head.vnf_dc].revoke_vnf(head.vtype, head.func_id, now)
                 if self.trace is not None:
                     self.trace.event(now, "force_revoke", tag=tag, vtype=head.vtype,
                                      dc=head.vnf_dc, fid=head.func_id)

@@ -58,13 +58,9 @@ class SfcRecord:
     packet_len_mb: float
     deadline_steps: int
     chain: list[VnfState]
-    sfc_dc: int = -1
+    sfc_dc: int
     inject_step: int = -1
     tx: TxState | None = None
-
-    def __post_init__(self):
-        if self.sfc_dc < 0:
-            self.sfc_dc = self.src_dc
 
     def t_ccurr(self, step: int) -> int:
         return max(0, step - self.inject_step)
@@ -161,6 +157,7 @@ def _make_record(tag: int, styp: SfcType, catalog: Catalog, src: int, dest: int,
         packet_len_mb=packet,
         deadline_steps=styp.deadline_steps,
         chain=chain,
+        sfc_dc=src,
     )
 
 

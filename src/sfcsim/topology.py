@@ -10,9 +10,7 @@ t = to_milli(bw), so its answer depends on (src, dest) and the feasible set
 F(t) = {edge : residual >= t} alone. The graph keeps a version for each
 threshold it has been asked about (threshold_versions), and a residual move
 bumps exactly the thresholds it carries an edge across; a cached answer
-stays right while its threshold's version holds. Every bw asked about is
-memoised with its threshold, which is also its ledger amount, so a reserve
-or release of that bw converts nothing.
+stays right while its threshold's version holds.
 """
 
 from __future__ import annotations
@@ -55,10 +53,9 @@ class TopologyError(ValueError):
 class NetworkGraph:
     """Undirected graph of DCs with per-edge capacity and residual bandwidth.
 
-    bw_version increments on every residual change; feasibility_version(bw)
-    only when the edge set a search for bw may use changes, which is what a
-    path-search memo should be keyed on. A memo that keeps the threshold
-    (threshold(bw)) can read the version from threshold_versions directly.
+    bw_version increments on every residual change;
+    threshold_versions[threshold(bw)] only when the edge set a search for bw
+    may use changes, which is what a path-search memo should be keyed on.
     """
 
     def __init__(self, nodes, edges, *, propagation=True):
@@ -80,7 +77,6 @@ class NetworkGraph:
         self.bw_version = 0
         self._thresholds: list[int] = []  # sorted; every t ever asked about
         self.threshold_versions: dict[int, int] = {}  # t -> version of F(t)
-        self._milli: dict[float, int] = {}  # every bw ever asked about -> its t
         total_km = 0.0
         for edge in edges:
             m, n, cap = edge[0], edge[1], edge[2]
@@ -142,12 +138,12 @@ class NetworkGraph:
                 raise TopologyError(f"edge {key} residual {res} out of [0, capacity]")
 
     def reserve_bw(self, path: PathResult, bw_mbps: float) -> None:
-        """Decrement residual by bw on every edge of path.
+        """Decrement residual by to_milli(bw) on every edge of path.
 
         The caller must have just verified feasibility; failure here means a
         policy or engine bug, not an expected runtime condition.
         """
-        amount = self._amount(bw_mbps)
+        amount = to_milli(bw_mbps)
         if amount == 0 or not path.keys:
             return
         residual = self._residual
@@ -157,8 +153,8 @@ class NetworkGraph:
         self._move(path.keys, -amount)
 
     def release_bw(self, path: PathResult, bw_mbps: float) -> None:
-        """Increment residual by bw on every edge of path (inverse of reserve)."""
-        amount = self._amount(bw_mbps)
+        """Increment residual by to_milli(bw) on every edge of path; undoes reserve."""
+        amount = to_milli(bw_mbps)
         if amount == 0 or not path.keys:
             return
         residual, capacity = self._residual, self._capacity
@@ -166,11 +162,6 @@ class NetworkGraph:
             if residual[key] + amount > capacity[key]:
                 raise TopologyError(f"release of {bw_mbps} Mbps exceeds capacity on edge {key}")
         self._move(path.keys, amount)
-
-    def _amount(self, bw_mbps: float) -> int:
-        """to_milli(bw_mbps), read from the threshold memo when bw was asked about."""
-        amount = self._milli.get(bw_mbps)
-        return to_milli(bw_mbps) if amount is None else amount
 
     def _move(self, keys, delta: int) -> None:
         """Add delta to each edge's residual, bumping the version of every
@@ -188,22 +179,15 @@ class NetworkGraph:
         self.bw_version += 1
 
     def threshold(self, req_bw: float) -> int:
-        """t = to_milli(req_bw), registered so that threshold_versions[t]
-        tracks F(t) from now on; memoised per bw, and bws with the same t
+        """t = to_milli(req_bw), registered so that from now on
+        threshold_versions[t] moves exactly when F(t), the edge set that
+        select_min_path(., ., req_bw) searches, changes; bws with the same t
         share one version."""
-        t = self._milli.get(req_bw)
-        if t is None:
-            t = self._milli[req_bw] = to_milli(req_bw)
-            if t not in self.threshold_versions:
-                insort(self._thresholds, t)
-                self.threshold_versions[t] = 0
+        t = to_milli(req_bw)
+        if t not in self.threshold_versions:
+            insort(self._thresholds, t)
+            self.threshold_versions[t] = 0
         return t
-
-    def feasibility_version(self, req_bw: float) -> int:
-        """The version of F(to_milli(req_bw)), the edge set that
-        select_min_path(., ., req_bw) searches; it moves exactly when that
-        set changes."""
-        return self.threshold_versions[self.threshold(req_bw)]
 
     # -- path discovery ------------------------------------------------------
 

@@ -124,7 +124,8 @@ class TestLifecycle:
         dc = fresh_dc()
         a, b, c = (dc.install_vnf(NAT, 0) for _ in range(3))
         dc.allocate_vnf("NAT", a)
-        dc.force_revoke_vnf("NAT", b, 1)  # b is now the latest stamp
+        dc.allocate_vnf("NAT", b)
+        dc.revoke_vnf("NAT", b, 1)  # b is now the latest stamp
         assert dc.first_idle("NAT") == b
         dc.allocate_vnf("NAT", b)
         assert dc.first_idle("NAT") == c
@@ -172,18 +173,12 @@ class TestLifecycle:
         assert dc.in_use_count("NAT") == 1
 
     def test_force_revoke_mid_processing(self):
+        # the drop pass revokes an allocated head (trace event force_revoke)
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        dc.force_revoke_vnf("NAT", fid, 3)
+        dc.revoke_vnf("NAT", fid, 3)
         assert dc.idle_since[("NAT", fid)] == 3
-
-    def test_force_revoke_idle_resets_clock(self):
-        dc = fresh_dc()
-        fid = dc.install_vnf(NAT, 0)
-        dc.tick_idle(0, 1000)
-        dc.force_revoke_vnf("NAT", fid, 1)
-        assert dc.idle_since[("NAT", fid)] == 1
 
 
 class TestIdleReaper:
@@ -264,18 +259,6 @@ class TestExpiryQueue:
         assert dc.expiry_step(10) is None
         dc.check_ledger()
 
-    def test_force_revoke_idle_restarts_expiry(self):
-        dc = fresh_dc()
-        fid = dc.install_vnf(NAT, 0)
-        for now in range(30):
-            dc.tick_idle(now, 50)
-        dc.force_revoke_vnf("NAT", fid, 30)
-        assert dc.expiry_step(50) == 79  # the install-time stamp is gone
-        for now in range(30, 79):
-            assert dc.tick_idle(now, 50) == []
-        assert dc.idle_since[("NAT", fid)] == 30
-        assert dc.tick_idle(79, 50) == [("NAT", fid)]
-
     def test_reap_order_across_types(self):
         dc = fresh_dc()
         order = ["WO", "FW", "NAT", "FW", "IDPS", "NAT"]
@@ -318,7 +301,8 @@ class TestExpiryQueue:
                 restarts += 1
             elif op == 3 and clocks:
                 pair = sorted(clocks)[rng.integers(len(clocks))]
-                dc.force_revoke_vnf(*pair, now)  # already idle: restarts its clock
+                dc.allocate_vnf(*pair)  # taken and let go in one step: restarts its clock
+                dc.revoke_vnf(*pair, now)
                 clocks[pair] = 0
                 restarts += 1
             elif op == 4 and clocks and rng.random() < 0.2:

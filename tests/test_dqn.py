@@ -67,16 +67,6 @@ class TestActionCodec:
         with pytest.raises(ValueError):
             decode_action(61, 5, VNF_NAMES)
 
-    @pytest.mark.parametrize("scenario", ["tiny", "paper5dc"])
-    def test_encoder_action_table_is_decode_action(self, scenario):
-        cfg = load_config(scenario, seed=0)
-        graph = cfg.build_graph()
-        encoder = StateEncoder(cfg.build_catalog(), graph.n, len(graph.edge_keys()))
-        n_actions = action_space_size(graph.n, len(encoder.vnf_names))
-        assert isinstance(encoder.actions, tuple)
-        assert list(encoder.actions) == [decode_action(i, graph.n, encoder.vnf_names)
-                                         for i in range(n_actions)]
-
 
 def random_inputs(rng, widths, batch=1):
     return [rng.standard_normal((batch, w)) for w in widths]
@@ -750,19 +740,18 @@ class TestPolicyPhase:
         refused = set()
         counts = {"drawn": 0, "applied": 0, "refused": 0}
 
-        class Drawn(tuple):
-            """The decoded-action table, counting the draws other than
-            IdleWait that read it."""
+        import sfcsim.dqn
 
-            def __getitem__(self, idx):
-                action = tuple.__getitem__(self, idx)
-                counts["drawn"] += action.kind != IDLE_WAIT
-                return action
+        real_decode = sfcsim.dqn.decode_action
+
+        def decode_action(index, n_dcs, vnf_names):
+            """decode_action, counting the draws other than IdleWait."""
+            action = real_decode(index, n_dcs, vnf_names)
+            counts["drawn"] += action.kind != IDLE_WAIT
+            return action
 
         def act(self, engine):
             refused.clear()
-            if type(self.encoder.actions) is not Drawn:
-                self.encoder.actions = Drawn(self.encoder.actions)
             return real_act(self, engine)
 
         def apply_action(self, action):
@@ -779,6 +768,7 @@ class TestPolicyPhase:
 
         monkeypatch.setattr(DqnTrainingPolicy, "act", act)
         monkeypatch.setattr(Engine, "apply_action", apply_action)
+        monkeypatch.setattr(sfcsim.dqn, "decode_action", decode_action)
         cfg = _busy_tiny(3).with_overrides({"dqn.max_actions": 40})
         from sfcsim.dqn import build_agent
 

@@ -536,15 +536,19 @@ class TestPathCache:
 
     def test_bandwidths_with_equal_ledger_units_share_a_version(self):
         graph = two_dc_graph()
+
+        def version(bw):
+            return graph.threshold_versions[graph.threshold(bw)]
+
         a, b = 70.0001, 70.0004
         assert to_milli(a) == to_milli(b) == 70_000
-        assert graph.feasibility_version(a) == graph.feasibility_version(b) == 0
+        assert version(a) == version(b) == 0
         assert graph._thresholds == [70_000]
         path = graph.select_min_path(0, 1, a)
         graph.reserve_bw(path, 450.0)  # 500 -> 50: F(70,000) loses the link
-        assert graph.feasibility_version(b) == graph.feasibility_version(a) == 1
+        assert version(b) == version(a) == 1
         graph.release_bw(path, 450.0)
-        assert graph.feasibility_version(a) == graph.feasibility_version(b) == 2
+        assert version(a) == version(b) == 2
         assert graph._thresholds == [70_000]
 
 

@@ -233,6 +233,11 @@ class TestFeasibilityVersions:
         return frozenset(key for key, res in g.residual_snapshot().items() if res >= t)
 
     @staticmethod
+    def version(g, bw):
+        """The version of F(to_milli(bw)), the edge set a search for bw reads."""
+        return g.threshold_versions[g.threshold(bw)]
+
+    @staticmethod
     def pick_bw(g, rng):
         """A quantized bandwidth: fractional, an edge's exact residual, or 0."""
         r = rng.random()
@@ -255,7 +260,7 @@ class TestFeasibilityVersions:
             asked = [0.0]
             memo = {}
             held = []
-            before = {bw: (g.feasibility_version(bw), self.feasible(g, bw)) for bw in asked}
+            before = {bw: (self.version(g, bw), self.feasible(g, bw)) for bw in asked}
             for _ in range(40):
                 if rng.random() < 0.3:
                     asked.append(self.pick_bw(g, rng))  # first asked mid-sequence
@@ -273,17 +278,17 @@ class TestFeasibilityVersions:
                     held.append((path, bw))
                 for bw, (version, edges) in before.items():
                     changed = self.feasible(g, bw) != edges
-                    assert (g.feasibility_version(bw) != version) == changed, (seed, bw)
+                    assert (self.version(g, bw) != version) == changed, (seed, bw)
                     moved += changed
                     held_still += not changed
-                before = {bw: (g.feasibility_version(bw), self.feasible(g, bw)) for bw in asked}
+                before = {bw: (self.version(g, bw), self.feasible(g, bw)) for bw in asked}
                 for bw in asked:
                     src = int(rng.integers(g.n))
                     oracle = enumerate_min_paths(g, src, bw)
                     for dest in range(g.n):
                         fresh = g.select_min_path(src, dest, bw)
                         assert_matches_oracle(fresh, oracle.get(dest))
-                        version = g.feasibility_version(bw)
+                        version = self.version(g, bw)
                         hit = memo.get((src, dest, bw))
                         if hit is not None and hit[0] == version:
                             assert hit[1] == fresh, (seed, src, dest, bw)
