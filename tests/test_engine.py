@@ -922,3 +922,26 @@ class TestGoldenDigest:
             == "942618737569aa25cade5b0e6bfc1f7cfe2979a668a8c390093307b55c7d4f52"
         assert hashlib.sha256(events.encode()).hexdigest() \
             == "a008ecf8afd4ef12664ee3a57a4c105c8255ea7fb30fc1f40075795bd975f099"
+
+    def test_random_policy_run_is_pinned(self):
+        # one wave of the paper3dc bundle under the random baseline: every
+        # rng draw of the policy, its no-op included, picks an action kind,
+        # so a change in how it draws moves the refusal count or a digest
+        cfg = load_config("paper3dc", seed=0).with_overrides(
+            {"policy.kind": "random", "requests.wave_times": [0]})
+        sink = io.StringIO()
+        engine, gen, plan = make_runtime(cfg, trace=TraceWriter(sink))
+        policy = cfg.build_policy(engine.catalog, engine.graph, cfg.seed)
+        result = run_episode(engine, gen, plan, policy)
+        outcome = json.dumps({"summary": engine.metrics.summary_dict(), "steps": result.steps,
+                              "invalid_actions": engine.invalid_actions},
+                             sort_keys=True, separators=(",", ":"))
+        events = sink.getvalue()
+        kinds = {json.loads(line)["event"] for line in events.splitlines()[1:]}
+        assert {"install", "allocate", "uninstall", "drop", "complete"} <= kinds
+        assert (result.steps, result.generated, result.accepted, engine.invalid_actions) \
+            == (11776, 251, 65, 29721)
+        assert hashlib.sha256(outcome.encode()).hexdigest() \
+            == "4b63844ac181ee8133abd0969b977dbbdf832fd47d49bf01b56c1f7948e31322"
+        assert hashlib.sha256(events.encode()).hexdigest() \
+            == "c9a6ba6dbbe89179795875ea64b3f5518f62005dfe273e9a43415b2d92e272b9"
