@@ -33,7 +33,7 @@ import numpy as np
 
 from .catalog import Catalog
 from .config import ConfigError
-from .policy import ALLOCATE, IDLE_WAIT, UNINSTALL, PolicyAction, allocation_candidates
+from .policy import ALLOCATE, UNINSTALL, PolicyAction, allocation_candidates
 
 
 class TrainingDiverged(Exception):
@@ -46,11 +46,14 @@ def action_space_size(n_dcs: int, n_vnfs: int = 6) -> int:
     return 2 * n_vnfs * n_dcs + 1
 
 
-def decode_action(index: int, n_dcs: int, vnf_names) -> PolicyAction:
+def decode_action(index: int, n_dcs: int, vnf_names) -> PolicyAction | None:
+    """The action of a Q-vector index: the allocations, then the uninstalls,
+    each numbered DC-major with VNF types in vnf_names order. The last index,
+    2 * n_vnfs * n_dcs, is the no-op, which decodes to None."""
     n_vnfs = len(vnf_names)
     block = n_vnfs * n_dcs
     if index == 2 * block:
-        return PolicyAction(IDLE_WAIT)
+        return None
     if not 0 <= index < 2 * block:
         raise ValueError(f"action index {index} out of range")
     kind = ALLOCATE if index < block else UNINSTALL
@@ -546,7 +549,7 @@ def agent_encoder(agent: DqnAgent, catalog: Catalog, graph, count_cap: int) -> S
 
 class DqnPolicy:
     """Evaluation-time policy: epsilon-greedy (default greedy) multi-action
-    invocations, stopping early on IdleWait or an infeasible choice."""
+    invocations, stopping early on the no-op index or an infeasible choice."""
 
     def __init__(self, agent: DqnAgent, cfg, seed: int, epsilon: float | None = None):
         self.agent = agent
@@ -565,7 +568,7 @@ class DqnPolicy:
                 greedy = None
             idx, greedy = self.agent.act_index(enc, self.epsilon, greedy)
             action = decode_action(idx, self.encoder.n_dcs, self.encoder.vnf_names)
-            if action.kind == IDLE_WAIT:
+            if action is None:
                 break
             if engine.apply_action(action):
                 phase.take_action(engine, action)
@@ -581,13 +584,14 @@ class DqnTrainingPolicy:
     Outcome credit: every transition that allocated a request's VNF is held
     open until that request finalises, then labelled with the request's own
     completion reward or drop penalty. Infeasible choices are penalised on
-    the spot; IdleWait and uninstalls read zero. Those immediate labels wait
-    in `open` and are pushed, in draw order, when the next policy phase
-    starts. No label has a per-step term. The label is the regression
-    target of Q(s, a) itself, with no bootstrap term, which turns placement
-    scoring into a plain regression on the encoded state.
+    the spot; draws of the no-op index (the last, 2 * n_vnfs * n_dcs) and
+    uninstalls read zero. Those immediate labels wait in `open` and are
+    pushed, in draw order, when the next policy phase starts. No label has a
+    per-step term. The label is the regression target of Q(s, a) itself,
+    with no bootstrap term, which turns placement scoring into a plain
+    regression on the encoded state.
 
-    Infeasible and IdleWait draws vastly outnumber informative transitions
+    Infeasible and no-op draws vastly outnumber informative transitions
     during exploration; only a sample of them is recorded so they cannot
     flush allocation outcomes from the replay ring. A refused action leaves
     the state unchanged, so a repeat of it before the next accepted action
@@ -684,7 +688,7 @@ class DqnTrainingPolicy:
             if idx is None:
                 idx, greedy = self.agent.act_index(enc, self.epsilon, greedy)
             action = decode_action(idx, self.encoder.n_dcs, self.encoder.vnf_names)
-            if action.kind == IDLE_WAIT:
+            if action is None:
                 # not a stop during training: keeps exploration throughput
                 # independent of the current value estimates
                 if self.agent.rng.random() < self.IDLE_KEEP:

@@ -63,7 +63,6 @@ from .datacenter import DataCenter, InsufficientResources
 from .metrics import MetricsBundle
 from .policy import (
     ALLOCATE,
-    IDLE_WAIT,
     UNINSTALL,
     PolicyAction,
     PriorityWeights,
@@ -400,14 +399,14 @@ class Engine:
     # -- constrained action executor ------------------------------------------
 
     def apply_action(self, action: PolicyAction) -> bool:
-        """Execute a policy action; returns False for infeasible requests.
+        """Execute a policy action; returns False for a refused one.
 
-        Invalid requests leave the state untouched so a policy can never
-        corrupt the run; they only bump the invalid counter.
+        The one place an action is checked: a DC out of range, a VNF type
+        outside the catalog, an unknown kind or an infeasible request is
+        refused. A refusal leaves the state untouched, so a policy can never
+        corrupt the run; it only bumps the invalid counter.
         """
         self.last_allocated_tag = None
-        if action.kind == IDLE_WAIT:
-            return True
         if action.dc is None or not (0 <= action.dc < len(self.dcs)) \
                 or action.vtype not in self.catalog.vnfs:
             self.invalid_actions += 1

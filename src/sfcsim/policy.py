@@ -1,9 +1,12 @@
 """Placement policy interface, priority-point scoring, and the greedy benchmark.
 
-A policy picks PolicyActions; the engine applies them through a constrained
-executor that can only perform valid operations, and the greedy benchmark
-picks only ones that live state says succeed. For AllocateVnf the concrete
-SFC is always chosen here, by the four-criterion priority score.
+A policy picks PolicyActions, each a (kind, VNF type, DC) triple, and
+checks none of them: Engine.apply_action is the one place an action is
+checked, and it refuses and counts a malformed or infeasible one without
+touching the state. A policy that wants to do nothing applies nothing. The
+greedy benchmark picks only actions that live state says succeed. For
+AllocateVnf the concrete SFC is always chosen here, by the four-criterion
+priority score.
 
 The engine keeps waiting tags grouped by score_key: every input of a waiting
 tag's score, so all tags of one group score the same and the argmax scores
@@ -31,29 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from heapq import heapify, heappop, heapreplace
+from typing import NamedTuple
 
 ALLOCATE = "AllocateVnf"
 UNINSTALL = "UninstallVnf"
-IDLE_WAIT = "IdleWait"
 
 
-@dataclass(frozen=True)
-class PolicyAction:
-    kind: str
-    vtype: str | None = None  # None only for IdleWait
-    dc: int | None = None
-
-    def __post_init__(self):
-        if self.kind == IDLE_WAIT:
-            if self.vtype is not None:
-                raise ValueError("IdleWait takes no vtype")
-        elif self.kind in (ALLOCATE, UNINSTALL):
-            if self.vtype is None or self.dc is None:
-                raise ValueError(f"{self.kind} needs vtype and dc")
-        else:
-            raise ValueError(f"unknown action kind {self.kind!r}")
+class PolicyAction(NamedTuple):
+    kind: str  # ALLOCATE or UNINSTALL
+    vtype: str
+    dc: int
 
 
 @dataclass(frozen=True)
@@ -228,12 +219,6 @@ def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     return best[1]
 
 
-@cache
-def _allocate_action(vname: str, dc: int) -> PolicyAction:
-    """The AllocateVnf action of a (VNF type, DC) pair, built once per pair."""
-    return PolicyAction(ALLOCATE, vname, dc)
-
-
 def allocation_candidates(engine):
     """Yield each allocation that can succeed when the sweep reaches it: per
     DC in ascending id and VNF type in catalog order, one whenever heads of
@@ -246,7 +231,7 @@ def allocation_candidates(engine):
     for dc in engine.dcs:
         for vname, vtype in engine.catalog.vnfs.items():
             if waiting[vname] and (dc.idle_count(vname) or dc.can_install(vtype)):
-                yield _allocate_action(vname, dc.dc_id)
+                yield PolicyAction(ALLOCATE, vname, dc.dc_id)
 
 
 class HeuristicPolicy:
@@ -274,7 +259,8 @@ class HeuristicPolicy:
 
 
 class RandomPolicy:
-    """Uniform random action each invocation; a sanity baseline."""
+    """A sanity baseline: each of an invocation's draws picks allocate,
+    uninstall or a no-op uniformly, then a uniform VNF type and DC."""
 
     def __init__(self, n_dcs: int, vnf_names, seed: int, actions_per_step: int = 4):
         import numpy as np
@@ -286,8 +272,8 @@ class RandomPolicy:
 
     def act(self, engine) -> None:
         for _ in range(self.actions_per_step):
-            kind = (ALLOCATE, UNINSTALL, IDLE_WAIT)[int(self.rng.integers(3))]
-            if kind == IDLE_WAIT:
+            kind = (ALLOCATE, UNINSTALL, None)[int(self.rng.integers(3))]
+            if kind is None:  # the no-op draw
                 continue
             vname = self.vnf_names[int(self.rng.integers(len(self.vnf_names)))]
             dc = int(self.rng.integers(self.n_dcs))

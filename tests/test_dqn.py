@@ -28,7 +28,7 @@ from sfcsim.dqn import (
     train,
 )
 from sfcsim.engine import Engine
-from sfcsim.policy import ALLOCATE, IDLE_WAIT, UNINSTALL
+from sfcsim.policy import ALLOCATE, UNINSTALL
 from sfcsim.requestgen import RequestGenerator
 from sfcsim.topology import NetworkGraph
 
@@ -37,10 +37,10 @@ VNF_NAMES = list(default_catalog().vnfs)
 
 def encode_action(action, n_dcs, vnf_names) -> int:
     """The inverse of decode_action: allocations, then uninstalls, each
-    numbered DC-major, and IdleWait last."""
+    numbered DC-major, and the no-op (None) last."""
     n_vnfs = len(vnf_names)
     block = n_vnfs * n_dcs
-    if action.kind == IDLE_WAIT:
+    if action is None:
         return 2 * block
     base = 0 if action.kind == ALLOCATE else block
     return base + action.dc * n_vnfs + vnf_names.index(action.vtype)
@@ -54,14 +54,15 @@ class TestActionCodec:
     def test_bijection(self):
         for n_dcs in (2, 3, 5):
             seen = set()
+            no_op = 2 * len(VNF_NAMES) * n_dcs
             for idx in range(action_space_size(n_dcs)):
                 action = decode_action(idx, n_dcs, VNF_NAMES)
-                key = (action.kind, action.vtype, action.dc)
-                assert key not in seen
-                seen.add(key)
+                assert (action is None) == (idx == no_op)
+                assert action not in seen
+                seen.add(action)
                 assert encode_action(action, n_dcs, VNF_NAMES) == idx
-            kinds = {k for k, _, _ in seen}
-            assert kinds == {ALLOCATE, UNINSTALL, IDLE_WAIT}
+            kinds = {action.kind for action in seen if action is not None}
+            assert kinds == {ALLOCATE, UNINSTALL}
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -745,9 +746,9 @@ class TestPolicyPhase:
         real_decode = sfcsim.dqn.decode_action
 
         def decode_action(index, n_dcs, vnf_names):
-            """decode_action, counting the draws other than IdleWait."""
+            """decode_action, counting the draws other than the no-op."""
             action = real_decode(index, n_dcs, vnf_names)
-            counts["drawn"] += action.kind != IDLE_WAIT
+            counts["drawn"] += action is not None
             return action
 
         def act(self, engine):

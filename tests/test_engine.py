@@ -13,7 +13,6 @@ from sfcsim.config import load_config, make_runtime
 from sfcsim.engine import Engine, InvariantError, StepLimitExceeded, run_episode, tx_steps
 from sfcsim.policy import (
     ALLOCATE,
-    IDLE_WAIT,
     UNINSTALL,
     HeuristicPolicy,
     PolicyAction,
@@ -214,11 +213,6 @@ class TestDropPass:
 
 
 class TestActionExecutor:
-    def test_idle_wait_is_valid(self):
-        engine, _, _ = build()
-        assert engine.apply_action(PolicyAction(IDLE_WAIT))
-        assert engine.invalid_actions == 0
-
     def test_allocate_without_candidates_is_invalid(self):
         engine, _, _ = build()
         assert not engine.apply_action(PolicyAction(ALLOCATE, "NAT", 0))
@@ -252,9 +246,44 @@ class TestActionExecutor:
         engine, _, _ = build()
         assert not engine.apply_action(PolicyAction(UNINSTALL, "NAT", 0))
 
-    def test_out_of_range_dc_is_invalid(self):
-        engine, _, _ = build()
-        assert not engine.apply_action(PolicyAction(ALLOCATE, "NAT", 9))
+    @pytest.mark.parametrize("action", [
+        PolicyAction("Reboot", "NAT", 0),
+        PolicyAction(ALLOCATE, None, 0),
+        PolicyAction(ALLOCATE, "Proxy", 0),
+        PolicyAction(ALLOCATE, "NAT", None),
+        PolicyAction(ALLOCATE, "NAT", -1),
+        PolicyAction(ALLOCATE, "NAT", 2),  # n_dcs
+    ], ids=["unknown-kind", "vtype-none", "unknown-vtype", "dc-none", "dc-negative",
+            "dc-n-dcs"])
+    def test_out_of_range_dc_is_invalid(self, action):
+        # a head of each type waits and DC 1 (dcs[-1]) has an idle NAT, so
+        # each of these would succeed somewhere if the engine let it through
+        engine, gen, _ = build(single_vnf_catalog())
+        assert len(engine.dcs) == 2
+        engine.dcs[1].install_vnf(engine.catalog.vnfs["NAT"], engine.step_no)
+        spec = {"type": "Ind4.0", "src": 0, "dest": 1, "bw": 70}
+        engine.inject(gen.manual_wave([spec, spec]))
+        engine.step()
+        assert engine.apply_action(PolicyAction(ALLOCATE, "NAT", 0))
+
+        def snapshot():
+            return (
+                engine.graph.residual_snapshot(),
+                [(dc.cur_storage, dc.cur_compute,
+                  {v: sorted(fids) for v, fids in dc.installed.items()},
+                  {v: sorted(fids) for v, fids in dc.idle.items()}, dict(dc.idle_since))
+                 for dc in engine.dcs],
+                {tag: (rec.head.vnf_dc, rec.head.func_id) for tag, rec in engine.live.items()},
+                {v: {key: list(group) for key, group in groups.items()}
+                 for v, groups in engine.waiting.items()},
+            )
+
+        before, invalid = snapshot(), engine.invalid_actions
+        assert engine.waiting["NAT"]
+        assert not engine.apply_action(action)
+        assert engine.invalid_actions == invalid + 1
+        assert snapshot() == before
+        engine.check_invariants()
 
 
 class TestRunEpisode:

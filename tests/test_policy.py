@@ -10,7 +10,6 @@ from sfcsim.datacenter import DataCenter
 from sfcsim.engine import Engine
 from sfcsim.policy import (
     ALLOCATE,
-    IDLE_WAIT,
     HeuristicPolicy,
     PolicyAction,
     PriorityWeights,
@@ -593,16 +592,3 @@ class TestHeuristicPolicy:
         assert placed[0] == placed[1]
         assert placed[0][0][:2] == (0, 0)  # the sweep reaches DC 0 first
 
-
-class TestPolicyActionType:
-    def test_idle_wait_takes_no_vtype(self):
-        with pytest.raises(ValueError):
-            PolicyAction(IDLE_WAIT, "NAT", 0)
-
-    def test_allocate_needs_fields(self):
-        with pytest.raises(ValueError):
-            PolicyAction(ALLOCATE)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PolicyAction("Reboot", "NAT", 0)

@@ -1,6 +1,7 @@
 """Leftovers of a deletion fail here: an import no code uses, a private
-function, class or method nothing in src/ calls, and a private attribute
-that is written but never read.
+function, class or method nothing in src/ calls, a private attribute that
+is written but never read, and a module-level constant nothing in src/
+reads.
 
 Each src/sfcsim/*.py module is parsed, not imported; __init__.py only
 re-exports, so its imports are exempt. A name counts as used when it is
@@ -51,17 +52,33 @@ def _defined_privates(tree):
                     yield item.lineno, f"{node.name}.{item.name}"
 
 
+def _targets(node):
+    """The names and attributes an assignment node stores to, tuple targets
+    unpacked; nothing for any other node."""
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    stack = list(targets)
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        else:
+            yield target
+
+
+def _module_constants(tree):
+    """(line, name) of each name a module binds by assignment at its top level."""
+    for node in tree.body:
+        for target in _targets(node):
+            if isinstance(target, ast.Name):
+                yield target.lineno, target.id
+
+
 def _self_writes(tree):
     """(line, attr) of each `self._x = ...` write, tuple targets included."""
     for node in ast.walk(tree):
-        targets = node.targets if isinstance(node, ast.Assign) else \
-            [node.target] if isinstance(node, ast.AnnAssign) else []
-        stack = list(targets)
-        while stack:
-            target = stack.pop()
-            if isinstance(target, (ast.Tuple, ast.List)):
-                stack.extend(target.elts)
-            elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
+        for target in _targets(node):
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
                     and target.value.id == "self" and _private(target.attr):
                 yield target.lineno, target.attr
 
@@ -90,6 +107,13 @@ def test_every_private_definition_is_referenced(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_constant_is_read(path):
+    unread = [f"line {line}: {name}" for line, name in _module_constants(TREES[path])
+              if name not in SRC_READS]
+    assert not unread, f"{path.name} defines constants nothing in src/ reads: {unread}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_attribute_written_is_read(path):
     unread = sorted({f"self.{attr}" for _, attr in _self_writes(TREES[path])
                      if attr not in SRC_READS})
@@ -100,11 +124,17 @@ def test_the_checks_see_a_leftover():
     """Each check flags a planted leftover of the kind it looks for."""
     planted = ast.parse(
         "from functools import cache\n"
+        "ALLOCATE = \"AllocateVnf\"\n"
+        "IDLE_WAIT = \"IdleWait\"\n"
+        "KINDS = (ALLOCATE,)\n"
         "def _orphan():\n    pass\n"
         "class Net:\n"
         "    def __init__(self):\n        self._memo_of = None\n"
         "    def _unused(self):\n        pass\n")
     assert "cache" not in _reads(planted)
     assert [name for _, name in _defined_privates(planted)] == ["_orphan", "Net._unused"]
+    reads = _reads(planted)
+    assert [name for _, name in _module_constants(planted) if name not in reads] \
+        == ["IDLE_WAIT", "KINDS"]
     assert [attr for _, attr in _self_writes(planted)] == ["_memo_of"]
     assert "_memo_of" not in _reads(planted)
