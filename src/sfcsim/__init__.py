@@ -1,6 +1,6 @@
 """Discrete-event simulator for SFC provisioning over a datacenter graph."""
 
-from .catalog import Catalog, CatalogError, SfcType, VnfType, default_catalog, load_catalog
+from .catalog import Catalog, SfcType, VnfType, default_catalog, load_catalog
 from .datacenter import DataCenter
 from .engine import Engine, EpisodeResult, run_episode, tx_steps
 from .metrics import MetricsBundle
@@ -11,7 +11,7 @@ from .topology import NetworkGraph, PathResult, circle_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "Catalog", "CatalogError", "SfcType", "VnfType", "default_catalog", "load_catalog",
+    "Catalog", "SfcType", "VnfType", "default_catalog", "load_catalog",
     "DataCenter", "Engine", "EpisodeResult", "run_episode", "tx_steps",
     "MetricsBundle", "HeuristicPolicy", "PolicyAction", "PriorityWeights",
     "RequestGenerator", "SfcRecord", "VnfState", "WavePlan", "schedule_waves",

@@ -16,7 +16,7 @@ import os
 
 import yaml
 
-from .catalog import DEFAULT_SFCS, Catalog, CatalogError, load_catalog
+from .catalog import DEFAULT_VNFS, SFC_NAMES, STEPS_PER_MS, VNF_NAMES, Catalog, load_catalog
 from .datacenter import DataCenter
 from .metrics import MetricsBundle
 from .policy import HeuristicPolicy, PriorityWeights, RandomPolicy
@@ -134,19 +134,82 @@ def _check_number(name: str, value, high: float = math.inf) -> None:
         raise ConfigError(f"{name} must be a finite {bound}, got {value!r}")
 
 
-def _check_bundle_overrides(overrides) -> None:
-    """ConfigError unless overrides maps SFC types to two ints lo, hi with
-    0 <= lo <= hi, the range of a wave's request count ([0, 0]: none)."""
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"requests.bundle_overrides must be a mapping, got {overrides!r}")
-    for name, bundle in overrides.items():
-        # a catalog overrides SFC types but adds none, so the default names are all
-        if name not in DEFAULT_SFCS:
-            raise ConfigError(f"requests.bundle_overrides: unknown SFC type {name!r}")
-        if not (isinstance(bundle, (list, tuple)) and len(bundle) == 2
-                and all(type(n) is int for n in bundle) and 0 <= bundle[0] <= bundle[1]):
-            raise ConfigError(f"requests.bundle_overrides.{name} must be two ints lo, hi "
-                              f"with 0 <= lo <= hi, got {bundle!r}")
+def _check_positive(name: str, value) -> None:
+    # the comparison also rejects NaN
+    if not (type(value) in (int, float) and 0 < value < math.inf):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _check_bundle(name: str, bundle) -> None:
+    """ConfigError unless bundle is two ints lo, hi with 0 <= lo <= hi, the
+    range of a wave's request count of one SFC type ([0, 0]: none)."""
+    if not (isinstance(bundle, (list, tuple)) and len(bundle) == 2
+            and all(type(n) is int for n in bundle) and 0 <= bundle[0] <= bundle[1]):
+        raise ConfigError(f"{name} must be two ints lo, hi with 0 <= lo <= hi, "
+                          f"got {bundle!r}")
+
+
+def _check_chain(name: str, chain) -> None:
+    if not (isinstance(chain, (list, tuple)) and chain and all(v in VNF_NAMES for v in chain)):
+        raise ConfigError(f"{name} must be a non-empty list of VNF types "
+                          f"({', '.join(VNF_NAMES)}), got {chain!r}")
+
+
+def _check_bandwidth(name: str, bw) -> None:
+    """ConfigError unless bw is a ledger value or [lo, hi] of them, lo <= hi."""
+    if not (isinstance(bw, (list, tuple)) and len(bw) == 2):
+        _check_ledger_value(name, bw)
+        return
+    _check_ledger_value(f"{name}[0]", bw[0])
+    _check_ledger_value(f"{name}[1]", bw[1])
+    if bw[0] > bw[1]:
+        raise ConfigError(f"{name} must be a number or [lo, hi] with lo <= hi, got {bw!r}")
+
+
+def _check_e2e_ms(name: str, value) -> None:
+    # the deadline, round(e2e_ms * STEPS_PER_MS) steps, is at least one step
+    # exactly when the product exceeds 0.5; the comparison also rejects NaN
+    if not (type(value) in (int, float) and 0.5 < value * STEPS_PER_MS < math.inf):
+        raise ConfigError(f"{name} must be a finite number that rounds to a deadline of at "
+                          f"least one step ({1 / STEPS_PER_MS} ms), got {value!r}")
+
+
+# One rule per overridable catalog field, in the VnfType and SfcType field
+# order; each takes the field's dotted name and the override value
+_VNF_RULES = {
+    "vcpu": _check_positive,
+    "ram_gb": _check_positive,
+    "storage_gb": _check_ledger_value,
+    "proc_time": lambda name, value: _check_int(name, value, 1),
+}
+_SFC_RULES = {
+    "chain": _check_chain,
+    "bandwidth": _check_bandwidth,
+    "e2e_ms": _check_e2e_ms,
+    "bundle": _check_bundle,
+    "packet_len_mb": lambda name, value: value is None or _check_positive(name, value),
+}
+
+
+def _check_catalog(catalog) -> None:
+    """ConfigError unless catalog overrides known VNF and SFC types, each
+    field under its rule. Values are checked as given, before any merge; a
+    compute product takes a factor not overridden from DEFAULT_VNFS."""
+    _check_entry("catalog", catalog, (), ("vnfs", "sfcs"))
+    for section, names, rules in (("vnfs", VNF_NAMES, _VNF_RULES),
+                                  ("sfcs", SFC_NAMES, _SFC_RULES)):
+        types = catalog.get(section) or {}
+        _check_entry(f"catalog.{section}", types, (), names)
+        for name, entry in types.items():
+            where = f"catalog.{section}.{name}"
+            entry = entry or {}
+            _check_entry(where, entry, (), tuple(rules))
+            for key, value in entry.items():
+                rules[key](f"{where}.{key}", value)
+            if section == "vnfs":  # the demand a DC's compute ledger counts
+                vcpu, ram_gb = DEFAULT_VNFS[name][:2]
+                _check_ledger_value(f"{where}.vcpu * ram_gb",
+                                    entry.get("vcpu", vcpu) * entry.get("ram_gb", ram_gb))
 
 
 def _check_entry(where: str, entry, required: tuple[str, ...],
@@ -232,6 +295,8 @@ class ScenarioConfig:
         self._validate()
 
     def _validate(self) -> None:
+        if self.data["catalog"]:
+            _check_catalog(self.data["catalog"])
         topo = self.data["topology"]
         if topo["nodes"] is None and topo["generator"] is None:
             raise ConfigError("topology required: give nodes or a generator")
@@ -302,7 +367,10 @@ class ScenarioConfig:
             raise ConfigError(f"dqn.buffer ({dqn['buffer']}) must be >= dqn.batch "
                               f"({dqn['batch']})")
         req = self.data["requests"]
-        _check_bundle_overrides(req["bundle_overrides"])
+        # a catalog overrides SFC types but adds none, so the default names are all
+        _check_entry("requests.bundle_overrides", req["bundle_overrides"], (), SFC_NAMES)
+        for name, bundle in req["bundle_overrides"].items():
+            _check_bundle(f"requests.bundle_overrides.{name}", bundle)
         # reject malformed wave plans early
         schedule_waves(req["wave_times"], req["manual"])
 
@@ -352,10 +420,7 @@ class ScenarioConfig:
     # -- builders ----------------------------------------------------------------
 
     def build_catalog(self) -> Catalog:
-        try:
-            return load_catalog(self.data["catalog"])
-        except CatalogError as exc:
-            raise ConfigError(str(exc)) from exc
+        return load_catalog(self.data["catalog"])
 
     def build_graph(self) -> NetworkGraph:
         topo = self.data["topology"]

@@ -58,7 +58,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .catalog import Catalog
+from .catalog import STEPS_PER_MS, Catalog
 from .datacenter import DataCenter, InsufficientResources
 from .metrics import MetricsBundle
 from .policy import (
@@ -102,14 +102,14 @@ class DropRecord:
 
 def tx_steps(packet_len_mb: float, bw_mbps: float, path: PathResult,
              graph: NetworkGraph) -> int:
-    """TX duration in steps: ceil(100 * packet/bw) plus path propagation.
+    """TX duration in steps: ceil(STEPS_PER_MS * packet/bw) plus path propagation.
 
-    The division is read in ms and converted at 100 steps per ms; propagation
-    is added when the graph has it enabled.
+    The division is read in ms and converted at STEPS_PER_MS steps per ms;
+    propagation is added when the graph has it enabled.
     """
     if bw_mbps <= 0:
         raise EngineError("bw must be positive")
-    base = math.ceil(100.0 * packet_len_mb / bw_mbps)
+    base = math.ceil(STEPS_PER_MS * packet_len_mb / bw_mbps)
     return base + graph.propagation_steps(path)
 
 
@@ -401,13 +401,13 @@ class Engine:
     def apply_action(self, action: PolicyAction) -> bool:
         """Execute a policy action; returns False for a refused one.
 
-        The one place an action is checked: a DC out of range, a VNF type
-        outside the catalog, an unknown kind or an infeasible request is
-        refused. A refusal leaves the state untouched, so a policy can never
+        The one place an action is checked: a DC that is not an int in range,
+        a VNF type outside the catalog, an unknown kind or an infeasible
+        request is refused. A refusal leaves the state untouched, so a policy can never
         corrupt the run; it only bumps the invalid counter.
         """
         self.last_allocated_tag = None
-        if action.dc is None or not (0 <= action.dc < len(self.dcs)) \
+        if type(action.dc) is not int or not 0 <= action.dc < len(self.dcs) \
                 or action.vtype not in self.catalog.vnfs:
             self.invalid_actions += 1
             return False

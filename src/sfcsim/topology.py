@@ -20,8 +20,10 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
+from .catalog import STEPS_PER_MS
+
 C_FIBER_KM_S = 2.0e5  # light in fiber
-STEP_SECONDS = 1.0e-5  # one step = 0.01 ms
+STEP_SECONDS = 1.0 / (1000 * STEPS_PER_MS)  # one step = 0.01 ms
 
 QUANTUM = 1000  # ledger units per Mbps, per GB of storage and per compute unit
 

@@ -1,15 +1,14 @@
-"""Catalog defaults, overrides and validation."""
+"""Catalog defaults and overrides. The checks of a catalog section are the
+config's, run at load: tests/test_cli.py has their table of errors."""
+
+import dataclasses
+import json
 
 import pytest
 
-from sfcsim.catalog import (
-    Catalog,
-    CatalogError,
-    SfcType,
-    VnfType,
-    default_catalog,
-    load_catalog,
-)
+import sfcsim.config
+from sfcsim.catalog import default_catalog, load_catalog
+from sfcsim.config import BUILTIN_SCENARIOS, ScenarioConfig, load_config
 
 
 class TestDefaults:
@@ -46,8 +45,15 @@ class TestDefaults:
         for vnf in default_catalog().vnfs.values():
             assert vnf.compute_demand == vnf.vcpu * vnf.ram_gb
 
-    def test_defaults_survive_validation(self):
-        default_catalog().validate()
+    def test_restated_defaults_are_valid(self):
+        # every field of every type, through JSON as a scenario file gives it
+        cat = default_catalog()
+        restated = json.loads(json.dumps({
+            section: {name: {k: v for k, v in dataclasses.asdict(typ).items() if k != "name"}
+                      for name, typ in getattr(cat, section).items()}
+            for section in ("vnfs", "sfcs")}))
+        assert restated["sfcs"]["MIoT"]["bandwidth"] == [1.0, 50.0]
+        assert ScenarioConfig({"catalog": restated}).build_catalog() == cat
 
     def test_deadline_steps(self):
         cat = default_catalog()
@@ -66,55 +72,37 @@ class TestLoadCatalog:
         assert cat.sfcs["CG"].chain == default_catalog().sfcs["CG"].chain
         assert cat.sfcs["VS"].e2e_ms == default_catalog().sfcs["VS"].e2e_ms
 
-    def test_unknown_vnf_in_chain_rejected(self):
-        with pytest.raises(CatalogError, match="unknown VNF type"):
-            load_catalog({"sfcs": {"CG": {"chain": ["NAT", "DPI"]}}})
+    def test_override_values_take_the_default_forms(self):
+        # ints and lists read as the floats and tuples of the defaults
+        cat = load_catalog({"sfcs": {
+            "MIoT": {"chain": ["NAT", "FW", "IDPS"], "bandwidth": [1, 50], "e2e_ms": 5,
+                     "bundle": [10, 15]},
+            "CG": {"bandwidth": 4}}})
+        assert cat == default_catalog()
+        assert type(cat.sfcs["MIoT"].e2e_ms) is float
+        assert [type(bw) for bw in cat.sfcs["MIoT"].bandwidth] == [float, float]
+        assert type(cat.sfcs["CG"].bandwidth) is float
 
-    def test_non_positive_attribute_rejected(self):
-        with pytest.raises(CatalogError):
-            load_catalog({"vnfs": {"NAT": {"ram_gb": 0}}})
-        with pytest.raises(CatalogError):
-            load_catalog({"sfcs": {"CG": {"e2e_ms": -1}}})
-
-    def test_demand_below_ledger_unit_rejected(self):
-        # the datacenter ledger counts in 0.001 units; less would cost nothing
-        with pytest.raises(CatalogError):
-            load_catalog({"vnfs": {"NAT": {"storage_gb": 0.0004}}})
-        with pytest.raises(CatalogError):
-            load_catalog({"vnfs": {"NAT": {"vcpu": 0.001, "ram_gb": 0.4}}})
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(CatalogError):
-            load_catalog({"vnfs": {"DPI": {"vcpu": 1}}})
-        with pytest.raises(CatalogError):
-            load_catalog({"sfcs": {"Gaming": {"e2e_ms": 10}}})
-
-    def test_bad_bundle_rejected(self):
-        with pytest.raises(CatalogError):
-            load_catalog({"sfcs": {"CG": {"bundle": [0, 5]}}})
-        with pytest.raises(CatalogError):
-            load_catalog({"sfcs": {"CG": {"bundle": [6, 5]}}})
+    def test_null_section_or_entry_overrides_nothing(self):
+        cfg = ScenarioConfig({"catalog": {"vnfs": None, "sfcs": {"CG": None}}})
+        assert cfg.build_catalog() == default_catalog()
 
     def test_override_compute_follows_product_rule(self):
         cat = load_catalog({"vnfs": {"NAT": {"vcpu": 2, "ram_gb": 3}}})
         assert cat.vnfs["NAT"].compute_demand == 6
 
+    def test_no_catalog_section_costs_nothing_at_load(self, monkeypatch):
+        def fail(catalog):
+            raise AssertionError("catalog checked")
+
+        monkeypatch.setattr(sfcsim.config, "_check_catalog", fail)
+        for name in BUILTIN_SCENARIOS:
+            load_config(name)
+        with pytest.raises(AssertionError, match="catalog checked"):
+            load_config("tiny", overrides={"catalog": {"vnfs": {"NAT": {"vcpu": 2}}}})
+
 
 class TestTypeInvariants:
-    def test_empty_chain_rejected(self):
-        vnfs = default_catalog().vnfs
-        with pytest.raises(CatalogError):
-            SfcType("CG", (), 4.0, 80.0, (1, 2)).validate(vnfs)
-
-    def test_vnf_positive_fields(self):
-        with pytest.raises(CatalogError):
-            VnfType("FW", 9, 5, -1, 3).validate()
-
-    def test_bandwidth_range_ordering(self):
-        vnfs = default_catalog().vnfs
-        with pytest.raises(CatalogError):
-            SfcType("MIoT", ("NAT",), (50.0, 1.0), 5.0, (1, 2)).validate(vnfs)
-
     def test_catalog_is_immutable(self):
         cat = default_catalog()
         with pytest.raises(Exception):

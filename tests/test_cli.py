@@ -321,7 +321,7 @@ class TestRun:
         ("tiny", "requests.bundle_overrides=[1, 2]",
          "requests.bundle_overrides must be a mapping"),
         ("tiny", "requests.bundle_overrides={Nope: [0, 1]}",
-         "requests.bundle_overrides: unknown SFC type 'Nope'"),
+         "unknown key 'Nope' in requests.bundle_overrides; expected CG, AugR"),
         ("tiny", "datacenters.count=abc", "datacenters.count must be an int >= 1, got 'abc'"),
         ("tiny", "datacenters.count=0", "datacenters.count must be an int >= 1, got 0"),
         ("tiny", "topology.propagation=maybe",
@@ -343,9 +343,88 @@ class TestRun:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, catalog, message", [
+        # each of these ended in a traceback when make_runtime built the catalog
+        ("tiny", "{sfcs: {CG: {bundle: 5}}}",
+         "catalog.sfcs.CG.bundle must be two ints lo, hi with 0 <= lo <= hi, got 5"),
+        ("tiny", "{sfcs: {CG: {bandwidth: [1]}}}",
+         "catalog.sfcs.CG.bandwidth must be a finite number that rounds to at least 0.001, "
+         "got [1]"),
+        ("tiny", "{sfcs: {CG: {chain: 5}}}",
+         "catalog.sfcs.CG.chain must be a non-empty list of VNF types"),
+        ("tiny", "{vnfs: {NAT: 5}}", "catalog.vnfs.NAT must be a mapping, got 5"),
+        ("tiny", "{vnfs: {NAT: {vcpu: abc}}}",
+         "catalog.vnfs.NAT.vcpu must be a finite number > 0, got 'abc'"),
+        ("tiny", "{sfcs: {CG: {e2e_ms: abc}}}", "catalog.sfcs.CG.e2e_ms must be a finite number"),
+        # these ran on a silently altered reading: lo truncated, a float clock
+        ("tiny", "{sfcs: {CG: {bundle: [1.5, 3]}}}", "catalog.sfcs.CG.bundle must be two ints"),
+        ("tiny", "{vnfs: {NAT: {proc_time: 6.0}}}",
+         "catalog.vnfs.NAT.proc_time must be an int >= 1, got 6.0"),
+        # these failed later: a 0-step deadline in training, a bandwidth below
+        # one ledger unit in the middle of a run
+        ("tiny", "{sfcs: {Ind4.0: {e2e_ms: 0.004}}}",
+         "catalog.sfcs.Ind4.0.e2e_ms must be a finite number that rounds to a deadline of "
+         "at least one step (0.01 ms), got 0.004"),
+        ("paper3dc", "{sfcs: {AugR: {bandwidth: 0.0004}}}",
+         "catalog.sfcs.AugR.bandwidth must be a finite number that rounds to at least 0.001"),
+        # the rest of each field's rule
+        ("tiny", "5", "catalog must be a mapping, got 5"),
+        ("tiny", "{flows: {}}", "unknown key 'flows' in catalog; expected vnfs, sfcs"),
+        ("tiny", "{vnfs: {DPI: {vcpu: 1}}}", "unknown key 'DPI' in catalog.vnfs; expected NAT"),
+        ("tiny", "{sfcs: {Gaming: {e2e_ms: 10}}}",
+         "unknown key 'Gaming' in catalog.sfcs; expected CG"),
+        ("tiny", "{vnfs: {NAT: {name: FW}}}", "unknown key 'name' in catalog.vnfs.NAT"),
+        ("tiny", "{sfcs: {CG: {latency: 5}}}", "unknown key 'latency' in catalog.sfcs.CG"),
+        ("tiny", "{vnfs: {NAT: {ram_gb: 0}}}",
+         "catalog.vnfs.NAT.ram_gb must be a finite number > 0"),
+        ("tiny", "{vnfs: {NAT: {vcpu: .inf}}}", "catalog.vnfs.NAT.vcpu must be a finite number"),
+        ("tiny", "{vnfs: {FW: {storage_gb: -1}}}",
+         "catalog.vnfs.FW.storage_gb must be a finite number that rounds to at least 0.001"),
+        ("tiny", "{vnfs: {NAT: {storage_gb: 0.0004}}}",
+         "catalog.vnfs.NAT.storage_gb must be a finite number that rounds to at least 0.001"),
+        ("tiny", "{vnfs: {NAT: {vcpu: 0.001, ram_gb: 0.4}}}",
+         "catalog.vnfs.NAT.vcpu * ram_gb must be a finite number that rounds to at least 0.001"),
+        ("tiny", "{vnfs: {NAT: {vcpu: 0.0001}}}", "catalog.vnfs.NAT.vcpu * ram_gb must be"),
+        ("tiny", "{vnfs: {NAT: {proc_time: 0}}}", "catalog.vnfs.NAT.proc_time must be an int >= 1"),
+        ("tiny", "{sfcs: {CG: {chain: []}}}", "catalog.sfcs.CG.chain must be a non-empty list"),
+        ("tiny", "{sfcs: {CG: {chain: [NAT, DPI]}}}",
+         "catalog.sfcs.CG.chain must be a non-empty list of VNF types"),
+        ("tiny", "{sfcs: {MIoT: {bandwidth: [50.0, 1.0]}}}",
+         "catalog.sfcs.MIoT.bandwidth must be a number or [lo, hi] with lo <= hi"),
+        ("tiny", "{sfcs: {MIoT: {bandwidth: [0.0004, 1.0]}}}",
+         "catalog.sfcs.MIoT.bandwidth[0] must be a finite number that rounds to at least"),
+        ("tiny", "{sfcs: {CG: {e2e_ms: -1}}}", "catalog.sfcs.CG.e2e_ms must be a finite number"),
+        ("tiny", "{sfcs: {CG: {e2e_ms: .nan}}}", "catalog.sfcs.CG.e2e_ms must be a finite number"),
+        ("tiny", "{sfcs: {CG: {bundle: [6, 5]}}}", "catalog.sfcs.CG.bundle must be two ints"),
+        ("tiny", "{sfcs: {CG: {bundle: [-1, 5]}}}", "catalog.sfcs.CG.bundle must be two ints"),
+        ("tiny", "{sfcs: {CG: {packet_len_mb: 0}}}",
+         "catalog.sfcs.CG.packet_len_mb must be a finite number > 0, got 0"),
+    ], ids=["bundle-int", "bandwidth-one-item", "chain-int", "vnf-entry-int", "vcpu-str",
+            "e2e-str", "bundle-float", "proc-time-float", "e2e-zero-steps", "bandwidth-sub-unit",
+            "catalog-int", "unknown-section", "unknown-vnf", "unknown-sfc", "vnf-name-field",
+            "unknown-sfc-field", "ram-zero", "vcpu-inf", "storage-negative",
+            "storage-sub-unit", "compute-sub-unit", "compute-default-factor", "proc-time-zero",
+            "chain-empty", "chain-unknown-vnf", "bandwidth-reversed", "bandwidth-lo-sub-unit",
+            "e2e-negative", "e2e-nan", "bundle-lo-gt-hi", "bundle-negative", "packet-len-zero"])
+    def test_bad_catalog_override_is_config_error(self, scenario, catalog, message, tmp_path,
+                                                  capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", scenario, "--trace", "--out", str(out),
+                     "--set", f"catalog={catalog}"])
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_bundle_override_requests_nothing(self):
         # [0, 0] is valid: max_bandwidth reads hi == 0 as "never requested"
         cfg = load_config("paper3dc", overrides={"requests.bundle_overrides": {"CG": [0, 0]}})
+        _, generator, _ = make_runtime(cfg, 0)
+        records = generator.generate_wave(0)
+        assert records and all(rec.type_name != "CG" for rec in records)
+
+    def test_empty_catalog_bundle_requests_nothing(self):
+        # the catalog's bundle has the rule of requests.bundle_overrides
+        cfg = load_config("paper3dc", overrides={"catalog": {"sfcs": {"CG": {"bundle": [0, 0]}}}})
         _, generator, _ = make_runtime(cfg, 0)
         records = generator.generate_wave(0)
         assert records and all(rec.type_name != "CG" for rec in records)

@@ -253,8 +253,11 @@ class TestActionExecutor:
         PolicyAction(ALLOCATE, "NAT", None),
         PolicyAction(ALLOCATE, "NAT", -1),
         PolicyAction(ALLOCATE, "NAT", 2),  # n_dcs
+        PolicyAction(ALLOCATE, "NAT", 1.0),
+        PolicyAction(ALLOCATE, "NAT", "0"),
+        PolicyAction(ALLOCATE, "NAT", True),  # an int subclass, not DC 1
     ], ids=["unknown-kind", "vtype-none", "unknown-vtype", "dc-none", "dc-negative",
-            "dc-n-dcs"])
+            "dc-n-dcs", "dc-float", "dc-str", "dc-bool"])
     def test_out_of_range_dc_is_invalid(self, action):
         # a head of each type waits and DC 1 (dcs[-1]) has an idle NAT, so
         # each of these would succeed somewhere if the engine let it through
