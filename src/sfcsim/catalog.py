@@ -89,17 +89,21 @@ DEFAULT_SFCS = {
 }
 
 
+# The default types, built once: they are frozen, so every catalog shares them.
+_DEFAULT_VNF_TYPES = {
+    name: VnfType(name, vcpu, ram, storage, proc)
+    for name, (vcpu, ram, storage, proc) in DEFAULT_VNFS.items()
+}
+_DEFAULT_SFC_TYPES = {
+    name: SfcType(name, chain, bw, e2e, bundle)
+    for name, (chain, bw, e2e, bundle) in DEFAULT_SFCS.items()
+}
+
+
 def default_catalog() -> Catalog:
-    """Build the default catalog of six VNF types and six SFC types."""
-    vnfs = {
-        name: VnfType(name, vcpu, ram, storage, proc)
-        for name, (vcpu, ram, storage, proc) in DEFAULT_VNFS.items()
-    }
-    sfcs = {
-        name: SfcType(name, chain, bw, e2e, bundle)
-        for name, (chain, bw, e2e, bundle) in DEFAULT_SFCS.items()
-    }
-    return Catalog(vnfs, sfcs)
+    """The default catalog of six VNF types and six SFC types, in dicts of
+    its own."""
+    return Catalog(dict(_DEFAULT_VNF_TYPES), dict(_DEFAULT_SFC_TYPES))
 
 
 def _sfc_value(key: str, value):

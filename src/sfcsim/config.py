@@ -255,9 +255,25 @@ def _check_topology(topo: dict) -> None:
                               f"got {distance!r}")
 
 
+# the values a config shares instead of copying: nothing can change them
+_LEAVES = (int, float, str, bool, type(None))
+
+
+def _copy(value):
+    """value with every list and dict in it copied: an immutable leaf is
+    shared, any other value deep-copied."""
+    if type(value) in _LEAVES:
+        return value
+    if type(value) is dict:
+        return {key: _copy(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_copy(item) for item in value]
+    return copy.deepcopy(value)
+
+
 def _deep_merge(base: dict, override: dict, path="") -> dict:
     """base with override merged in, in base's key order, sharing nothing
-    mutable with either: each value is deep-copied once, from one side."""
+    mutable with either: each value is copied once, from one side."""
     merged = {}
     for key, value in override.items():
         if key not in base:
@@ -265,9 +281,21 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
         if isinstance(base[key], dict) and isinstance(value, dict) and base[key]:
             merged[key] = _deep_merge(base[key], value, path + key + ".")
         else:
-            merged[key] = copy.deepcopy(value)
-    return {key: merged[key] if key in merged else copy.deepcopy(value)
+            merged[key] = _copy(value)
+    return {key: merged[key] if key in merged else _copy(value)
             for key, value in base.items()}
+
+
+def _merge_over(base, value):
+    """value set over base the way --set does: a mapping over a mapping sets
+    only the keys it names, key by key; any other value replaces base. Only
+    new dicts are built, so neither side is changed."""
+    if not (isinstance(base, dict) and isinstance(value, dict)):
+        return value
+    merged = dict(base)
+    for key, item in value.items():
+        merged[key] = _merge_over(base.get(key), item)
+    return merged
 
 
 class ScenarioConfig:
@@ -279,18 +307,19 @@ class ScenarioConfig:
         bad = set(data) - known
         if bad:
             raise ConfigError(f"unknown config sections {sorted(bad)}")
-        self.seed = int(data.get("seed", seed))
+        self.seed = data.get("seed", seed)
+        _check_int("seed", self.seed, 0)
         merged = {}
         for section, defaults in DEFAULTS.items():
             override = data.get(section) or {}
             if section == "catalog":
-                merged[section] = copy.deepcopy(override)
+                merged[section] = _copy(override)
             elif isinstance(defaults, dict):
                 if not isinstance(override, dict):
                     raise ConfigError(f"section {section!r} must be a mapping")
                 merged[section] = _deep_merge(defaults, override, section + ".")
             else:
-                merged[section] = copy.deepcopy(override)
+                merged[section] = _copy(override)
         self.data = merged
         self._validate()
 
@@ -382,7 +411,9 @@ class ScenarioConfig:
         return out
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
+        # the bytes of resolved(), read from data in place
+        canon = json.dumps({**self.data, "seed": self.seed}, sort_keys=True,
+                           separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def write_copy(self, out_dir: str) -> None:
@@ -396,25 +427,30 @@ class ScenarioConfig:
     def with_overrides(self, pairs: dict[str, object]) -> "ScenarioConfig":
         """Apply dotted-key overrides like {"policy.kind": "dqn"}.
 
-        Only the dicts on an override's path are copied, so this config's
-        data is left as it was; the new config's __init__ copies every value.
+        A mapping value sets only the keys it names, merged key by key into
+        the mapping at its path; any other value replaces it. A path under
+        catalog may name entries the config does not have yet. Only the dicts
+        on an override's path are copied, so this config's data is left as
+        it was; the new config's __init__ copies every value and checks it.
         """
         data = dict(self.data)
         seed = self.seed
         for dotted, value in pairs.items():
             parts = dotted.split(".")
             if parts == ["seed"]:
-                seed = int(value)
+                seed = value
                 continue
             node = data
             for part in parts[:-1]:
+                if parts[0] == "catalog" and node.get(part) is None:
+                    node[part] = {}  # null, like absent, overrides nothing
                 if part not in node or not isinstance(node[part], dict):
                     raise ConfigError(f"unknown override path {dotted!r}")
                 node[part] = dict(node[part])
                 node = node[part]
             if parts[-1] not in node and parts[0] != "catalog":
                 raise ConfigError(f"unknown override path {dotted!r}")
-            node[parts[-1]] = value
+            node[parts[-1]] = _merge_over(node.get(parts[-1]), value)
         return ScenarioConfig(data, seed=seed)
 
     # -- builders ----------------------------------------------------------------
@@ -489,12 +525,13 @@ def load_config(path: str, seed: int | None = None,
                 overrides: dict[str, object] | None = None) -> ScenarioConfig:
     """Load a scenario from a YAML/JSON file or a builtin name."""
     if path in BUILTIN_SCENARIOS:
-        data = copy.deepcopy(BUILTIN_SCENARIOS[path])
+        data = BUILTIN_SCENARIOS[path]  # __init__ copies what it keeps
     else:
         with open(path) as fh:
             data = yaml.safe_load(fh) or {}
-    cfg = ScenarioConfig(data, seed=0 if seed is None else seed)
+    cfg = ScenarioConfig(data)
     if seed is not None:
+        _check_int("seed", seed, 0)
         cfg.seed = seed
     if overrides:
         cfg = cfg.with_overrides(overrides)

@@ -90,8 +90,7 @@ class NetworkGraph:
             key = (min(m, n), max(m, n))
             if key in self._capacity:
                 raise TopologyError(f"duplicate edge {key}")
-            self._capacity[key] = to_milli(cap)
-            self._residual[key] = to_milli(cap)
+            self._capacity[key] = self._residual[key] = to_milli(cap)
             km = float(dist_km) if dist_km is not None else self.euclidean(m, n)
             if not 0.0 <= km < math.inf:  # path search needs finite, non-negative lengths
                 raise TopologyError(f"edge {key} distance {km} must be finite and >= 0")
@@ -258,11 +257,8 @@ def circle_topology(n, radius_km, edge_prob, seed, *, capacity_mbps=500.0,
         if key not in seen and i != j:
             seen.add(key)
             edges.append((key[0], key[1], capacity_mbps))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in seen:
-                continue
-            if rng.random() < edge_prob:
-                seen.add((i, j))
-                edges.append((i, j, capacity_mbps))
+    chords = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in seen]
+    # one block of draws, the values of one rng.random() per chord in this order
+    draws = rng.random(len(chords)).tolist()
+    edges += [(i, j, capacity_mbps) for (i, j), u in zip(chords, draws) if u < edge_prob]
     return NetworkGraph(nodes, edges, propagation=propagation)

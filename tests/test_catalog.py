@@ -107,3 +107,25 @@ class TestTypeInvariants:
         cat = default_catalog()
         with pytest.raises(Exception):
             cat.vnfs["NAT"].vcpu = 2
+
+
+class TestSharing:
+    @pytest.mark.parametrize("build", [default_catalog, lambda: load_catalog({}),
+                                       lambda: load_catalog(None)],
+                             ids=["default", "load-empty", "load-none"])
+    def test_each_catalog_has_dicts_of_its_own_over_the_frozen_defaults(self, build):
+        a, b = build(), build()
+        assert a.vnfs is not b.vnfs and a.sfcs is not b.sfcs
+        expected = {section: dict(getattr(b, section)) for section in ("vnfs", "sfcs")}
+        a.vnfs["NAT"] = dataclasses.replace(a.vnfs["NAT"], vcpu=2)
+        a.sfcs["CG"] = dataclasses.replace(a.sfcs["CG"], e2e_ms=40.0)
+        del a.sfcs["VS"]
+        for cat in (b, build()):
+            assert cat.vnfs == expected["vnfs"] and cat.sfcs == expected["sfcs"]
+            assert cat.vnfs["NAT"].vcpu == 1 and cat.sfcs["CG"].e2e_ms == 80.0
+        # the entries are one set of frozen types, shared by every catalog
+        for section, types in expected.items():
+            for name, typ in types.items():
+                assert getattr(build(), section)[name] is typ
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    typ.name = "other"

@@ -1,8 +1,10 @@
 """Command line behaviour: runs, overrides, determinism, exit codes."""
 
 import copy
+import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +431,32 @@ class TestRun:
         records = generator.generate_wave(0)
         assert records and all(rec.type_name != "CG" for rec in records)
 
+    @pytest.mark.parametrize("scenario, args, shown", [
+        ("tiny", ["--set", "seed=1.7"], "1.7"),
+        ("tiny", ["--set", "seed=-1"], "-1"),
+        ("tiny", ["--set", "seed='3'"], "'3'"),
+        ("tiny", ["--set", "seed=true"], "True"),
+        ("tiny", ["--seed", "-1"], "-1"),
+        ("paper3dc", ["--seed", "-1"], "-1"),
+    ], ids=["float", "negative", "str", "bool", "flag-negative", "flag-negative-paper3dc"])
+    def test_bad_seed_is_config_error(self, scenario, args, shown, tmp_path, capsys):
+        # a float seed ran truncated, a negative one wrote run-...-s-1 or
+        # ended in numpy's traceback
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", scenario, "--out", str(out)] + args)
+        assert code == EXIT_CONFIG
+        assert f"config error: seed must be an int >= 0, got {shown}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_seed_in_scenario_file_is_config_error(self, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(yaml.safe_dump({"seed": 1.7, **BUILTIN_SCENARIOS["tiny"]}))
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(scenario), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error: seed must be an int >= 0, got 1.7" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],
                           tmp_path, monkeypatch)
@@ -691,6 +719,29 @@ class TestScenarioConfig:
             assert b.resolved() == before, name
             assert DEFAULTS == defaults and BUILTIN_SCENARIOS == builtins, name
 
+    @staticmethod
+    def resolved_hash(cfg):
+        # config_hash as it was first defined, over a deep copy of the data
+        canon = json.dumps(cfg.resolved(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"topology.generator.n": 12, "policy.weights": [1, 2, 3, 4], "seed": 3},
+        {"requests.wave_times": [0], "requests.manual": [[{"type": "Ind4.0", "src": 0,
+                                                            "dest": 1}]]},
+        {"catalog": {"sfcs": {"MIoT": {"bandwidth": [1, 20], "bundle": [0, 2]}}},
+         "dqn.reward": {"drop": 2.5}, "dqn.hidden": [8, 4]},
+        {"topology.nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1.5, "y": 0}],
+         "topology.edges": [{"m": 0, "n": 1, "distance_km": None}], "topology.generator": None},
+        {"policy": {"t_model": 2, "weights": [0, 1, 0.5, 1]},
+         "requests.bundle_overrides": {"CG": [0, 0]}, "catalog.vnfs.NAT.proc_time": 9},
+    ], ids=["none", "leaves", "manual", "nested", "explicit-topology", "mappings"])
+    def test_hash_is_that_of_the_resolved_config(self, overrides):
+        for name in BUILTIN_SCENARIOS:
+            cfg = load_config(name, seed=0).with_overrides(overrides)
+            assert cfg.config_hash() == self.resolved_hash(cfg), name
+
     def test_unknown_nested_key_named_first(self):
         # override order decides which bad key is reported
         with pytest.raises(ConfigError, match=r"'policy\.nope'"):
@@ -831,3 +882,91 @@ class TestScenarioConfig:
         cfg = ScenarioConfig({"datacenters": {"count": 4}})
         with pytest.raises(ConfigError):
             cfg.build_dcs(cfg.build_graph())
+
+
+class TestMappingOverrides:
+    """A mapping given to --set merges into the mapping it names, key by key,
+    the way a scenario file merges over DEFAULTS."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump({
+            **BUILTIN_SCENARIOS["tiny"],
+            "catalog": {"vnfs": {"NAT": {"proc_time": 50}}},
+            "policy": {"t_thresh": 300, "t_model": 4, "weights": [1, 2, 1, 1]},
+            "requests": {**BUILTIN_SCENARIOS["tiny"]["requests"],
+                         "bundle_overrides": {"VS": [1, 2]}},
+        }))
+        return str(path)
+
+    @staticmethod
+    def load(scenario, *pairs):
+        return load_config(scenario, overrides=sfcsim.cli._parse_set(list(pairs)))
+
+    def test_catalog_mapping_keeps_the_files_entries(self, scenario):
+        # it replaced the whole section, so NAT ran at its default proc_time
+        cfg = self.load(scenario, "catalog={sfcs: {CG: {bundle: [0, 0]}}}")
+        assert cfg.data["catalog"] == {"vnfs": {"NAT": {"proc_time": 50}},
+                                       "sfcs": {"CG": {"bundle": [0, 0]}}}
+        catalog = cfg.build_catalog()
+        assert catalog.vnfs["NAT"].proc_time == 50 and catalog.sfcs["CG"].bundle == (0, 0)
+
+    def test_section_mapping_keeps_the_files_other_keys(self, scenario):
+        # it reset t_thresh and the weights to the defaults
+        cfg = self.load(scenario, "policy={t_model: 2}", "dqn={reward: {drop: 2.5}}")
+        assert cfg.data["policy"]["t_model"] == 2
+        assert cfg.data["policy"]["t_thresh"] == 300
+        assert cfg.data["policy"]["weights"] == [1, 2, 1, 1]
+        assert cfg.data["dqn"]["reward"] == {**DEFAULTS["dqn"]["reward"], "drop": 2.5}
+        assert cfg.data["dqn"]["batch"] == 32
+
+    def test_a_mapping_cannot_clear_a_mapping(self, scenario):
+        cfg = self.load(scenario, "requests.bundle_overrides={}", "catalog={}")
+        assert cfg.data["requests"]["bundle_overrides"] == {"VS": [1, 2]}
+        assert cfg.data["catalog"] == {"vnfs": {"NAT": {"proc_time": 50}}}
+        cfg = self.load(scenario, "requests.bundle_overrides={CG: [0, 0]}")
+        assert cfg.data["requests"]["bundle_overrides"] == {"VS": [1, 2], "CG": [0, 0]}
+
+    @pytest.mark.parametrize("source", ["tiny", "file", "null-section"])
+    def test_dotted_catalog_path_creates_entries(self, source, scenario, tmp_path):
+        # it was an unknown override path when the config had no such entry
+        if source == "file":
+            source = scenario
+        elif source == "null-section":
+            source = tmp_path / "n.yaml"
+            source.write_text(yaml.safe_dump({**BUILTIN_SCENARIOS["tiny"],
+                                              "catalog": {"vnfs": None}}))
+            source = str(source)
+        cfg = self.load(source, "catalog.vnfs.NAT.proc_time=10", "catalog.sfcs.CG.bundle=[0, 0]")
+        assert cfg.build_catalog().vnfs["NAT"].proc_time == 10
+        assert cfg.data["catalog"]["sfcs"] == {"CG": {"bundle": [0, 0]}}
+
+    @pytest.mark.parametrize("pair, message", [
+        ("catalog.vnfs.DPI.vcpu=1", "unknown key 'DPI' in catalog.vnfs"),
+        ("catalog.sfcs.CG.latency=5", "unknown key 'latency' in catalog.sfcs.CG"),
+        ("catalog.flows.CG.bundle=[0, 0]", "unknown key 'flows' in catalog"),
+        ("catalog.vnfs.NAT.proc_time=0", "catalog.vnfs.NAT.proc_time must be an int >= 1"),
+        ("catalog.vnfs.NAT.proc_time.steps=6", "unknown override path"),
+        ("policy={nope: 1}", "unknown config key 'policy.nope'"),
+    ], ids=["unknown-vnf", "unknown-field", "unknown-section", "bad-value", "under-a-leaf",
+            "unknown-key"])
+    def test_created_entries_are_checked(self, pair, message, scenario):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            self.load(scenario, pair)
+
+    def test_other_values_replace(self, scenario):
+        with pytest.raises(ConfigError, match="topology.generator must be a mapping, got 5"):
+            self.load(scenario, "topology.generator=5")
+        cfg = self.load(scenario, "policy.weights=[2, 2, 2, 2]", "catalog.vnfs.NAT=null")
+        assert cfg.data["policy"]["weights"] == [2, 2, 2, 2]
+        assert cfg.build_catalog().vnfs["NAT"].proc_time == 6
+
+    def test_source_config_is_left_as_it_was(self, scenario):
+        cfg = load_config(scenario)
+        before = copy.deepcopy(cfg.data)
+        out = cfg.with_overrides({"catalog": {"vnfs": {"NAT": {"vcpu": 2}}},
+                                  "catalog.sfcs.CG.bundle": [0, 0],
+                                  "policy": {"t_model": 2}})
+        assert cfg.data == before
+        assert out.data["catalog"]["vnfs"]["NAT"] == {"proc_time": 50, "vcpu": 2}

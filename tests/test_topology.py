@@ -332,6 +332,24 @@ class TestGraphStructure:
         for i in range(6):
             assert g1.select_min_path(0, i, 1.0) is not None
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+    def test_circle_generator_draws_one_value_per_chord_in_order(self, n):
+        # the block of chord draws builds the graph of one rng.random() per chord
+        ring = []
+        for i in range(n):
+            key = (min(i, (i + 1) % n), max(i, (i + 1) % n))
+            if key[0] != key[1] and key not in ring:
+                ring.append(key)
+        for seed in range(3):
+            for edge_prob in (0.0, 0.3, 0.7, 1.0):
+                rng = np.random.default_rng([seed, 0x702])
+                edges = ring + [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if (i, j) not in ring and rng.random() < edge_prob]
+                g = circle_topology(n, 100.0, edge_prob, seed)
+                want = NetworkGraph([(i, *g.coords[i]) for i in range(n)],
+                                    [(m, k, 500.0) for m, k in edges])
+                assert g._nbrs == want._nbrs, (seed, edge_prob)
+
     @pytest.mark.parametrize("km", [-50.0, math.nan, math.inf])
     def test_bad_distance_rejected(self, km):
         # path search orders labels by length, so lengths must be finite and >= 0
