@@ -74,9 +74,9 @@ def run_one(cfg: ScenarioConfig, seed: int, out_dir: str | None = None,
     try:
         result = run_episode(
             engine, generator, plan, policy,
-            t_model=int(cfg.data["policy"]["t_model"]),
-            sample_period=int(run_cfg["sample_period"]),
-            step_cap=int(run_cfg["step_cap"]),
+            t_model=cfg.data["policy"]["t_model"],
+            sample_period=run_cfg["sample_period"],
+            step_cap=run_cfg["step_cap"],
         )
     finally:
         if trace_fh:
@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True,
                        help=f"config path or builtin: {', '.join(BUILTIN_SCENARIOS)}")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int,
+                       help="run seed (default: the scenario's seed, else 0)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key, e.g. policy.kind=random")
         p.add_argument("--out", help="output root (default $SFCSIM_OUTDIR or ./out)")

@@ -11,8 +11,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 import os
+from math import inf, isfinite
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -31,7 +32,6 @@ class ConfigError(ValueError):
 DEFAULTS = {
     "catalog": {},
     "topology": {
-        # either an explicit node/edge list or the seeded circle generator
         "nodes": None,            # [{"id", "x", "y"}]
         "edges": None,            # [{"m", "n", "capacity_mbps"?, "distance_km"?}]
         # the generator seed is distinct from the run seed so one topology
@@ -100,159 +100,244 @@ DEFAULTS = {
 }
 
 
-def _check_ledger_value(name: str, value) -> None:
-    """ConfigError unless value is a finite number whose ledger value
-    (to_milli) is positive."""
-    # to_milli(x) > 0 exactly when x * QUANTUM > 0.5; the comparison also rejects NaN
-    if not (type(value) in (int, float) and 0.5 < value * QUANTUM < math.inf):
-        raise ConfigError(f"{name} must be a finite number that rounds to at least "
-                          f"{1 / QUANTUM}, got {value!r}")
+# -- the rule table: one rule per config key (README "Config rules") --------------
+# In a path, "?": the value may be null (or absent from a list entry); "[]":
+# each entry of a list; "<vnf>", "<sfc>": each entry keyed by a type name.
+
+class Rule(NamedTuple):
+    """A value is valid when test(value) holds; else it must be what."""
+    what: str
+    test: Callable[[object], bool]
+
+    def check(self, where: str, value) -> None:
+        if not self.test(value):
+            raise ConfigError(f"{where} must be {self.what}, got {value!r}")
 
 
-def _check_capacity(where: str, spec) -> None:
-    """ConfigError unless spec gives each DC capacity as a finite number whose
-    ledger value (to_milli) is positive, the compute product cpus * ram_gb too."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be a mapping, got {spec!r}")
-    for key in ("max_storage_gb", "cpus", "ram_gb"):
-        _check_ledger_value(f"{where}.{key}", spec.get(key))
-    if not 0.5 < spec["cpus"] * spec["ram_gb"] * QUANTUM < math.inf:
-        raise ConfigError(f"{where}: cpus * ram_gb must be finite and round to at least "
-                          f"{1 / QUANTUM}")
+def _int(low: int) -> Rule:
+    return Rule(f"an int >= {low}", lambda value: type(value) is int and value >= low)
 
 
-def _check_int(name: str, value, low: int) -> None:
-    if type(value) is not int or value < low:
-        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+def _list_of(what: str, test, length: int | None = None) -> Rule:
+    """A list or tuple of items that pass test: length of them, else any number."""
+    return Rule(what, lambda value: isinstance(value, (list, tuple))
+                and length in (None, len(value)) and all(map(test, value)))
 
 
-def _check_number(name: str, value, high: float = math.inf) -> None:
-    """ConfigError unless value is a finite int or float in [0, high]."""
-    # the comparisons also reject NaN
-    if not (type(value) in (int, float) and 0 <= value <= high and value < math.inf):
-        bound = "non-negative number" if high == math.inf else f"number in [0, {high}]"
-        raise ConfigError(f"{name} must be a finite {bound}, got {value!r}")
+_NUMBERS = frozenset((int, float))  # a bool is neither
+# to_milli(x) > 0 exactly when x * QUANTUM > 0.5; the comparisons also reject NaN
+_LEDGER = Rule(f"a finite number that rounds to at least {1 / QUANTUM}",
+               lambda value: type(value) in _NUMBERS and 0.5 < value * QUANTUM < inf)
+_NON_NEGATIVE = Rule("a finite non-negative number",
+                     lambda value: type(value) in _NUMBERS and 0 <= value < inf)
+_FRACTION = Rule("a finite number in [0, 1]",
+                 lambda value: type(value) in _NUMBERS and 0 <= value <= 1)
+_POSITIVE = Rule("a finite number > 0",
+                 lambda value: type(value) in _NUMBERS and 0 < value < inf)
+_FINITE = Rule("a finite number", lambda value: type(value) in _NUMBERS and isfinite(value))
+_BOOL = Rule("true or false", lambda value: type(value) is bool)
+_SEED = _int(0)  # the run seed, the one key outside the sections
+_BUNDLE = Rule("two ints lo, hi with 0 <= lo <= hi", lambda value: (
+    isinstance(value, (list, tuple)) and len(value) == 2
+    and all(type(n) is int for n in value) and 0 <= value[0] <= value[1]))
 
 
-def _check_positive(name: str, value) -> None:
-    # the comparison also rejects NaN
-    if not (type(value) in (int, float) and 0 < value < math.inf):
-        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+class _Range(Rule):
+    """A ledger value or [lo, hi] of them: a message names the bad bound."""
+
+    def check(self, where: str, value) -> None:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            return _LEDGER.check(where, value)
+        for i, bound in enumerate(value):
+            _LEDGER.check(f"{where}[{i}]", bound)
+        super().check(where, value)
 
 
-def _check_bundle(name: str, bundle) -> None:
-    """ConfigError unless bundle is two ints lo, hi with 0 <= lo <= hi, the
-    range of a wave's request count of one SFC type ([0, 0]: none)."""
-    if not (isinstance(bundle, (list, tuple)) and len(bundle) == 2
-            and all(type(n) is int for n in bundle) and 0 <= bundle[0] <= bundle[1]):
-        raise ConfigError(f"{name} must be two ints lo, hi with 0 <= lo <= hi, "
-                          f"got {bundle!r}")
-
-
-def _check_chain(name: str, chain) -> None:
-    if not (isinstance(chain, (list, tuple)) and chain and all(v in VNF_NAMES for v in chain)):
-        raise ConfigError(f"{name} must be a non-empty list of VNF types "
-                          f"({', '.join(VNF_NAMES)}), got {chain!r}")
-
-
-def _check_bandwidth(name: str, bw) -> None:
-    """ConfigError unless bw is a ledger value or [lo, hi] of them, lo <= hi."""
-    if not (isinstance(bw, (list, tuple)) and len(bw) == 2):
-        _check_ledger_value(name, bw)
-        return
-    _check_ledger_value(f"{name}[0]", bw[0])
-    _check_ledger_value(f"{name}[1]", bw[1])
-    if bw[0] > bw[1]:
-        raise ConfigError(f"{name} must be a number or [lo, hi] with lo <= hi, got {bw!r}")
-
-
-def _check_e2e_ms(name: str, value) -> None:
+RULES = [
+    ("catalog.vnfs?.<vnf>?.vcpu", _POSITIVE),
+    ("catalog.vnfs?.<vnf>?.ram_gb", _POSITIVE),
+    ("catalog.vnfs?.<vnf>?.storage_gb", _LEDGER),
+    ("catalog.vnfs?.<vnf>?.proc_time", _int(1)),
+    ("catalog.sfcs?.<sfc>?.chain", Rule(
+        f"a non-empty list of VNF types ({', '.join(VNF_NAMES)})",
+        lambda value: isinstance(value, (list, tuple)) and len(value) > 0
+        and all(map(VNF_NAMES.__contains__, value)))),
+    ("catalog.sfcs?.<sfc>?.bandwidth", _Range(
+        f"a number or [lo, hi] with lo <= hi, each {_LEDGER.what}",
+        lambda value: _LEDGER.test(value) or isinstance(value, (list, tuple))
+        and len(value) == 2 and all(map(_LEDGER.test, value)) and value[0] <= value[1])),
     # the deadline, round(e2e_ms * STEPS_PER_MS) steps, is at least one step
-    # exactly when the product exceeds 0.5; the comparison also rejects NaN
-    if not (type(value) in (int, float) and 0.5 < value * STEPS_PER_MS < math.inf):
-        raise ConfigError(f"{name} must be a finite number that rounds to a deadline of at "
-                          f"least one step ({1 / STEPS_PER_MS} ms), got {value!r}")
+    # exactly when the product exceeds 0.5
+    ("catalog.sfcs?.<sfc>?.e2e_ms", Rule(
+        f"a finite number that rounds to a deadline of at least one step "
+        f"({1 / STEPS_PER_MS} ms)",
+        lambda value: type(value) in _NUMBERS and 0.5 < value * STEPS_PER_MS < inf)),
+    ("catalog.sfcs?.<sfc>?.bundle", _BUNDLE),
+    ("catalog.sfcs?.<sfc>?.packet_len_mb?", _POSITIVE),
+    ("topology.nodes?[].id", _int(0)),
+    ("topology.nodes?[].x", _FINITE),
+    ("topology.nodes?[].y", _FINITE),
+    ("topology.edges?[].m", _int(0)),
+    ("topology.edges?[].n", _int(0)),
+    ("topology.edges?[].capacity_mbps?", _LEDGER),
+    # NetworkGraph rejects a negative or non-finite distance by its edge
+    ("topology.edges?[].distance_km?", Rule("a number", lambda value: type(value) in _NUMBERS)),
+    ("topology.generator?.n", _int(1)),
+    ("topology.generator?.radius_km", _NON_NEGATIVE),
+    ("topology.generator?.edge_prob", _FRACTION),
+    ("topology.generator?.seed", _int(0)),
+    ("topology.default_capacity_mbps", _LEDGER),
+    ("topology.propagation", _BOOL),
+    ("datacenters.count?", _int(1)),
+    ("datacenters.max_storage_gb", _LEDGER),
+    ("datacenters.cpus", _LEDGER),
+    ("datacenters.ram_gb", _LEDGER),
+    ("datacenters.per_dc?[].max_storage_gb", _LEDGER),
+    ("datacenters.per_dc?[].cpus", _LEDGER),
+    ("datacenters.per_dc?[].ram_gb", _LEDGER),
+    # the wave plan, a cross-key rule, checks that they ascend and none is negative
+    ("requests.wave_times", _list_of("a list of finite numbers", _FINITE.test)),
+    # a catalog overrides SFC types but adds none, so the default names are all
+    ("requests.bundle_overrides.<sfc>", _BUNDLE),
+    # set-up checks each request against the catalog and the DCs
+    ("requests.manual?", _list_of("a list of request lists (one per wave)", lambda wave: (
+        isinstance(wave, (list, tuple)) and all(isinstance(spec, dict) for spec in wave)))),
+    ("requests.allow_loopback", _BOOL),
+    ("policy.kind", Rule("'heuristic', 'dqn' or 'random'",
+                          lambda value: value in ("heuristic", "dqn", "random"))),
+    ("policy.weights", _list_of("four finite non-negative numbers", _NON_NEGATIVE.test, 4)),
+    ("policy.urgency_fraction", _NON_NEGATIVE),
+    ("policy.t_urgency_steps?", _int(0)),
+    ("policy.t_thresh", _int(0)),
+    ("policy.t_model", _int(1)),
+    ("policy.checkpoint?", Rule("a string", lambda value: type(value) is str)),
+    ("dqn.branch_dim", _int(1)),
+    ("dqn.hidden", _list_of("two positive ints", _int(1).test, 2)),
+    ("dqn.count_cap", _int(1)),
+    ("dqn.gamma", _FRACTION),
+    ("dqn.lr", _NON_NEGATIVE),
+    ("dqn.grad_clip", _NON_NEGATIVE),
+    ("dqn.batch", _int(1)),
+    ("dqn.buffer", _int(1)),
+    ("dqn.min_buffer", _int(0)),
+    ("dqn.target_sync", _int(1)),
+    ("dqn.eps_start", _FRACTION),
+    ("dqn.eps_min", _FRACTION),
+    ("dqn.eps_eval", _FRACTION),
+    ("dqn.episodes", _int(0)),
+    ("dqn.t_model", _int(1)),
+    ("dqn.max_actions", _int(1)),
+    ("dqn.train_interval", _int(1)),
+    ("dqn.checkpoint_every", _int(1)),
+    ("dqn.credit", Rule("'outcome'", lambda value: value == "outcome")),
+    ("dqn.guide_frac", _FRACTION),
+    ("dqn.reward.complete", _NON_NEGATIVE),
+    ("dqn.reward.drop", _NON_NEGATIVE),
+    ("dqn.reward.invalid", _NON_NEGATIVE),
+    ("dqn.reward.step", Rule("0", lambda value: value == 0)),
+    ("run.step_cap", _int(1)),
+    ("run.sample_period", _int(0)),
+]
 
 
-# One rule per overridable catalog field, in the VnfType and SfcType field
-# order; each takes the field's dotted name and the override value
-_VNF_RULES = {
-    "vcpu": _check_positive,
-    "ram_gb": _check_positive,
-    "storage_gb": _check_ledger_value,
-    "proc_time": lambda name, value: _check_int(name, value, 1),
-}
-_SFC_RULES = {
-    "chain": _check_chain,
-    "bandwidth": _check_bandwidth,
-    "e2e_ms": _check_e2e_ms,
-    "bundle": _check_bundle,
-    "packet_len_mb": lambda name, value: value is None or _check_positive(name, value),
-}
+class _Node:
+    """The rules of RULES under one mapping, or under each entry of one list."""
+
+    def __init__(self, segment: str = "", rules=()):
+        self.nullable = "?" in segment
+        self.is_list = segment.endswith("[]")
+        self.keys = {}      # key -> the Rule of its value or the _Node it is
+        self.required = []  # the keys a list entry needs
+        for path, rule in rules:
+            self.add(path, rule)
+
+    def add(self, path: str, rule: Rule) -> None:
+        """Set rule at path below this node, making the nodes on the way."""
+        segment, _, rest = path.partition(".")
+        key = segment.rstrip("?[]")
+        names = {"<vnf>": VNF_NAMES, "<sfc>": SFC_NAMES}.get(key, (key,))
+        if self.is_list and "?" not in segment and key not in self.required:
+            self.required.append(key)
+        if rest:
+            spec = self.keys.get(names[0]) or _Node(segment)
+            spec.add(rest, rule)
+        elif "?" in segment:
+            test = rule.test
+            spec = rule._replace(what=f"{rule.what} or null",
+                                 test=lambda value: value is None or test(value))
+        else:
+            spec = rule
+        self.keys.update(dict.fromkeys(names, spec))
+
+    def check(self, where: str, value) -> None:
+        if value is None and self.nullable:
+            return
+        if not self.is_list:
+            entries = [(where, value)]
+        elif isinstance(value, list):
+            entries = [(f"{where}[{i}]", entry) for i, entry in enumerate(value)]
+        else:
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        for where, entry in entries:
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{where} must be a mapping, got {entry!r}")
+            for key in self.required:
+                if key not in entry:
+                    raise ConfigError(f"{where} needs {key!r}, got {entry!r}")
+            for key, item in entry.items():
+                if key not in self.keys:
+                    raise ConfigError(f"unknown key {key!r} in {where}; "
+                                      f"expected {', '.join(self.keys)}")
+                spec = self.keys[key]
+                # a rule's check raises, so it runs only on a value its test refuses
+                if type(spec) is _Node or not spec.test(item):
+                    spec.check(f"{where}.{key}", item)
 
 
-def _check_catalog(catalog) -> None:
-    """ConfigError unless catalog overrides known VNF and SFC types, each
-    field under its rule. Values are checked as given, before any merge; a
-    compute product takes a factor not overridden from DEFAULT_VNFS."""
-    _check_entry("catalog", catalog, (), ("vnfs", "sfcs"))
-    for section, names, rules in (("vnfs", VNF_NAMES, _VNF_RULES),
-                                  ("sfcs", SFC_NAMES, _SFC_RULES)):
-        types = catalog.get(section) or {}
-        _check_entry(f"catalog.{section}", types, (), names)
-        for name, entry in types.items():
-            where = f"catalog.{section}.{name}"
-            entry = entry or {}
-            _check_entry(where, entry, (), tuple(rules))
-            for key, value in entry.items():
-                rules[key](f"{where}.{key}", value)
-            if section == "vnfs":  # the demand a DC's compute ledger counts
-                vcpu, ram_gb = DEFAULT_VNFS[name][:2]
-                _check_ledger_value(f"{where}.vcpu * ram_gb",
-                                    entry.get("vcpu", vcpu) * entry.get("ram_gb", ram_gb))
+_TABLE = _Node(rules=RULES)
 
 
-def _check_entry(where: str, entry, required: tuple[str, ...],
-                 allowed: tuple[str, ...]) -> None:
-    """ConfigError unless entry is a mapping holding every required key and
-    no key outside allowed."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a mapping, got {entry!r}")
-    for key in required:
-        if key not in entry:
-            raise ConfigError(f"{where} needs {key!r}, got {entry!r}")
-    for key in entry:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}; expected {', '.join(allowed)}")
+# -- cross-key rules: each takes config data whose keys RULES has checked --------
+
+def _topology_given(data: dict) -> None:
+    topo = data["topology"]
+    if topo["nodes"] is None and topo["generator"] is None:
+        raise ConfigError("topology required: give nodes or a generator")
+    if (topo["nodes"] is None) != (topo["edges"] is None):
+        raise ConfigError("explicit topology needs both nodes and edges")
 
 
-def _check_topology(topo: dict) -> None:
-    """ConfigError unless the explicit node and edge lists are well formed:
-    nodes {id: int, x, y: finite}, edges {m, n: int, capacity_mbps?,
-    distance_km?: a number or null}, and no other key."""
-    for name in ("nodes", "edges"):
-        if not isinstance(topo[name], list):
-            raise ConfigError(f"topology.{name} must be a list, got {topo[name]!r}")
-    for i, node in enumerate(topo["nodes"]):
-        where = f"topology.nodes[{i}]"
-        _check_entry(where, node, ("id", "x", "y"), ("id", "x", "y"))
-        _check_int(f"{where}.id", node["id"], 0)
-        for key in ("x", "y"):
-            value = node[key]
-            if not (type(value) in (int, float) and math.isfinite(value)):
-                raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    for i, edge in enumerate(topo["edges"]):
-        where = f"topology.edges[{i}]"
-        _check_entry(where, edge, ("m", "n"), ("m", "n", "capacity_mbps", "distance_km"))
-        for key in ("m", "n"):
-            _check_int(f"{where}.{key}", edge[key], 0)
-        if "capacity_mbps" in edge:
-            _check_ledger_value(f"{where}.capacity_mbps", edge["capacity_mbps"])
-        # NetworkGraph rejects a negative or non-finite distance by its edge
-        distance = edge.get("distance_km")
-        if distance is not None and type(distance) not in (int, float):
-            raise ConfigError(f"{where}.distance_km must be a number or null, "
-                              f"got {distance!r}")
+def _compute_products(data: dict) -> None:
+    """cpus * ram_gb of each DC and vcpu * ram_gb of each VNF type a catalog
+    overrides are ledger values; a factor an entry leaves out is the default's."""
+    dcs = data["datacenters"]
+    _LEDGER.check("datacenters.cpus * ram_gb", dcs["cpus"] * dcs["ram_gb"])
+    for i, spec in enumerate(dcs["per_dc"] or ()):
+        _LEDGER.check(f"datacenters.per_dc[{i}].cpus * ram_gb", spec["cpus"] * spec["ram_gb"])
+    for name, entry in (data["catalog"].get("vnfs") or {}).items():
+        vcpu, ram_gb = DEFAULT_VNFS[name][:2]
+        entry = entry or {}
+        _LEDGER.check(f"catalog.vnfs.{name}.vcpu * ram_gb",
+                      entry.get("vcpu", vcpu) * entry.get("ram_gb", ram_gb))
+
+
+def _batch_fits_buffer(data: dict) -> None:
+    dqn = data["dqn"]
+    if dqn["buffer"] < dqn["batch"]:
+        # a ring smaller than one batch never reaches train_step
+        raise ConfigError(f"dqn.buffer ({dqn['buffer']}) must be >= dqn.batch "
+                          f"({dqn['batch']})")
+
+
+def _wave_plan(data: dict) -> None:
+    req = data["requests"]
+    try:
+        schedule_waves(req["wave_times"], req["manual"])
+    except RequestError as exc:
+        raise ConfigError(f"requests: {exc}") from exc
+
+
+CROSS_KEY_RULES = (_topology_given, _compute_products, _batch_fits_buffer, _wave_plan)
 
 
 # the values a config shares instead of copying: nothing can change them
@@ -300,115 +385,33 @@ def _merge_over(base, value):
 
 class ScenarioConfig:
     def __init__(self, data: dict | None = None, seed: int = 0):
+        """data merged over DEFAULTS; RULES check data, CROSS_KEY_RULES the whole."""
         data = data or {}
         if not isinstance(data, dict):
             raise ConfigError("scenario config must be a mapping")
-        known = set(DEFAULTS) | {"seed"}
-        bad = set(data) - known
+        bad = set(data) - {*DEFAULTS, "seed"}
         if bad:
             raise ConfigError(f"unknown config sections {sorted(bad)}")
         self.seed = data.get("seed", seed)
-        _check_int("seed", self.seed, 0)
-        merged = {}
+        _SEED.check("seed", self.seed)
+        self.data = {}
         for section, defaults in DEFAULTS.items():
             override = data.get(section) or {}
-            if section == "catalog":
-                merged[section] = _copy(override)
-            elif isinstance(defaults, dict):
-                if not isinstance(override, dict):
-                    raise ConfigError(f"section {section!r} must be a mapping")
-                merged[section] = _deep_merge(defaults, override, section + ".")
+            # the catalog has no defaults to merge into, and RULES refuses a
+            # section that is not a mapping
+            if section == "catalog" or not isinstance(override, dict):
+                self.data[section] = _copy(override)
             else:
-                merged[section] = _copy(override)
-        self.data = merged
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.data["catalog"]:
-            _check_catalog(self.data["catalog"])
-        topo = self.data["topology"]
-        if topo["nodes"] is None and topo["generator"] is None:
-            raise ConfigError("topology required: give nodes or a generator")
-        if (topo["nodes"] is None) != (topo["edges"] is None):
-            raise ConfigError("explicit topology needs both nodes and edges")
-        if topo["nodes"] is not None:
-            _check_topology(topo)
-        gen = topo["generator"]
-        if gen is not None:
-            if not isinstance(gen, dict):
-                raise ConfigError(f"topology.generator must be a mapping, got {gen!r}")
-            _check_int("topology.generator.n", gen["n"], 1)
-            _check_int("topology.generator.seed", gen["seed"], 0)
-            _check_number("topology.generator.radius_km", gen["radius_km"])
-            _check_number("topology.generator.edge_prob", gen["edge_prob"], 1)
-        _check_ledger_value("topology.default_capacity_mbps", topo["default_capacity_mbps"])
-        policy = self.data["policy"]
-        kind = policy["kind"]
-        if kind not in ("heuristic", "dqn", "random"):
-            raise ConfigError(f"unknown policy kind {kind!r}")
-        if policy["t_urgency_steps"] is not None:
-            _check_int("policy.t_urgency_steps", policy["t_urgency_steps"], 0)
-        _check_number("policy.urgency_fraction", policy["urgency_fraction"])
-        weights = policy["weights"]
-        # the comparison also rejects NaN
-        if not (isinstance(weights, (list, tuple)) and len(weights) == 4 and all(
-                type(w) in (int, float) and 0 <= w < math.inf for w in weights)):
-            raise ConfigError(f"policy.weights must be four finite non-negative numbers, "
-                              f"got {weights!r}")
-        dcs = self.data["datacenters"]
-        per_dc = dcs["per_dc"]
-        if per_dc is not None and not isinstance(per_dc, list):
-            raise ConfigError(f"datacenters.per_dc must be a list, got {per_dc!r}")
-        if dcs["count"] is not None:
-            _check_int("datacenters.count", dcs["count"], 1)
-        _check_capacity("datacenters", dcs)
-        for i, spec in enumerate(per_dc or ()):
-            _check_capacity(f"datacenters.per_dc[{i}]", spec)
-        dqn = self.data["dqn"]
-        if dqn["credit"] != "outcome":
-            raise ConfigError(f"dqn.credit must be 'outcome', got {dqn['credit']!r}")
-        if dqn["reward"]["step"] != 0:
-            raise ConfigError(f"dqn.reward.step must be 0, got {dqn['reward']['step']!r}")
-        for key in ("complete", "drop", "invalid"):
-            _check_number(f"dqn.reward.{key}", dqn["reward"][key])
-        for key, high in (("lr", math.inf), ("grad_clip", math.inf), ("eps_start", 1),
-                          ("eps_min", 1), ("eps_eval", 1), ("guide_frac", 1)):
-            _check_number(f"dqn.{key}", dqn[key], high)
-        for name, low in (("policy.t_model", 1), ("policy.t_thresh", 0), ("run.step_cap", 1),
-                          ("run.sample_period", 0), ("dqn.t_model", 1), ("dqn.target_sync", 1),
-                          ("dqn.batch", 1), ("dqn.buffer", 1), ("dqn.count_cap", 1),
-                          ("dqn.max_actions", 1), ("dqn.train_interval", 1),
-                          ("dqn.min_buffer", 0), ("dqn.episodes", 0),
-                          ("dqn.checkpoint_every", 1)):
-            section, key = name.split(".")
-            _check_int(name, self.data[section][key], low)
-        for name in ("topology.propagation", "requests.allow_loopback"):
-            section, key = name.split(".")
-            if type(self.data[section][key]) is not bool:
-                raise ConfigError(f"{name} must be true or false, "
-                                  f"got {self.data[section][key]!r}")
-        hidden = dqn["hidden"]
-        if not (isinstance(hidden, (list, tuple)) and len(hidden) == 2
-                and all(type(h) is int and h >= 1 for h in hidden)):
-            raise ConfigError(f"dqn.hidden must be two positive ints, got {hidden!r}")
-        if dqn["buffer"] < dqn["batch"]:
-            # a ring smaller than one batch never reaches train_step
-            raise ConfigError(f"dqn.buffer ({dqn['buffer']}) must be >= dqn.batch "
-                              f"({dqn['batch']})")
-        req = self.data["requests"]
-        # a catalog overrides SFC types but adds none, so the default names are all
-        _check_entry("requests.bundle_overrides", req["bundle_overrides"], (), SFC_NAMES)
-        for name, bundle in req["bundle_overrides"].items():
-            _check_bundle(f"requests.bundle_overrides.{name}", bundle)
-        # reject malformed wave plans early
-        schedule_waves(req["wave_times"], req["manual"])
+                self.data[section] = _deep_merge(defaults, override, section + ".")
+            # RULES checks the values data gives: every default passes them
+            _TABLE.keys[section].check(section, override)
+        for rule in CROSS_KEY_RULES:
+            rule(self.data)
 
     # -- canonical form -------------------------------------------------------
 
     def resolved(self) -> dict:
-        out = copy.deepcopy(self.data)
-        out["seed"] = self.seed
-        return out
+        return copy.deepcopy({**self.data, "seed": self.seed})
 
     def config_hash(self) -> str:
         # the bytes of resolved(), read from data in place
@@ -431,7 +434,7 @@ class ScenarioConfig:
         the mapping at its path; any other value replaces it. A path under
         catalog may name entries the config does not have yet. Only the dicts
         on an override's path are copied, so this config's data is left as
-        it was; the new config's __init__ copies every value and checks it.
+        it was.
         """
         data = dict(self.data)
         seed = self.seed
@@ -462,17 +465,16 @@ class ScenarioConfig:
         topo = self.data["topology"]
         try:
             if topo["nodes"] is not None:
-                nodes = [(int(n["id"]), float(n["x"]), float(n["y"])) for n in topo["nodes"]]
-                edges = []
-                for e in topo["edges"]:
-                    edges.append((int(e["m"]), int(e["n"]),
-                                  float(e.get("capacity_mbps", topo["default_capacity_mbps"])),
-                                  e.get("distance_km")))
+                nodes = [(n["id"], float(n["x"]), float(n["y"])) for n in topo["nodes"]]
+                # a capacity absent or null is the default; the rule refuses 0
+                default = topo["default_capacity_mbps"]
+                edges = [(e["m"], e["n"], float(e.get("capacity_mbps") or default),
+                          e.get("distance_km")) for e in topo["edges"]]
                 return NetworkGraph(nodes, edges, propagation=topo["propagation"])
             gen = topo["generator"]
             return circle_topology(
-                int(gen["n"]), float(gen["radius_km"]), float(gen["edge_prob"]),
-                int(gen.get("seed", 0)), capacity_mbps=float(topo["default_capacity_mbps"]),
+                gen["n"], float(gen["radius_km"]), float(gen["edge_prob"]),
+                gen["seed"], capacity_mbps=float(topo["default_capacity_mbps"]),
                 propagation=topo["propagation"],
             )
         except TopologyError as exc:
@@ -510,15 +512,12 @@ class ScenarioConfig:
             return HeuristicPolicy()
         if kind == "random":
             return RandomPolicy(graph.n, list(catalog.vnfs), seed)
-        if kind == "dqn":
-            from .dqn import DqnPolicy, load_agent
+        from .dqn import DqnPolicy, load_agent  # kind == "dqn"
 
-            ckpt = self.data["policy"]["checkpoint"]
-            if ckpt is None:
-                raise ConfigError("policy.kind dqn needs policy.checkpoint")
-            agent = load_agent(ckpt)
-            return DqnPolicy(agent, self, seed)
-        raise ConfigError(kind)
+        ckpt = self.data["policy"]["checkpoint"]
+        if ckpt is None:
+            raise ConfigError("policy.kind dqn needs policy.checkpoint")
+        return DqnPolicy(load_agent(ckpt), self, seed)
 
 
 def load_config(path: str, seed: int | None = None,
@@ -531,7 +530,7 @@ def load_config(path: str, seed: int | None = None,
             data = yaml.safe_load(fh) or {}
     cfg = ScenarioConfig(data)
     if seed is not None:
-        _check_int("seed", seed, 0)
+        _SEED.check("seed", seed)
         cfg.seed = seed
     if overrides:
         cfg = cfg.with_overrides(overrides)
@@ -600,7 +599,7 @@ def make_runtime(cfg: ScenarioConfig, seed: int | None = None, *, trace=None):
     metrics = MetricsBundle(config_hash=cfg.config_hash(), seed=episode_seed)
     engine = Engine(
         graph, dcs, catalog,
-        t_thresh=int(pol["t_thresh"]),
+        t_thresh=pol["t_thresh"],
         weights=cfg.build_weights(),
         urgency_fraction=float(pol["urgency_fraction"]),
         t_urgency_steps=pol["t_urgency_steps"],

@@ -430,7 +430,9 @@ class DqnAgent:
         self.buffer = ReplayBuffer(hp["buffer"], total_width)
         self.train_steps = 0
         self.episode = 0
-        self.decay_episodes = max(1, int(hp.get("episodes", 200)) // 2)
+        # a checkpoint's hp, which load_agent reads and no config rule checks,
+        # may lack the key; load_agent then sets decay_episodes from its meta
+        self.decay_episodes = max(1, hp.get("episodes", 200) // 2)
 
     # -- acting -------------------------------------------------------------
 
@@ -554,10 +556,10 @@ class DqnPolicy:
     def __init__(self, agent: DqnAgent, cfg, seed: int, epsilon: float | None = None):
         self.agent = agent
         dqn_cfg = cfg.data["dqn"]
-        self.max_actions = int(dqn_cfg["max_actions"])
+        self.max_actions = dqn_cfg["max_actions"]
         self.epsilon = dqn_cfg["eps_eval"] if epsilon is None else epsilon
         self.encoder = agent_encoder(agent, cfg.build_catalog(), cfg.build_graph(),
-                                     int(dqn_cfg["count_cap"]))
+                                     dqn_cfg["count_cap"])
 
     def act(self, engine) -> None:
         phase = self.encoder.phase_features(engine)
@@ -721,7 +723,7 @@ def build_agent(cfg, seed: int) -> DqnAgent:
     catalog = cfg.build_catalog()
     graph = cfg.build_graph()
     encoder = StateEncoder(catalog, graph.n, len(graph.edge_keys()),
-                           int(cfg.data["dqn"]["count_cap"]))
+                           cfg.data["dqn"]["count_cap"])
     n_actions = action_space_size(graph.n, len(encoder.vnf_names))
     return DqnAgent(encoder.widths, n_actions, cfg.data["dqn"], seed=seed)
 
@@ -733,17 +735,16 @@ def run_training_episode(cfg, agent: DqnAgent, epsilon: float, episode_seed: int
 
     engine, generator, plan = make_runtime(cfg, episode_seed)
     dqn_cfg = cfg.data["dqn"]
-    encoder = agent_encoder(agent, engine.catalog, engine.graph, int(dqn_cfg["count_cap"]))
+    encoder = agent_encoder(agent, engine.catalog, engine.graph, dqn_cfg["count_cap"])
     reward = dqn_cfg["reward"]
     rewards = RewardSpec(reward["complete"], reward["drop"], reward["invalid"])
     policy = DqnTrainingPolicy(
         agent, encoder, rewards, epsilon,
-        int(dqn_cfg["max_actions"]), int(dqn_cfg["train_interval"]),
-        int(dqn_cfg["min_buffer"]), guide_prob=guide_prob,
+        dqn_cfg["max_actions"], dqn_cfg["train_interval"], dqn_cfg["min_buffer"],
+        guide_prob=guide_prob,
     )
     result = run_episode(engine, generator, plan, policy,
-                         t_model=int(dqn_cfg["t_model"]),
-                         step_cap=int(cfg.data["run"]["step_cap"]))
+                         t_model=dqn_cfg["t_model"], step_cap=cfg.data["run"]["step_cap"])
     policy.finish(engine)
     return result, policy
 
@@ -766,13 +767,13 @@ def train(cfg, out_dir: str | None = None, episodes: int | None = None,
     keeping the last good checkpoint.
     """
     seed = cfg.seed if seed is None else seed
-    episodes = int(cfg.data["dqn"]["episodes"]) if episodes is None else int(episodes)
+    episodes = cfg.data["dqn"]["episodes"] if episodes is None else int(episodes)
     if episodes < 0:
         raise ConfigError(f"episodes must be >= 0, got {episodes}")
     if resume:
         agent = load_agent(resume)
         agent_encoder(agent, cfg.build_catalog(), cfg.build_graph(),
-                      int(cfg.data["dqn"]["count_cap"]))
+                      cfg.data["dqn"]["count_cap"])
     else:
         agent = build_agent(cfg, seed)
         agent.decay_episodes = max(1, episodes // 2)
@@ -785,7 +786,7 @@ def train(cfg, out_dir: str | None = None, episodes: int | None = None,
         cfg.write_copy(out_dir)
         ckpt_path = os.path.join(out_dir, "checkpoint.npz")
         agent.save(ckpt_path)
-    checkpoint_every = int(cfg.data["dqn"]["checkpoint_every"])
+    checkpoint_every = cfg.data["dqn"]["checkpoint_every"]
     start = agent.episode
     guide_span = float(cfg.data["dqn"]["guide_frac"]) * max(1, episodes + start)
     for ep in range(start, start + episodes):

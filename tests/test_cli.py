@@ -324,8 +324,9 @@ class TestRun:
          "requests.bundle_overrides must be a mapping"),
         ("tiny", "requests.bundle_overrides={Nope: [0, 1]}",
          "unknown key 'Nope' in requests.bundle_overrides; expected CG, AugR"),
-        ("tiny", "datacenters.count=abc", "datacenters.count must be an int >= 1, got 'abc'"),
-        ("tiny", "datacenters.count=0", "datacenters.count must be an int >= 1, got 0"),
+        ("tiny", "datacenters.count=abc",
+         "datacenters.count must be an int >= 1 or null, got 'abc'"),
+        ("tiny", "datacenters.count=0", "datacenters.count must be an int >= 1 or null, got 0"),
         ("tiny", "topology.propagation=maybe",
          "topology.propagation must be true or false, got 'maybe'"),
         ("tiny", "requests.allow_loopback=1",
@@ -400,7 +401,7 @@ class TestRun:
         ("tiny", "{sfcs: {CG: {bundle: [6, 5]}}}", "catalog.sfcs.CG.bundle must be two ints"),
         ("tiny", "{sfcs: {CG: {bundle: [-1, 5]}}}", "catalog.sfcs.CG.bundle must be two ints"),
         ("tiny", "{sfcs: {CG: {packet_len_mb: 0}}}",
-         "catalog.sfcs.CG.packet_len_mb must be a finite number > 0, got 0"),
+         "catalog.sfcs.CG.packet_len_mb must be a finite number > 0 or null, got 0"),
     ], ids=["bundle-int", "bandwidth-one-item", "chain-int", "vnf-entry-int", "vcpu-str",
             "e2e-str", "bundle-float", "proc-time-float", "e2e-zero-steps", "bandwidth-sub-unit",
             "catalog-int", "unknown-section", "unknown-vnf", "unknown-sfc", "vnf-name-field",
@@ -456,6 +457,18 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "config error: seed must be an int >= 0, got 1.7" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scenario_file_seed_is_the_default_run_seed(self, tmp_path):
+        # --seed defaulted to 0, which replaced the file's seed
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(yaml.safe_dump({"seed": 3, **BUILTIN_SCENARIOS["tiny"]}))
+        for args, seed in (([], 3), (["--seed", "0"], 0)):
+            out = tmp_path / f"o{seed}"
+            assert main(["run", "--scenario", str(scenario), "--out", str(out)] + args) == 0
+            config_hash = load_config(str(scenario), seed=seed).config_hash()
+            assert [p.name for p in out.iterdir()] == [f"run-{config_hash}-s{seed}"]
+            summary = json.loads((out / f"run-{config_hash}-s{seed}" / "summary.json").read_text())
+            assert summary["seed"] == seed
 
     def test_policy_flag_shorthand(self, tmp_path, monkeypatch, capsys):
         code, _ = run_cli(["run", "--scenario", "tiny", "--policy", "random"],

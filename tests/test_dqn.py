@@ -296,6 +296,18 @@ class TestAgent:
         for key in agent.online.params:
             assert np.array_equal(agent.online.params[key], back.online.params[key])
 
+    def test_checkpoint_hp_without_episodes_loads(self, tmp_path):
+        # the checkpoint's own copy of the dqn section is read as it was written
+        hp = agent_hp()
+        del hp["episodes"]
+        agent = DqnAgent([4, 3, 2], 5, hp, seed=9)
+        path = str(tmp_path / "no-episodes.npz")
+        self._write_checkpoint(path, agent, 2)
+        back = load_agent(path)
+        assert "episodes" not in back.hp and back.decay_episodes == 4
+        for key in agent.online.params:
+            assert np.array_equal(agent.online.params[key], back.online.params[key])
+
     def test_unknown_checkpoint_version_rejected(self, tmp_path):
         path = str(tmp_path / "v3.npz")
         self._write_checkpoint(path, DqnAgent([4, 3, 2], 5, agent_hp(), seed=9), 3)
