@@ -135,6 +135,8 @@ _FRACTION = Rule("a finite number in [0, 1]",
 _POSITIVE = Rule("a finite number > 0",
                  lambda value: type(value) in _NUMBERS and 0 < value < inf)
 _FINITE = Rule("a finite number", lambda value: type(value) in _NUMBERS and isfinite(value))
+# inf % 1 and nan % 1 are nan, so a whole number is finite too
+_WHOLE = Rule("a whole number", lambda value: type(value) in _NUMBERS and value % 1 == 0)
 _BOOL = Rule("true or false", lambda value: type(value) is bool)
 _SEED = _int(0)  # the run seed, the one key outside the sections
 _BUNDLE = Rule("two ints lo, hi with 0 <= lo <= hi", lambda value: (
@@ -196,7 +198,7 @@ RULES = [
     ("datacenters.per_dc?[].cpus", _LEDGER),
     ("datacenters.per_dc?[].ram_gb", _LEDGER),
     # the wave plan, a cross-key rule, checks that they ascend and none is negative
-    ("requests.wave_times", _list_of("a list of finite numbers", _FINITE.test)),
+    ("requests.wave_times", _list_of("a list of whole numbers", _WHOLE.test)),
     # a catalog overrides SFC types but adds none, so the default names are all
     ("requests.bundle_overrides.<sfc>", _BUNDLE),
     # set-up checks each request against the catalog and the DCs

@@ -20,6 +20,13 @@ operations. From the network's first
 forward on, `QNetwork.params[name]` is a view of the parameter vector: it
 is written in place, never rebound. The gradients stay valid until the
 next backward.
+
+Every draw of the agent (epsilon-greedy, the training guide, the sampling
+of refused and no-op labels, the replay batch) comes from one AgentDraws
+stream seeded [seed, 0xD09], bit for bit the draws of
+np.random.default_rng([seed, 0xD09]) but served from raw PCG64 output read
+ahead in blocks. Reading ahead is safe because nothing else draws from that
+stream and a checkpoint carries no rng state.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ import numpy as np
 
 from .catalog import Catalog
 from .config import ConfigError
-from .policy import ALLOCATE, UNINSTALL, PolicyAction, allocation_candidates
+from .policy import ALLOCATE, UNINSTALL, PolicyAction
+from .requestgen import WaveDraws
 
 
 class TrainingDiverged(Exception):
@@ -416,12 +424,70 @@ class RewardSpec:
 
 # -- agent -----------------------------------------------------------------------
 
+class AgentDraws(WaveDraws):
+    """WaveDraws plus integers(lo, hi, size=k), the replay batch's draw: the
+    agent's whole stream, bit for bit that of np.random.default_rng(seed).
+
+    A batch reads its raw outputs as little-endian 32-bit halves in numpy,
+    after the buffered half if there is one, so it takes the same values in
+    the same order. When the low 32 bits of any product u * n fall below n,
+    Lemire's method might reject that u, so the batch is drawn one value at
+    a time instead, from the same position."""
+
+    __slots__ = ()
+
+    def integers(self, lo: int, hi: int | None = None, size: int | None = None):
+        if size is None:
+            return WaveDraws.integers(self, lo, hi)
+        if hi is None:
+            lo, hi = 0, lo
+        n = hi - lo
+        half = self._half
+        start = 2 if half is None else 1  # the batch's first half in `halves`
+        words = (start + size - 1) // 2  # raw outputs the batch splits
+        if not 1 < n < 0x100000000 or size < 1:
+            return self._one_at_a_time(lo, hi, size)
+        buf, pos = self._buf, self._pos
+        if pos + words > len(buf):
+            buf = self._buf = buf[pos:] + self._raw(max(self._block, words)).tolist()
+            pos = self._pos = 0
+        # one spare output ahead of the batch's, whose high half holds `half`
+        outputs = np.empty(words + 1, dtype="<u8")
+        outputs[1:] = buf[pos:pos + words]
+        halves = outputs.view("<u4")
+        halves[1] = half or 0
+        m = halves[start:start + size].astype(np.uint64)
+        m *= np.uint64(n)
+        m = m.view("<u4")  # each product's low, then high, half
+        if np.minimum.reduce(m[0::2]) < n:
+            return self._one_at_a_time(lo, hi, size)
+        self._pos = pos + words
+        # an odd count of fresh halves leaves the last output's high half
+        self._half = int(halves[-1]) if start + size < len(halves) else None
+        out = m[1::2].astype(np.int64)
+        out += lo
+        return out
+
+    def _one_at_a_time(self, lo: int, hi: int, size: int) -> np.ndarray:
+        return np.array([WaveDraws.integers(self, lo, hi) for _ in range(size)],
+                        dtype=np.int64)
+
+
 class DqnAgent:
+    """The online Q-network, its replay ring and its draws.
+
+    `rng` is an AgentDraws seeded [seed, 0xD09]: every draw of acting,
+    training and replay sampling comes from it, bit for bit as
+    np.random.default_rng([seed, 0xD09]) would make them. It reads raw
+    PCG64 output ahead of the draws it serves, which is safe because
+    nothing else draws from that stream and checkpoints carry no rng state:
+    a loaded agent starts a new stream, as it did with a Generator."""
+
     def __init__(self, branch_widths, n_actions, hp: dict, seed: int = 0):
         self.hp = dict(hp)
         self.branch_widths = tuple(branch_widths)
         self.n_actions = n_actions
-        self.rng = np.random.default_rng([int(seed), 0xD09])
+        self.rng = AgentDraws([int(seed), 0xD09])
         net_rng = np.random.default_rng([int(seed), 0x1417])
         self.online = QNetwork(branch_widths, n_actions,
                                branch_dim=hp["branch_dim"], hidden=tuple(hp["hidden"]),
@@ -453,7 +519,7 @@ class DqnAgent:
         greedy back runs it at most once per encoding, until enc or the
         parameters change."""
         if self.rng.random() < epsilon:
-            return int(self.rng.integers(self.n_actions)), greedy
+            return self.rng.integers(self.n_actions), greedy
         if greedy is None:
             greedy = int(np.argmax(self.online.forward(enc)[0]))
         return greedy, greedy
@@ -661,11 +727,18 @@ class DqnTrainingPolicy:
         """The guide, a reflex on observable features, draws uniformly from
         these: the indices of the allocate actions whose DC has locally
         pending heads of that type and room to serve them."""
-        # an allocation's index, as decode_action reads it
-        n_vnfs, vnf_pos = len(self.encoder.vnf_names), self.encoder.vnf_pos
-        return [action.dc * n_vnfs + vnf_pos[action.vtype]
-                for action in allocation_candidates(engine)
-                if phase.local[(action.dc, action.vtype)] > 0]
+        # local counts waiting heads, so a type it counts has heads waiting;
+        # an option is an allocation's index, as decode_action reads it
+        local, vnfs = phase.local, engine.catalog.vnfs
+        n_vnfs = len(self.encoder.vnf_names)
+        options = []
+        for dc in engine.dcs:
+            d = dc.dc_id
+            for j, vname in enumerate(self.encoder.vnf_names):
+                if local[(d, vname)] > 0 and (dc.idle_count(vname)
+                                              or dc.can_install(vnfs[vname])):
+                    options.append(d * n_vnfs + j)
+        return options
 
     def act(self, engine) -> None:
         # the only train_step calls of a phase run here, before any action:
@@ -674,6 +747,7 @@ class DqnTrainingPolicy:
         self._collect_events(engine)
         self._close_invocation()
         phase = self.encoder.phase_features(engine)
+        rng = self.agent.rng
         flat = None
         for _ in range(self.max_actions):
             if flat is None:
@@ -682,33 +756,35 @@ class DqnTrainingPolicy:
                 greedy = guide = None
                 failed = set()  # indices refused since the state last changed
             idx = None
-            if self.guide_prob > 0.0 and self.agent.rng.random() < self.guide_prob:
+            if self.guide_prob > 0.0 and rng.random() < self.guide_prob:
                 if guide is None:
                     guide = self._guide_options(engine, phase)
                 if guide:
-                    idx = guide[int(self.agent.rng.integers(len(guide)))]
+                    idx = guide[rng.integers(len(guide))]
             if idx is None:
                 idx, greedy = self.agent.act_index(enc, self.epsilon, greedy)
-            action = decode_action(idx, self.encoder.n_dcs, self.encoder.vnf_names)
-            if action is None:
-                # not a stop during training: keeps exploration throughput
-                # independent of the current value estimates
-                if self.agent.rng.random() < self.IDLE_KEEP:
-                    self.open.append((flat, idx, 0.0))
-                continue
-            if idx in failed or not engine.apply_action(action):
-                # state unchanged, so a repeat would be refused again; record
-                # the penalty and draw again
+            if idx not in failed:
+                action = decode_action(idx, self.encoder.n_dcs, self.encoder.vnf_names)
+                if action is None:
+                    # not a stop during training: keeps exploration throughput
+                    # independent of the current value estimates
+                    if rng.random() < self.IDLE_KEEP:
+                        self.open.append((flat, idx, 0.0))
+                    continue
+                if engine.apply_action(action):
+                    phase.take_action(engine, action)
+                    if engine.last_allocated_tag is not None:
+                        self.open_by_tag.setdefault(engine.last_allocated_tag, []).append(
+                            (flat, idx))
+                    else:
+                        self.open.append((flat, idx, 0.0))
+                    flat = None
+                    continue
                 failed.add(idx)
-                if self.agent.rng.random() < self.INVALID_KEEP:
-                    self.open.append((flat, idx, -self.rewards.invalid))
-                continue
-            phase.take_action(engine, action)
-            if engine.last_allocated_tag is not None:
-                self.open_by_tag.setdefault(engine.last_allocated_tag, []).append((flat, idx))
-            else:
-                self.open.append((flat, idx, 0.0))
-            flat = None
+            # refused, now or since the state last changed, when a repeat
+            # would be refused again: record the penalty and draw again
+            if rng.random() < self.INVALID_KEEP:
+                self.open.append((flat, idx, -self.rewards.invalid))
 
     def finish(self, engine) -> None:
         self._collect_events(engine)

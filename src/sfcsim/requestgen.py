@@ -77,7 +77,9 @@ class WaveDraws:
 
     Raw 64-bit outputs are read `block` at a time, so the bit generator runs
     ahead of the draws served. That is only safe because the stream is used
-    for nothing else: each wave builds its own from its own seed.
+    for nothing else: each wave builds its own from its own seed. The DQN
+    agent's stream is the second user: dqn.AgentDraws adds the replay
+    batch's integers(lo, hi, size=k).
 
     A 32-bit draw is the low half of a fresh output, whose high half is kept
     for the next 32-bit draw (64-bit draws leave it in place), as PCG64 does.

@@ -109,8 +109,10 @@ class TestClosedHoles:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"dqn.reward": 5}, "dqn.reward must be a mapping, got 5"),
-        ({"requests.wave_times": 5}, "requests.wave_times must be a list of finite numbers"),
+        ({"requests.wave_times": 5}, "requests.wave_times must be a list of whole numbers"),
         ({"requests.wave_times": [0, float("inf")]}, "requests.wave_times must be"),
+        ({"requests.wave_times": [0, 2.5]},
+         "requests.wave_times must be a list of whole numbers, got [0, 2.5]"),
         ({"requests.wave_times": [0, "abc"]}, "requests.wave_times must be"),
         ({"requests.wave_times": [True]}, "requests.wave_times must be"),
         ({"requests.wave_times": [0], "requests.manual": [5]},
@@ -121,13 +123,19 @@ class TestClosedHoles:
          "requests: manual mode needs one request list per wave"),
         ({"datacenters.per_dc": [{"max_storage_gb": 10, "cpus": 2, "ram_gb": 4, "gpus": 1}]},
          "unknown key 'gpus' in datacenters.per_dc[0]"),
-    ], ids=["reward-int", "waves-int", "waves-inf", "waves-str", "waves-bool", "manual-wave-int",
-            "manual-spec-int", "waves-descending", "manual-count", "per-dc-extra-key"])
+    ], ids=["reward-int", "waves-int", "waves-inf", "waves-fractional", "waves-str", "waves-bool",
+            "manual-wave-int", "manual-spec-int", "waves-descending", "manual-count",
+            "per-dc-extra-key"])
     def test_other_keys_the_table_reaches(self, overrides, message):
         # each ended in a traceback or raised a plain ValueError, but the
-        # extra per_dc key was ignored and the bool wave time ran as 1
+        # extra per_dc key was ignored, the bool wave time ran as 1 and the
+        # fractional one ran truncated
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config("tiny").with_overrides(overrides)
+
+    def test_a_whole_float_wave_time_runs_at_its_step(self):
+        plan = load_config("tiny", overrides={"requests.wave_times": [2500.0]}).build_plan()
+        assert plan.times == (2500,)
 
     def test_null_edge_capacity_is_the_default(self):
         nodes = [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}]

@@ -28,7 +28,7 @@ from sfcsim.dqn import (
     train,
 )
 from sfcsim.engine import Engine
-from sfcsim.policy import ALLOCATE, UNINSTALL
+from sfcsim.policy import ALLOCATE, UNINSTALL, allocation_candidates
 from sfcsim.requestgen import RequestGenerator
 from sfcsim.topology import NetworkGraph
 
@@ -717,16 +717,14 @@ class TestPolicyPhase:
         assert counts["pushed"] > 0 and counts["reencoded"] > 0, counts
 
     def test_guide_sweeps_once_per_state(self, monkeypatch):
-        import sfcsim.dqn
-
-        real_candidates = sfcsim.dqn.allocation_candidates
+        real_options = DqnTrainingPolicy._guide_options
         real_phase = StateEncoder.phase_features
         real_apply = Engine.apply_action
         counts = {"sweeps": 0, "states": 0}
 
-        def allocation_candidates(engine):
+        def guide_options(self, engine, phase):
             counts["sweeps"] += 1
-            return real_candidates(engine)
+            return real_options(self, engine, phase)
 
         def phase_features(self, engine):
             counts["states"] += 1
@@ -737,7 +735,7 @@ class TestPolicyPhase:
             counts["states"] += ok  # an accepted action makes a new state
             return ok
 
-        monkeypatch.setattr(sfcsim.dqn, "allocation_candidates", allocation_candidates)
+        monkeypatch.setattr(DqnTrainingPolicy, "_guide_options", guide_options)
         monkeypatch.setattr(StateEncoder, "phase_features", phase_features)
         monkeypatch.setattr(Engine, "apply_action", apply_action)
         cfg = _busy_tiny(3).with_overrides({"dqn.max_actions": 40})
@@ -747,21 +745,44 @@ class TestPolicyPhase:
                              guide_prob=0.5)
         assert 0 < counts["sweeps"] <= counts["states"], counts
 
+    def test_guide_options_are_the_filtered_candidate_sweep(self, monkeypatch):
+        # the guide's own loop over DCs and types, against the allocations of
+        # the heuristic's sweep that have locally pending heads, on every
+        # state of a run that asks the guide first at every state
+        real_options = DqnTrainingPolicy._guide_options
+        counts = {"states": 0, "longest": 0}
+
+        def guide_options(self, engine, phase):
+            options = real_options(self, engine, phase)
+            n_vnfs, vnf_pos = len(self.encoder.vnf_names), self.encoder.vnf_pos
+            assert options == [action.dc * n_vnfs + vnf_pos[action.vtype]
+                               for action in allocation_candidates(engine)
+                               if phase.local[(action.dc, action.vtype)] > 0]
+            counts["states"] += 1
+            counts["longest"] = max(counts["longest"], len(options))
+            return options
+
+        monkeypatch.setattr(DqnTrainingPolicy, "_guide_options", guide_options)
+        from sfcsim.dqn import build_agent
+
+        for cfg in (load_config("tiny", seed=3), _busy_tiny(3)):
+            run_training_episode(cfg, build_agent(cfg, 3), epsilon=1.0, episode_seed=3,
+                                 guide_prob=1.0)
+        # some state offered several options, so their order was checked too
+        assert counts["states"] > 0 and counts["longest"] > 1, counts
+
     def test_refused_action_reaches_the_engine_once_per_state(self, monkeypatch):
         real_act = DqnTrainingPolicy.act
         real_apply = Engine.apply_action
+        real_act_index = DqnAgent.act_index
         refused = set()
         counts = {"drawn": 0, "applied": 0, "refused": 0}
 
-        import sfcsim.dqn
-
-        real_decode = sfcsim.dqn.decode_action
-
-        def decode_action(index, n_dcs, vnf_names):
-            """decode_action, counting the draws other than the no-op."""
-            action = real_decode(index, n_dcs, vnf_names)
-            counts["drawn"] += action is not None
-            return action
+        def act_index(self, enc, epsilon, greedy=None):
+            """act_index, counting the draws other than the no-op."""
+            idx, greedy = real_act_index(self, enc, epsilon, greedy)
+            counts["drawn"] += idx != self.n_actions - 1
+            return idx, greedy
 
         def act(self, engine):
             refused.clear()
@@ -781,7 +802,7 @@ class TestPolicyPhase:
 
         monkeypatch.setattr(DqnTrainingPolicy, "act", act)
         monkeypatch.setattr(Engine, "apply_action", apply_action)
-        monkeypatch.setattr(sfcsim.dqn, "decode_action", decode_action)
+        monkeypatch.setattr(DqnAgent, "act_index", act_index)
         cfg = _busy_tiny(3).with_overrides({"dqn.max_actions": 40})
         from sfcsim.dqn import build_agent
 
