@@ -324,11 +324,13 @@ def _compute_products(data: dict) -> None:
 
 
 def _batch_fits_buffer(data: dict) -> None:
+    # the ring never holds more than dqn.buffer transitions, so a ring smaller
+    # than one batch, or than the size training waits for, never trains
     dqn = data["dqn"]
-    if dqn["buffer"] < dqn["batch"]:
-        # a ring smaller than one batch never reaches train_step
-        raise ConfigError(f"dqn.buffer ({dqn['buffer']}) must be >= dqn.batch "
-                          f"({dqn['batch']})")
+    for key in ("batch", "min_buffer"):
+        if dqn["buffer"] < dqn[key]:
+            raise ConfigError(f"dqn.buffer ({dqn['buffer']}) must be >= dqn.{key} "
+                              f"({dqn[key]})")
 
 
 def _wave_plan(data: dict) -> None:

@@ -27,6 +27,11 @@ stream seeded [seed, 0xD09], bit for bit the draws of
 np.random.default_rng([seed, 0xD09]) but served from raw PCG64 output read
 ahead in blocks. Reading ahead is safe because nothing else draws from that
 stream and a checkpoint carries no rng state.
+
+The replay ring stores states in float32. Acting reads each encoding in
+float64, but the transitions kept at it wait for their labels as one
+float32 copy of it, and the ring stores a run of pushes of one copy as one
+row, so the many refused draws at one state cost one row between them.
 """
 
 from __future__ import annotations
@@ -81,8 +86,8 @@ class PhaseFeatures:
 
     take_action updates the counts for an accepted action and marks the
     entries of `flat` it changed, which the next encode rewrites into a new
-    array. `flat` is never written in place: the policy holds every encoding
-    it handed out until it is pushed to the replay ring.
+    array. `flat` is never written in place: an encoding stays as it was
+    handed out while the policy acts on it and copies it for the replay ring.
     """
 
     deadlines: list[tuple[float, float]]
@@ -381,22 +386,44 @@ class QNetwork:
 class ReplayBuffer:
     """FIFO ring of (state, action, reward): all that label regression reads.
 
-    The rows start uninitialised (np.empty, so a large ring costs no memset
-    at set-up): sample draws only indices below size, and push has written
-    every one of those rows.
+    Entry i's state is the float32 row states[rows[i]]. A run of pushes of
+    one state object, as the refused draws at one state make, shares one
+    row: push writes a new row only when handed an object other than the one
+    it was handed last, and holds that object so no new array can take its
+    id. Identity stands for equal content because no one writes a state once
+    it is handed out.
+
+    Rows are handed out in push order, around a ring of capacity rows. The
+    entries that read a row are pushed one after another from the push that
+    wrote it, and the row is next written capacity new states later, so at
+    least capacity pushes after the last of those entries: by then each has
+    been overwritten, by that same push at the latest. So sample returns
+    what a ring of one row per push would, after the ring wraps too.
+
+    The arrays start uninitialised (np.empty, so a large ring costs no
+    memset at set-up, and a row never written is never touched): sample
+    draws only indices below size, and push has written every one of those
+    entries and the rows they read.
     """
 
     def __init__(self, capacity: int, state_width: int):
         self.capacity = int(capacity)
         self.states = np.empty((capacity, state_width), dtype=np.float32)
+        self.rows = np.empty(capacity, dtype=np.intp)
         self.actions = np.empty(capacity, dtype=np.int64)
         self.rewards = np.empty(capacity)
         self.size = 0
         self._next = 0
+        self._row = -1  # the row _last was written into
+        self._last = None
 
     def push(self, state, action, reward) -> None:
         i = self._next
-        self.states[i] = state
+        if state is not self._last:
+            self._row = (self._row + 1) % self.capacity
+            self.states[self._row] = state
+            self._last = state
+        self.rows[i] = self._row
         self.actions[i] = action
         self.rewards[i] = reward
         self._next = (i + 1) % self.capacity
@@ -404,7 +431,7 @@ class ReplayBuffer:
 
     def sample(self, batch: int, rng) -> tuple:
         idx = rng.integers(0, self.size, size=batch)
-        return self.states[idx], self.actions[idx], self.rewards[idx]
+        return self.states[self.rows[idx]], self.actions[idx], self.rewards[idx]
 
 
 @dataclass(frozen=True)
@@ -668,8 +695,11 @@ class DqnTrainingPolicy:
     reached the engine. For the same reason the guide's options are swept
     once per state.
 
-    Every encoding is a new array that no one writes to: it is held in
-    `open` or `open_by_tag` until `_push` copies it into the replay ring.
+    Every encoding is a new array that no one writes to. Acting reads it in
+    float64; the transitions kept at it wait in `open` or `open_by_tag` as
+    one float32 copy of it, made when the first of them is kept (the cast
+    the replay ring makes anyway), until `_push` hands them to the ring,
+    which stores a run of pushes of that copy as one row.
     """
 
     INVALID_KEEP = 0.25
@@ -693,6 +723,10 @@ class DqnTrainingPolicy:
         self._seen_done = 0
         self._seen_dropped = 0
         self._since_train = 0
+
+    def _hold(self, flat: np.ndarray) -> np.ndarray:
+        """The float32 copy the transitions kept at encoding flat wait in."""
+        return flat.astype(np.float32)
 
     def _push(self, state, action, reward) -> None:
         self.agent.buffer.push(state, action, reward)
@@ -753,7 +787,7 @@ class DqnTrainingPolicy:
             if flat is None:
                 flat = self.encoder.encode(engine, phase)
                 enc = self.agent.split(flat)
-                greedy = guide = None
+                greedy = guide = held = None  # held: flat's float32 copy, once made
                 failed = set()  # indices refused since the state last changed
             idx = None
             if self.guide_prob > 0.0 and rng.random() < self.guide_prob:
@@ -769,22 +803,28 @@ class DqnTrainingPolicy:
                     # not a stop during training: keeps exploration throughput
                     # independent of the current value estimates
                     if rng.random() < self.IDLE_KEEP:
-                        self.open.append((flat, idx, 0.0))
+                        if held is None:
+                            held = self._hold(flat)
+                        self.open.append((held, idx, 0.0))
                     continue
                 if engine.apply_action(action):
                     phase.take_action(engine, action)
+                    if held is None:
+                        held = self._hold(flat)
                     if engine.last_allocated_tag is not None:
                         self.open_by_tag.setdefault(engine.last_allocated_tag, []).append(
-                            (flat, idx))
+                            (held, idx))
                     else:
-                        self.open.append((flat, idx, 0.0))
+                        self.open.append((held, idx, 0.0))
                     flat = None
                     continue
                 failed.add(idx)
             # refused, now or since the state last changed, when a repeat
             # would be refused again: record the penalty and draw again
             if rng.random() < self.INVALID_KEEP:
-                self.open.append((flat, idx, -self.rewards.invalid))
+                if held is None:
+                    held = self._hold(flat)
+                self.open.append((held, idx, -self.rewards.invalid))
 
     def finish(self, engine) -> None:
         self._collect_events(engine)

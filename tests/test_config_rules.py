@@ -133,6 +133,18 @@ class TestClosedHoles:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config("tiny").with_overrides(overrides)
 
+    def test_min_buffer_above_buffer_is_refused(self, tmp_path, capsys):
+        # the ring never holds more than dqn.buffer transitions, so training
+        # waited for a size it never reached: every episode's loss read 0.0
+        out = tmp_path / "o"
+        code = main(["train", "--scenario", "tiny", "--episodes", "2", "--quiet",
+                     "--out", str(out), "--set", "dqn.min_buffer=6000"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: dqn.buffer (5000) must be >= dqn.min_buffer (6000)")
+        assert not out.exists()
+        load_config("tiny", overrides={"dqn.min_buffer": 5000})  # a full ring trains
+
     def test_a_whole_float_wave_time_runs_at_its_step(self):
         plan = load_config("tiny", overrides={"requests.wave_times": [2500.0]}).build_plan()
         assert plan.times == (2500,)

@@ -688,12 +688,17 @@ class TestPolicyPhase:
         assert seen["uninstall"] > 0 and seen["remote"] > 0, seen
 
     def test_encodings_are_pushed_as_they_were_handed_out(self, monkeypatch):
-        # an encoding waits by reference in open or open_by_tag until _push
-        # copies it into the replay ring, so no later re-encode may write it;
-        # each is snapshot as encode hands it out, before it can enter either
+        # a kept transition waits in open or open_by_tag as its encoding's
+        # float32 copy, made when the first transition at that encoding is
+        # kept, until _push hands it to the replay ring; so no later re-encode
+        # may write an encoding before its copy is made. Each encoding is
+        # snapshot as encode hands it out, before it can be copied
         real_encode = StateEncoder.encode
+        real_hold = DqnTrainingPolicy._hold
         real_push = DqnTrainingPolicy._push
         handed_out = {}  # id -> (encoding, its bytes when handed out)
+        held = {}  # id of a held copy -> (the copy, the id of its encoding)
+        copies = {}  # id of an encoding -> held copies made of it
         counts = {"reencoded": 0, "pushed": 0}
 
         def encode(self, engine, phase=None):
@@ -703,18 +708,30 @@ class TestPolicyPhase:
             handed_out.setdefault(id(flat), (flat, flat.tobytes()))
             return flat
 
+        def hold(self, flat):
+            assert handed_out[id(flat)][0] is flat
+            copy = real_hold(self, flat)
+            copies[id(flat)] = copies.get(id(flat), 0) + 1
+            held[id(copy)] = (copy, id(flat))  # holding copy keeps its id unique
+            return copy
+
         def push(self, state, action, reward):
-            flat, snapshot = handed_out[id(state)]
-            assert flat is state
-            assert state.tobytes() == snapshot
+            copy, source = held[id(state)]
+            assert copy is state
+            # as handed out: the float32 cast of the hand-out snapshot
+            snapshot = handed_out[source][1]
+            assert state.dtype == np.float32
+            assert state.tobytes() == np.frombuffer(snapshot).astype(np.float32).tobytes()
             counts["pushed"] += 1
             real_push(self, state, action, reward)
 
         monkeypatch.setattr(StateEncoder, "encode", encode)
+        monkeypatch.setattr(DqnTrainingPolicy, "_hold", hold)
         monkeypatch.setattr(DqnTrainingPolicy, "_push", push)
         for _ in _every_kind_of_draw(_busy_tiny(3), 3):
             pass
         assert counts["pushed"] > 0 and counts["reencoded"] > 0, counts
+        assert max(copies.values()) == 1, "more than one held copy of an encoding"
 
     def test_guide_sweeps_once_per_state(self, monkeypatch):
         real_options = DqnTrainingPolicy._guide_options
