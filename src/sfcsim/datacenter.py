@@ -30,23 +30,9 @@ class InsufficientResources(DataCenterError):
 
 
 class LedgerError(DataCenterError):
-    """The resource bookkeeping identity failed: a bug, never a policy outcome."""
-
-
-class UnknownFunction(DataCenterError):
-    pass
-
-
-class FunctionInUse(DataCenterError):
-    pass
-
-
-class AlreadyInUse(DataCenterError):
-    pass
-
-
-class NotInUse(DataCenterError):
-    pass
+    """The resource bookkeeping identity failed, or a lifecycle call named an
+    instance that is unknown or in the wrong state: a bug, never a policy
+    outcome."""
 
 
 class DataCenter:
@@ -146,12 +132,12 @@ class DataCenter:
 
     def _is_idle(self, vname: str, fid: int) -> bool:
         if fid not in self.installed.get(vname, ()):
-            raise UnknownFunction(f"DC {self.dc_id}: no {vname} function {fid}")
+            raise LedgerError(f"DC {self.dc_id}: no {vname} function {fid}")
         return fid in self.idle[vname]
 
     def uninstall_vnf(self, vname: str, fid: int) -> None:
         if not self._is_idle(vname, fid):
-            raise FunctionInUse(f"DC {self.dc_id}: {vname}/{fid} is in use")
+            raise LedgerError(f"DC {self.dc_id}: {vname}/{fid} is in use")
         self.installed[vname].remove(fid)
         self.idle[vname].remove(fid)
         del self.idle_since[(vname, fid)]
@@ -161,13 +147,13 @@ class DataCenter:
 
     def allocate_vnf(self, vname: str, fid: int) -> None:
         if not self._is_idle(vname, fid):
-            raise AlreadyInUse(f"DC {self.dc_id}: {vname}/{fid} already in use")
+            raise LedgerError(f"DC {self.dc_id}: {vname}/{fid} already in use")
         self.idle[vname].remove(fid)
         del self.idle_since[(vname, fid)]
 
     def revoke_vnf(self, vname: str, fid: int, now: int) -> None:
         if self._is_idle(vname, fid):
-            raise NotInUse(f"DC {self.dc_id}: {vname}/{fid} is not in use")
+            raise LedgerError(f"DC {self.dc_id}: {vname}/{fid} is not in use")
         self._go_idle(vname, fid, now)
 
     def _go_idle(self, vname: str, fid: int, now: int) -> None:

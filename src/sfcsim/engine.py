@@ -34,11 +34,15 @@ when it follows a step that moved the bandwidth version or a policy phase
 that allocated a remote head. No pass changes anything on any other step,
 so run_episode jumps over it by setting step_no, the only clock: DCs stamp
 idle instances with the step they are given. Waves, resource samples,
-policy ticks and the step cap are due steps as well.
+policy ticks and the step cap are due steps as well. On an executed step a
+pass with nothing due returns after one check: the drop pass when the drop
+heap's head is not due, the head pass when no TX waits for a path and no
+wake-up is due, the completion pass when no finished chain waits.
 
 Waiting heads are grouped per VNF type by policy.score_key, so the
 allocation argmax scores each group once instead of each tag. Each group
-keeps its tags in ascending order, so its smallest tag is its first. The
+keeps its tags in ascending order, so its smallest tag is its first; a type
+with one group is answered by that tag, without a ranking. The
 per-type rankings the argmax reads (policy.rank_groups, which reads each
 group once) live for one policy phase: they are dropped when step_no or the
 bandwidth version moves. Inside a phase, allocations only shrink groups,
@@ -265,9 +269,12 @@ class Engine:
         return max(now, due)
 
     def _drop_pass(self, now: int) -> None:
+        heap = self._drop_heap
+        if not heap or heap[0][0] > now:
+            return
         due = []
-        while self._drop_heap and self._drop_heap[0][0] <= now:
-            _, tag = heapq.heappop(self._drop_heap)
+        while heap and heap[0][0] <= now:
+            _, tag = heapq.heappop(heap)
             due.append(tag)
         for tag in sorted(due):
             rec = self.live.get(tag)
@@ -294,9 +301,12 @@ class Engine:
                                  pending=len(rec.chain))
 
     def _head_pass(self, now: int) -> None:
+        heap = self._event_heap
+        if not self._await_tx and (not heap or heap[0][0] > now):
+            return
         woken = set(self._await_tx)
-        while self._event_heap and self._event_heap[0][0] <= now:
-            _, tag = heapq.heappop(self._event_heap)
+        while heap and heap[0][0] <= now:
+            _, tag = heapq.heappop(heap)
             woken.add(tag)
         for tag in sorted(woken):
             rec = self.live.get(tag)
@@ -352,6 +362,8 @@ class Engine:
             self._await_final.add(rec.tag)
 
     def _completion_pass(self, now: int) -> None:
+        if not self._await_final:
+            return
         # the drop pass skips finished chains, so every waiting tag is live
         for tag in sorted(self._await_final):
             rec = self.live[tag]

@@ -20,14 +20,17 @@ memory until the feasibility version of the request's bandwidth moves.
 Every total is w1*p1 + w2*p2 + w3*p3 + w4*p4 summed in that order, as
 priority() sums it: a regrouped float sum can flip an argmax tie.
 
-The argmax reads a ranking that rank_groups builds once per phase and VNF
-type, on the type's first query: a heap of every group by its total at
-p2 = 0, and per DC a heap of the groups whose p2 is positive there. The
-weights are non-negative and float rounding is monotone, so a group's
-total never falls as p2 rises; the better top of the two heaps a DC reads
-is the argmax. Inside a phase a group only loses tags, so a stale top is
-mended when read: an emptied group is popped and a group whose first tag
-moved is re-keyed. A head that starts waiting drops its type's ranking.
+A type with a single waiting group needs no ranking: every tag of the
+group scores alike at every DC, so the argmax is its first tag. For a type
+with two or more groups the argmax reads a ranking that rank_groups builds
+once per phase and VNF type, on the type's first query: a heap of every
+group by its total at p2 = 0, and per DC a heap of the groups whose p2 is
+positive there. The weights are non-negative and float rounding is
+monotone, so a group's total never falls as p2 rises; the better top of the
+two heaps a DC reads is the argmax. Inside a phase a group only loses tags,
+so a stale top is mended when read: an emptied group is popped and a group
+whose first tag moved is re-keyed. A head that starts waiting drops its
+type's ranking.
 """
 
 from __future__ import annotations
@@ -197,22 +200,28 @@ def _top(heap: list):
 def select_for_allocation(engine, dc: int, vtype: str) -> int | None:
     """Argmax of priority total over the candidate set; smallest tag on ties.
 
-    Reads the phase's ranking of the type, built on its first query: the
-    better of the base top and the top of the DC's heap. A group with
-    positive p2 at dc totals at least its base key, and is in the DC's
+    A type with one waiting group needs no ranking: its tags share a
+    score_key, so they score alike at every DC, and the smallest, which the
+    group keeps first, wins the tie. A ranking built earlier in the phase,
+    when the type had more groups, answers the same: groups only shrink.
+
+    Otherwise reads the phase's ranking of the type, built on its first
+    query: the better of the base top and the top of the DC's heap. A group
+    with positive p2 at dc totals at least its base key, and is in the DC's
     heap, so the base top's key is its total whenever the base top wins.
     """
+    groups = engine.waiting.get(vtype)
+    if not groups:
+        return None
+    if len(groups) == 1:
+        (group,) = groups.values()
+        return next(iter(group))
     rankings = engine.phase_rankings()
     ranking = rankings.get(vtype)
     if ranking is None:
-        groups = engine.waiting.get(vtype)
-        if not groups:
-            return None
         ranking = rankings[vtype] = rank_groups(engine, groups)
     base, by_dc = ranking
-    best = _top(base)
-    if best is None:
-        return None
+    best = _top(base)  # not None: each waiting group of the type is in base
     near = _top(by_dc[dc])
     if near is not None and near[:2] < best[:2]:
         return near[1]

@@ -10,15 +10,7 @@ import pytest
 import sfcsim
 
 from sfcsim.catalog import VnfType, default_catalog
-from sfcsim.datacenter import (
-    AlreadyInUse,
-    DataCenter,
-    FunctionInUse,
-    InsufficientResources,
-    LedgerError,
-    NotInUse,
-    UnknownFunction,
-)
+from sfcsim.datacenter import DataCenter, InsufficientResources, LedgerError
 
 CAT = default_catalog()
 NAT = CAT.vnfs["NAT"]
@@ -103,14 +95,14 @@ class TestLifecycle:
         dc.check_ledger()
 
     def test_uninstall_unknown(self):
-        with pytest.raises(UnknownFunction):
+        with pytest.raises(LedgerError, match="DC 0: no NAT function 7$"):
             fresh_dc().uninstall_vnf("NAT", 7)
 
     def test_uninstall_in_use_refused(self):
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        with pytest.raises(FunctionInUse):
+        with pytest.raises(LedgerError, match=f"DC 0: NAT/{fid} is in use$"):
             dc.uninstall_vnf("NAT", fid)
 
     def test_allocate_removes_idle_clock(self):
@@ -137,7 +129,7 @@ class TestLifecycle:
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
         dc.allocate_vnf("NAT", fid)
-        with pytest.raises(AlreadyInUse):
+        with pytest.raises(LedgerError, match=f"DC 0: NAT/{fid} already in use$"):
             dc.allocate_vnf("NAT", fid)
 
     def test_allocation_isolated_per_instance(self):
@@ -161,7 +153,7 @@ class TestLifecycle:
     def test_revoke_idle_refused(self):
         dc = fresh_dc()
         fid = dc.install_vnf(NAT, 0)
-        with pytest.raises(NotInUse):
+        with pytest.raises(LedgerError, match=f"DC 0: NAT/{fid} is not in use$"):
             dc.revoke_vnf("NAT", fid, 0)
 
     def test_reuse_after_revoke(self):
