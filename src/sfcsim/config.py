@@ -516,12 +516,13 @@ class ScenarioConfig:
             return HeuristicPolicy()
         if kind == "random":
             return RandomPolicy(graph.n, list(catalog.vnfs), seed)
-        from .dqn import DqnPolicy, load_agent  # kind == "dqn"
+        from .dqn import DqnPolicy, agent_encoder, load_agent  # kind == "dqn"
 
         ckpt = self.data["policy"]["checkpoint"]
         if ckpt is None:
             raise ConfigError("policy.kind dqn needs policy.checkpoint")
-        return DqnPolicy(load_agent(ckpt), self, seed)
+        agent = load_agent(ckpt, self.data["dqn"])
+        return DqnPolicy(agent, agent_encoder(agent, catalog, graph), seed)
 
 
 def load_config(path: str, seed: int | None = None,

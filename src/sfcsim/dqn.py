@@ -32,6 +32,9 @@ The replay ring stores states in float32. Acting reads each encoding in
 float64, but the transitions kept at it wait for their labels as one
 float32 copy of it, and the ring stores a run of pushes of one copy as one
 row, so the many refused draws at one state cost one row between them.
+
+Every setting comes from the scenario's `dqn` section, held as
+`DqnAgent.hp`; a checkpoint brings only its parameters and counters.
 """
 
 from __future__ import annotations
@@ -434,21 +437,6 @@ class ReplayBuffer:
         return self.states[self.rows[idx]], self.actions[idx], self.rewards[idx]
 
 
-@dataclass(frozen=True)
-class RewardSpec:
-    """Label magnitudes: a completed request's allocations read +complete,
-    a dropped one's -drop, and an infeasible choice -invalid. There is no
-    per-step term; every label comes from an outcome or a refusal."""
-
-    complete: float = 10.0
-    drop: float = 10.0
-    invalid: float = 1.0
-
-    def __post_init__(self):
-        if min(self.complete, self.drop, self.invalid) < 0:
-            raise ValueError("reward magnitudes must be non-negative")
-
-
 # -- agent -----------------------------------------------------------------------
 
 class AgentDraws(WaveDraws):
@@ -503,6 +491,9 @@ class AgentDraws(WaveDraws):
 class DqnAgent:
     """The online Q-network, its replay ring and its draws.
 
+    `hp` is a scenario's `dqn` section: the network's shape, the ring's
+    size and every other setting the agent and its policies read.
+
     `rng` is an AgentDraws seeded [seed, 0xD09]: every draw of acting,
     training and replay sampling comes from it, bit for bit as
     np.random.default_rng([seed, 0xD09]) would make them. It reads raw
@@ -523,9 +514,7 @@ class DqnAgent:
         self.buffer = ReplayBuffer(hp["buffer"], total_width)
         self.train_steps = 0
         self.episode = 0
-        # a checkpoint's hp, which load_agent reads and no config rule checks,
-        # may lack the key; load_agent then sets decay_episodes from its meta
-        self.decay_episodes = max(1, hp.get("episodes", 200) // 2)
+        self.decay_episodes = max(1, hp["episodes"] // 2)
 
     # -- acting -------------------------------------------------------------
 
@@ -604,23 +593,24 @@ class DqnAgent:
         np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 
-def load_agent(path: str) -> DqnAgent:
-    """Read a checkpoint; ConfigError when it is missing or unreadable, or
-    when an array's shape is not the one its meta builds the network with.
-    Version 1 files also hold target-network arrays, which are ignored;
-    version 2 holds only the online parameters."""
+def load_agent(path: str, hp: dict) -> DqnAgent:
+    """The agent the scenario's `dqn` section hp builds, with a checkpoint's
+    parameters and counters; the checkpoint's copy of the section is not
+    read. ConfigError when the file is missing or unreadable, or an array
+    does not fit the scenario's network. Version 1 files also hold
+    target-network arrays, which are ignored."""
     try:
         data = np.load(path, allow_pickle=False)
         meta = json.loads(str(data["meta"]))
         if meta.get("version") not in (1, 2):
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
-        agent = DqnAgent(meta["branch_widths"], meta["n_actions"], meta["hp"])
+        agent = DqnAgent(meta["branch_widths"], meta["n_actions"], hp)
         params = agent.online.params
         for k, built in params.items():
             array = data[f"online_{k}"]
             if array.shape != built.shape:
                 raise ConfigError(f"online_{k} has shape {array.shape}, "
-                                  f"its meta builds {built.shape}")
+                                  f"the scenario builds {built.shape}")
             built[...] = array  # in place: the network packs and updates this array
         agent.train_steps = meta["train_steps"]
         agent.episode = meta["episode"]
@@ -630,10 +620,10 @@ def load_agent(path: str) -> DqnAgent:
     return agent
 
 
-def agent_encoder(agent: DqnAgent, catalog: Catalog, graph, count_cap: int) -> StateEncoder:
+def agent_encoder(agent: DqnAgent, catalog: Catalog, graph) -> StateEncoder:
     """The scenario's state encoder; ConfigError when its branch widths are
     not the ones the agent's network was built for."""
-    encoder = StateEncoder(catalog, graph.n, len(graph.edge_keys()), count_cap)
+    encoder = StateEncoder(catalog, graph.n, len(graph.edge_keys()), agent.hp["count_cap"])
     if encoder.widths != agent.branch_widths:
         raise ConfigError(f"checkpoint expects branches {agent.branch_widths}, "
                           f"scenario produces {encoder.widths}")
@@ -643,16 +633,17 @@ def agent_encoder(agent: DqnAgent, catalog: Catalog, graph, count_cap: int) -> S
 # -- policies ----------------------------------------------------------------------
 
 class DqnPolicy:
-    """Evaluation-time policy: epsilon-greedy (default greedy) multi-action
-    invocations, stopping early on the no-op index or an infeasible choice."""
+    """Evaluation-time policy: epsilon-greedy (by default `dqn.eps_eval`)
+    multi-action invocations on the encoder's states, stopping early on the
+    no-op index or an infeasible choice. It builds nothing; the seed is
+    unused, as evaluation draws from the agent's stream."""
 
-    def __init__(self, agent: DqnAgent, cfg, seed: int, epsilon: float | None = None):
+    def __init__(self, agent: DqnAgent, encoder: StateEncoder, seed: int,
+                 epsilon: float | None = None):
         self.agent = agent
-        dqn_cfg = cfg.data["dqn"]
-        self.max_actions = dqn_cfg["max_actions"]
-        self.epsilon = dqn_cfg["eps_eval"] if epsilon is None else epsilon
-        self.encoder = agent_encoder(agent, cfg.build_catalog(), cfg.build_graph(),
-                                     dqn_cfg["count_cap"])
+        self.encoder = encoder
+        self.max_actions = agent.hp["max_actions"]
+        self.epsilon = agent.hp["eps_eval"] if epsilon is None else epsilon
 
     def act(self, engine) -> None:
         phase = self.encoder.phase_features(engine)
@@ -705,16 +696,17 @@ class DqnTrainingPolicy:
     INVALID_KEEP = 0.25
     IDLE_KEEP = 0.125
 
-    def __init__(self, agent: DqnAgent, encoder: StateEncoder, rewards: RewardSpec,
-                 epsilon: float, max_actions: int, train_interval: int, min_buffer: int,
+    def __init__(self, agent: DqnAgent, encoder: StateEncoder, epsilon: float,
                  guide_prob: float = 0.0):
+        hp = agent.hp
         self.agent = agent
         self.encoder = encoder
-        self.rewards = rewards
+        self.reward = hp["reward"]
         self.epsilon = epsilon
-        self.max_actions = max_actions
-        self.train_interval = train_interval
-        self.min_buffer = min_buffer
+        self.max_actions = hp["max_actions"]
+        self.train_interval = hp["train_interval"]
+        # a train_step samples a whole batch from the ring
+        self.min_buffer = max(hp["min_buffer"], hp["batch"])
         self.guide_prob = guide_prob
         self.open: list[tuple] = []  # (state, action, immediate reward)
         self.open_by_tag: dict[int, list[tuple]] = {}  # tag -> [(state, action)]
@@ -734,7 +726,7 @@ class DqnTrainingPolicy:
         self._since_train += 1
         if self._since_train >= self.train_interval:
             self._since_train = 0
-            if self.agent.buffer.size >= max(self.min_buffer, self.agent.hp["batch"]):
+            if self.agent.buffer.size >= self.min_buffer:
                 loss = self.agent.train_step()
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"loss became {loss}")
@@ -743,9 +735,9 @@ class DqnTrainingPolicy:
     def _collect_events(self, engine) -> None:
         done, dropped = len(engine.done), len(engine.dropped)
         for rec in engine.done[self._seen_done:]:
-            self._resolve_tag(rec.tag, self.rewards.complete)
+            self._resolve_tag(rec.tag, self.reward["complete"])
         for rec in engine.dropped[self._seen_dropped:]:
-            self._resolve_tag(rec.tag, -self.rewards.drop)
+            self._resolve_tag(rec.tag, -self.reward["drop"])
         self._seen_done, self._seen_dropped = done, dropped
 
     def _resolve_tag(self, tag: int, reward: float) -> None:
@@ -824,7 +816,7 @@ class DqnTrainingPolicy:
             if rng.random() < self.INVALID_KEEP:
                 if held is None:
                     held = self._hold(flat)
-                self.open.append((held, idx, -self.rewards.invalid))
+                self.open.append((held, idx, -self.reward["invalid"]))
 
     def finish(self, engine) -> None:
         self._collect_events(engine)
@@ -850,17 +842,10 @@ def run_training_episode(cfg, agent: DqnAgent, epsilon: float, episode_seed: int
     from .engine import run_episode
 
     engine, generator, plan = make_runtime(cfg, episode_seed)
-    dqn_cfg = cfg.data["dqn"]
-    encoder = agent_encoder(agent, engine.catalog, engine.graph, dqn_cfg["count_cap"])
-    reward = dqn_cfg["reward"]
-    rewards = RewardSpec(reward["complete"], reward["drop"], reward["invalid"])
-    policy = DqnTrainingPolicy(
-        agent, encoder, rewards, epsilon,
-        dqn_cfg["max_actions"], dqn_cfg["train_interval"], dqn_cfg["min_buffer"],
-        guide_prob=guide_prob,
-    )
+    policy = DqnTrainingPolicy(agent, agent_encoder(agent, engine.catalog, engine.graph),
+                               epsilon, guide_prob=guide_prob)
     result = run_episode(engine, generator, plan, policy,
-                         t_model=dqn_cfg["t_model"], step_cap=cfg.data["run"]["step_cap"])
+                         t_model=agent.hp["t_model"], step_cap=cfg.data["run"]["step_cap"])
     policy.finish(engine)
     return result, policy
 
@@ -873,23 +858,23 @@ class TrainResult:
 
 
 def train(cfg, out_dir: str | None = None, episodes: int | None = None,
-          resume: str | None = None, seed: int | None = None,
-          progress=None) -> TrainResult:
-    """Train an agent on a scenario; returns the agent and per-episode curve.
+          resume: str | None = None, progress=None) -> TrainResult:
+    """Train an agent on a scenario, seeded by cfg.seed; returns the agent
+    and per-episode curve. With resume, the checkpoint's parameters and
+    counters continue under the scenario's settings.
 
     With out_dir, writes config_used.json and the checkpoint there once the
-    agent and an episode's runtime are set up, so a set-up ConfigError leaves
-    nothing behind. Aborts with TrainingDiverged on a non-finite loss,
-    keeping the last good checkpoint.
+    agent and an episode's runtime are set up and the agent fits that
+    runtime, so a set-up ConfigError leaves nothing behind. Aborts with
+    TrainingDiverged on a non-finite loss, keeping the last good checkpoint.
     """
-    seed = cfg.seed if seed is None else seed
-    episodes = cfg.data["dqn"]["episodes"] if episodes is None else int(episodes)
+    seed = cfg.seed
+    hp = cfg.data["dqn"]
+    episodes = hp["episodes"] if episodes is None else int(episodes)
     if episodes < 0:
         raise ConfigError(f"episodes must be >= 0, got {episodes}")
     if resume:
-        agent = load_agent(resume)
-        agent_encoder(agent, cfg.build_catalog(), cfg.build_graph(),
-                      cfg.data["dqn"]["count_cap"])
+        agent = load_agent(resume, hp)
     else:
         agent = build_agent(cfg, seed)
         agent.decay_episodes = max(1, episodes // 2)
@@ -898,13 +883,15 @@ def train(cfg, out_dir: str | None = None, episodes: int | None = None,
     if out_dir:
         from .config import make_runtime
 
-        make_runtime(cfg, seed)  # the set-up checks every training episode makes
+        # the set-up checks every training episode makes, and the agent's fit
+        engine, _, _ = make_runtime(cfg, seed)
+        agent_encoder(agent, engine.catalog, engine.graph)
         cfg.write_copy(out_dir)
         ckpt_path = os.path.join(out_dir, "checkpoint.npz")
         agent.save(ckpt_path)
-    checkpoint_every = cfg.data["dqn"]["checkpoint_every"]
+    checkpoint_every = hp["checkpoint_every"]
     start = agent.episode
-    guide_span = float(cfg.data["dqn"]["guide_frac"]) * max(1, episodes + start)
+    guide_span = float(hp["guide_frac"]) * max(1, episodes + start)
     for ep in range(start, start + episodes):
         eps = agent.epsilon(ep)
         guide = max(0.0, 1.0 - ep / guide_span) if guide_span > 0 else 0.0

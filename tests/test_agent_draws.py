@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from sfcsim.config import DEFAULTS
 from sfcsim.dqn import AgentDraws, DqnAgent, ReplayBuffer
 
 
@@ -114,8 +115,8 @@ class TestAgentDrawsMatchTheGenerator:
 class TestAgentStream:
     def test_agent_draws_from_its_seed(self):
         ref = np.random.default_rng([5, 0xD09])
-        rng = DqnAgent((3, 2, 1), 7, {"branch_dim": 4, "hidden": (4, 4), "buffer": 8},
-                       seed=5).rng
+        hp = {**DEFAULTS["dqn"], "branch_dim": 4, "hidden": (4, 4), "buffer": 8}
+        rng = DqnAgent((3, 2, 1), 7, hp, seed=5).rng
         assert isinstance(rng, AgentDraws)
         assert_same_stream(rng, ref, agent_calls(5, 300))
 

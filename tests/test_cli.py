@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import sfcsim.cli
+import sfcsim.config
 from sfcsim.cli import EXIT_CONFIG, EXIT_RUNTIME, EXIT_STEP_CAP, main, run_one
 from sfcsim.config import (
     BUILTIN_SCENARIOS,
@@ -30,6 +31,10 @@ def run_cli(args, tmp_path, monkeypatch, subdir="o"):
     monkeypatch.setenv("SFCSIM_OUTDIR", str(out))
     code = main(args)
     return code, out
+
+
+# tiny's network shape, so a tiny checkpoint's arrays fit another scenario
+TINY_NETWORK = ["--set", "dqn.branch_dim=16", "--set", "dqn.hidden=[32, 16]"]
 
 
 def artifact_dir(out):
@@ -167,6 +172,13 @@ class TestRun:
         build_agent(load_config("tiny"), 0).save(ckpt)
         code, _ = run_cli(["run", "--scenario", "paper3dc", "--policy", "dqn",
                            "--checkpoint", ckpt], tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        # paper3dc's network is wider than tiny's, so the first array refuses
+        assert f"config error: cannot load checkpoint {ckpt}: online_Wb0 has shape (40, 16), " \
+               "the scenario builds (40, 32)" in capsys.readouterr().err
+        # with tiny's network shape the arrays fit, and the branch widths refuse
+        code, _ = run_cli(["run", "--scenario", "paper3dc", "--policy", "dqn",
+                           "--checkpoint", ckpt, *TINY_NETWORK], tmp_path, monkeypatch)
         assert code == EXIT_CONFIG
         assert "config error: checkpoint expects branches (40, 48, 1), scenario produces " \
                "(60, 48, 3)" in capsys.readouterr().err
@@ -548,13 +560,14 @@ class TestTrain:
         ckpt = artifact_dir(out) / "checkpoint.npz"
         from sfcsim.dqn import load_agent
 
-        first = load_agent(str(ckpt))
+        hp = load_config("tiny").data["dqn"]
+        first = load_agent(str(ckpt), hp)
         assert first.episode == 2
         code2, out2 = run_cli(["train", "--scenario", "tiny", "--episodes", "1",
                                "--resume", str(ckpt), "--quiet"],
                               tmp_path, monkeypatch, subdir="t2")
         assert code2 == 0
-        second = load_agent(str(artifact_dir(out2) / "checkpoint.npz"))
+        second = load_agent(str(artifact_dir(out2) / "checkpoint.npz"), hp)
         assert second.episode == 3
         # the schedule picks up where it stopped rather than resetting
         assert second.epsilon(2) <= first.epsilon(0)
@@ -571,7 +584,7 @@ class TestTrain:
         ckpt = str(tmp_path / "tiny.npz")
         build_agent(load_config("tiny"), 0).save(ckpt)
         code, _ = run_cli(["train", "--scenario", "paper3dc", "--episodes", "1", "--quiet",
-                           "--resume", ckpt], tmp_path, monkeypatch, subdir="t2")
+                           "--resume", ckpt, *TINY_NETWORK], tmp_path, monkeypatch, subdir="t2")
         assert code == EXIT_CONFIG
         assert "config error: checkpoint expects branches" in capsys.readouterr().err
 
@@ -593,8 +606,46 @@ class TestTrain:
         code, out = run_cli([*command, bad], tmp_path, monkeypatch)
         assert code == EXIT_CONFIG
         assert f"config error: cannot load checkpoint {bad}: online_W1 has shape (48, 5), " \
-               "its meta builds (48, 32)" in capsys.readouterr().err
+               "the scenario builds (48, 32)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "tiny", "--policy", "dqn", "--checkpoint"],
+        ["train", "--scenario", "tiny", "--episodes", "1", "--quiet", "--resume"],
+    ], ids=["run", "train-resume"])
+    def test_checkpoint_not_fitting_the_scenarios_hidden_is_config_error(
+            self, tmp_path, monkeypatch, capsys, command):
+        # the network's shape is the scenario's, not the checkpoint's copy of it
+        from sfcsim.dqn import build_agent
+
+        ckpt = str(tmp_path / "tiny.npz")
+        build_agent(load_config("tiny"), 0).save(ckpt)
+        code, out = run_cli([*command, ckpt, "--set", "dqn.hidden=[32, 8]"],
+                            tmp_path, monkeypatch)
+        assert code == EXIT_CONFIG
+        assert f"config error: cannot load checkpoint {ckpt}: online_W2 has shape (32, 16), " \
+               "the scenario builds (32, 8)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_learns_at_the_scenarios_rate(self, tmp_path, monkeypatch):
+        # a batch of 8 makes the resumed episode reach train_step
+        small = ["--set", "dqn.min_buffer=8", "--set", "dqn.batch=8"]
+        code, out = run_cli(["train", "--scenario", "tiny", "--episodes", "1", "--quiet",
+                             *small], tmp_path, monkeypatch, subdir="t1")
+        assert code == 0
+        ckpt = str(artifact_dir(out) / "checkpoint.npz")
+        code, out2 = run_cli(["train", "--scenario", "tiny", "--episodes", "1", "--quiet",
+                              "--resume", ckpt, *small, "--set", "dqn.lr=0"],
+                             tmp_path, monkeypatch, subdir="t2")
+        assert code == 0
+        from sfcsim.dqn import load_agent
+
+        hp = load_config("tiny").data["dqn"]
+        first = load_agent(ckpt, hp)
+        second = load_agent(str(artifact_dir(out2) / "checkpoint.npz"), hp)
+        assert second.train_steps > first.train_steps
+        for name, array in first.online.params.items():
+            assert second.online.params[name].tobytes() == array.tobytes(), name
 
     def test_refused_resume_leaves_no_run_directory(self, tmp_path, monkeypatch, capsys):
         from sfcsim.dqn import build_agent
@@ -604,7 +655,7 @@ class TestTrain:
         code, out = run_cli(["train", "--scenario", "paper3dc", "--episodes", "1", "--quiet",
                              "--resume", ckpt], tmp_path, monkeypatch)
         assert code == EXIT_CONFIG
-        assert "config error: checkpoint expects branches" in capsys.readouterr().err
+        assert "the scenario builds (40, 32)" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/train-*"))
 
     def test_negative_reward_is_config_error(self, tmp_path, monkeypatch, capsys):
@@ -655,6 +706,45 @@ class TestTrain:
                              "--quiet"], tmp_path, monkeypatch)
         assert code == 0
         assert (artifact_dir(out) / "checkpoint.npz").exists()
+
+
+class TestSetupBuilds:
+    """A command builds a scenario's catalog and graph once per runtime it
+    sets up: one per episode it plays, plus the set-up check a command
+    makes before it writes anything."""
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["run", "--scenario", "tiny", "--policy", "dqn", "--checkpoint", "{ckpt}"], 1),
+        # a set-up check per policy, then a run per policy and seed
+        (["sweep", "--scenario", "tiny", "--seeds", "0,1,2",
+          "--policies", "heuristic,random,dqn", "--checkpoint", "{ckpt}"], 12),
+        # the output directory's set-up check, then one runtime per episode
+        (["train", "--scenario", "tiny", "--quiet", "--episodes", "2",
+          "--resume", "{ckpt}"], 3),
+    ], ids=["run-dqn", "sweep", "train-resume"])
+    def test_builds_per_command(self, argv, builds, tmp_path, monkeypatch):
+        from sfcsim.dqn import build_agent
+
+        ckpt = str(tmp_path / "tiny.npz")
+        build_agent(load_config("tiny"), 0).save(ckpt)
+        counts = {"catalog": 0, "graph": 0, "runtime": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ScenarioConfig, "build_catalog",
+                            counted("catalog", ScenarioConfig.build_catalog))
+        monkeypatch.setattr(ScenarioConfig, "build_graph",
+                            counted("graph", ScenarioConfig.build_graph))
+        runtime = counted("runtime", make_runtime)
+        monkeypatch.setattr(sfcsim.config, "make_runtime", runtime)
+        monkeypatch.setattr(sfcsim.cli, "make_runtime", runtime)
+        argv = [arg.format(ckpt=ckpt) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert counts == {"catalog": builds, "graph": builds, "runtime": builds}
 
 
 class TestScenarioConfig:

@@ -19,9 +19,9 @@ from sfcsim.dqn import (
     PhaseFeatures,
     QNetwork,
     ReplayBuffer,
-    RewardSpec,
     StateEncoder,
     action_space_size,
+    agent_encoder,
     decode_action,
     load_agent,
     run_training_episode,
@@ -184,6 +184,12 @@ def agent_hp(**over):
     return hp
 
 
+def eval_policy(agent, cfg, seed, epsilon):
+    """DqnPolicy on cfg's scenario, as build_policy hands it a loaded agent."""
+    encoder = agent_encoder(agent, cfg.build_catalog(), cfg.build_graph())
+    return DqnPolicy(agent, encoder, seed, epsilon=epsilon)
+
+
 class TestAgent:
     def test_epsilon_one_uniform_over_action_space(self):
         agent = DqnAgent([4, 3, 2], 13, agent_hp(), seed=3)
@@ -273,7 +279,7 @@ class TestAgent:
         with np.load(path) as data:
             assert json.loads(str(data["meta"]))["version"] == 2
             assert not [k for k in data.files if k.startswith("target_")]
-        back = load_agent(path)
+        back = load_agent(path, agent_hp())
         assert back.train_steps == 17 and back.episode == 3
         for key in agent.online.params:
             assert np.array_equal(agent.online.params[key], back.online.params[key])
@@ -291,20 +297,8 @@ class TestAgent:
         agent = DqnAgent([4, 3, 2], 5, agent_hp(), seed=9)
         path = str(tmp_path / "v1.npz")
         self._write_checkpoint(path, agent, 1)
-        back = load_agent(path)
+        back = load_agent(path, agent_hp())
         assert (back.train_steps, back.episode, back.decay_episodes) == (5, 2, 4)
-        for key in agent.online.params:
-            assert np.array_equal(agent.online.params[key], back.online.params[key])
-
-    def test_checkpoint_hp_without_episodes_loads(self, tmp_path):
-        # the checkpoint's own copy of the dqn section is read as it was written
-        hp = agent_hp()
-        del hp["episodes"]
-        agent = DqnAgent([4, 3, 2], 5, hp, seed=9)
-        path = str(tmp_path / "no-episodes.npz")
-        self._write_checkpoint(path, agent, 2)
-        back = load_agent(path)
-        assert "episodes" not in back.hp and back.decay_episodes == 4
         for key in agent.online.params:
             assert np.array_equal(agent.online.params[key], back.online.params[key])
 
@@ -312,7 +306,7 @@ class TestAgent:
         path = str(tmp_path / "v3.npz")
         self._write_checkpoint(path, DqnAgent([4, 3, 2], 5, agent_hp(), seed=9), 3)
         with pytest.raises(ValueError, match="version 3"):
-            load_agent(path)
+            load_agent(path, agent_hp())
 
 
 def _branches(encoder, flat):
@@ -412,9 +406,16 @@ class TestTraining:
         assert result.generated == 1
         assert (10.0 in labels) == (result.accepted == 1)
 
-    def test_reward_spec_signs(self):
-        with pytest.raises(ValueError):
-            RewardSpec(complete=-1.0)
+    def test_resumed_ring_is_the_scenarios(self, tmp_path):
+        # a checkpoint brings its parameters and counters, not the ring's size
+        from sfcsim.dqn import build_agent
+
+        ckpt = str(tmp_path / "tiny.npz")
+        build_agent(load_config("tiny"), 0).save(ckpt)
+        cfg = load_config("tiny", overrides={"dqn.buffer": 50_000, "dqn.min_buffer": 6000})
+        agent = train(cfg, episodes=0, resume=ckpt).agent
+        assert agent.buffer.capacity == len(agent.buffer.states) == 50_000
+        assert agent.hp["min_buffer"] == 6000
 
 
 def _sha256(text: str) -> str:
@@ -464,7 +465,7 @@ class TestTrainEvalDigest:
         }
         outcomes = []
         for eps in (0.0, 0.3):
-            res, metrics = run_one(cfg, 5, policy=DqnPolicy(agent, cfg, 5, epsilon=eps))
+            res, metrics = run_one(cfg, 5, policy=eval_policy(agent, cfg, 5, eps))
             outcomes.append((res.steps, res.generated, res.accepted))
             digests[f"eval eps={eps}"] = _sha256(json.dumps(
                 {"summary": metrics.summary_dict(), "steps": res.steps},
@@ -540,7 +541,7 @@ def _every_kind_of_draw(cfg, seed):
         run_training_episode(cfg, agent, epsilon=eps, episode_seed=seed, guide_prob=guide)
         yield
     for eps in (0.0, 0.3):
-        run_one(cfg, seed, policy=DqnPolicy(agent, cfg, seed, epsilon=eps))
+        run_one(cfg, seed, policy=eval_policy(agent, cfg, seed, eps))
         yield
 
 
@@ -578,7 +579,7 @@ class TestPolicyPhase:
         agent = train(cfg, episodes=3).agent
         assert agent.train_steps > 0
         for eps in (0.0, 0.3):
-            run_one(cfg, 5, policy=DqnPolicy(agent, cfg, 5, epsilon=eps))
+            run_one(cfg, 5, policy=eval_policy(agent, cfg, 5, eps))
         assert log.count("forward") > 0
         assert log[0] == "encode"
         assert ("forward", "forward") not in set(zip(log, log[1:]))
@@ -963,7 +964,7 @@ class TestFlatParameters:
     def test_resumed_training_moves_what_forward_reads(self, tmp_path):
         cfg = load_config("tiny", seed=5, overrides={"dqn.min_buffer": 8, "dqn.batch": 8})
         ckpt = train(cfg, out_dir=str(tmp_path), episodes=2).checkpoint_path
-        loaded = load_agent(ckpt)
+        loaded = load_agent(ckpt, cfg.data["dqn"])
         state = np.linspace(0.0, 1.0, sum(loaded.branch_widths))
         before = loaded.online.forward(loaded.split(state))
         agent = train(cfg, episodes=2, resume=ckpt).agent
